@@ -18,8 +18,6 @@ import numpy as np
 
 AUTONOMY_SCHEMA_VERSION = 1
 
-MODEL_IDS = ("v2", "v2_tiny", "v3", "v3_tiny")
-
 # Exponent applied to visibility in low ambient light grows with the preset's
 # low_light_penalty: exponent = 1 + NIGHT_EXPONENT_SCALE * penalty.
 NIGHT_EXPONENT_SCALE = 3.0
@@ -27,6 +25,13 @@ LOW_LIGHT_THRESHOLD = 0.5
 
 # Headlights restore part of the light term (never the weather term).
 LIGHT_GAIN = {"off": 0.0, "low_beam": 0.55, "high_beam_plus_fog": 0.65}
+
+# Headlights are off in bright, clear conditions and on high beam plus fog
+# lamps in dark, foggy ones; low beam covers everything between.
+HEADLIGHT_AMBIENT_OFF = 0.6
+HEADLIGHT_FOG_OFF = 0.3
+HEADLIGHT_AMBIENT_HIGH = 0.3
+HEADLIGHT_FOG_HIGH = 0.6
 
 STANDSTILL_SPEED = 0.05  # m/s, releases the AEB latch
 
@@ -73,7 +78,6 @@ class AebConfig:
     min_area: float = 400.0
     persistence_frames: int = 3
     fos: float = 1.5
-    cruise_speed: float = 11.1
     max_decel: float = 6.0         # planner's stopping-distance model, m/s^2
     range_to_dtc_offset: float = 1.5  # camera-range minus front-face DTC, m
 
@@ -160,7 +164,7 @@ class AebPlanner:
         return speed * speed / (2.0 * self.cfg.max_decel)
 
     def plan(self, detections: list[Detection], dtc_estimate: float | None,
-             speed: float) -> str:
+             speed: float) -> None:
         cfg = self.cfg
         qualifying = [d for d in detections
                       if d.cls in cfg.threat_classes
@@ -172,14 +176,10 @@ class AebPlanner:
             if abs(speed) < STANDSTILL_SPEED:
                 self.braking = False
                 self.finished = True
-            return "brake" if self.braking else "cruise"
-        if self.finished:
-            return "cruise"
-        if (self.counter >= cfg.persistence_frames and dtc_estimate is not None
-                and self.stopping_distance(speed) * cfg.fos >= dtc_estimate):
+        elif (not self.finished and self.counter >= cfg.persistence_frames
+              and dtc_estimate is not None
+              and self.stopping_distance(speed) * cfg.fos >= dtc_estimate):
             self.braking = True
-            return "brake"
-        return "cruise"
 
 
 def longitudinal_control(decision: str, speed: float, cruise_speed: float,
@@ -191,19 +191,10 @@ def longitudinal_control(decision: str, speed: float, cruise_speed: float,
     return throttle, 0.0
 
 
-@dataclass(frozen=True)
-class HeadlightThresholds:
-    ambient_off: float = 0.6
-    fog_off: float = 0.3
-    ambient_high: float = 0.3
-    fog_high: float = 0.6
-
-
-def headlight_control(ambient_light: float, fog_density: float,
-                      thresholds: HeadlightThresholds = HeadlightThresholds()) -> str:
-    if ambient_light >= thresholds.ambient_off and fog_density < thresholds.fog_off:
+def headlight_control(ambient_light: float, fog_density: float) -> str:
+    if ambient_light >= HEADLIGHT_AMBIENT_OFF and fog_density < HEADLIGHT_FOG_OFF:
         return "off"
-    if ambient_light < thresholds.ambient_high and fog_density >= thresholds.fog_high:
+    if ambient_light < HEADLIGHT_AMBIENT_HIGH and fog_density >= HEADLIGHT_FOG_HIGH:
         return "high_beam_plus_fog"
     return "low_beam"
 

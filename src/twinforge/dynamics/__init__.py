@@ -8,6 +8,7 @@ from .config import (
     SteeringParams,
     BrakeParams,
     AeroParams,
+    FootprintParams,
     VehicleConfig,
     com_properties,
     suspension_coefficients,
@@ -20,6 +21,7 @@ __all__ = [
     "AeroParams",
     "BrakeParams",
     "ConfigurationError",
+    "FootprintParams",
     "FrictionSpline",
     "PowertrainParams",
     "SimulationFault",

@@ -8,9 +8,9 @@ MPH/inches internally; that conversion lives in powertrain.py.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
+from typing import get_args, get_origin, get_type_hints
 
 from .spline import FrictionSpline
 
@@ -125,6 +125,10 @@ class PowertrainParams:
         for g in (GEAR_PARK, GEAR_REVERSE, GEAR_NEUTRAL, 1):
             if g not in self.gear_ratios:
                 raise ConfigurationError(f"gear_ratios missing gear {g}")
+        # shifts step one gear at a time, so forward gears must be 1..top
+        for g in range(2, self.top_forward_gear):
+            if g not in self.gear_ratios:
+                raise ConfigurationError(f"gear_ratios missing gear {g}")
 
     @property
     def top_forward_gear(self) -> int:
@@ -191,6 +195,13 @@ class AeroParams:
 
 
 @dataclass
+class FootprintParams:
+    length: float
+    width: float
+    center_x: float  # body-frame x of footprint center
+
+
+@dataclass
 class WheelConfig:
     name: str
     mount: tuple[float, float, float]  # strut top in body frame
@@ -216,21 +227,18 @@ class VehicleConfig:
     steering: SteeringParams
     brake: BrakeParams
     aero: AeroParams
-    tire_spline: FrictionSpline
-    tire_stiffness: float  # stored for completeness, not used by the force law
+    tires: FrictionSpline
     wheel_mounts: dict[str, tuple[float, float, float]]
-    footprint_length: float
-    footprint_width: float
-    footprint_center_x: float  # body-frame x of footprint center
+    footprint: FootprintParams
     slip_speed_guard: float = 0.1   # eps_v, m/s
     standstill_brake_decel: float = 7.5  # m/s^2 at full pedal, low-speed hold
     standstill_brake_speed: float = 2.5  # m/s, band where the hold takes over
     # filled by finalize()
-    total_mass: float = 0.0
-    com: tuple[float, float, float] = (0.0, 0.0, 0.0)
-    inertia: tuple[float, float, float] = (0.0, 0.0, 0.0)
-    wheels: list[WheelConfig] = field(default_factory=list)
-    wheel_inertia: float = 0.0
+    total_mass: float = field(init=False)
+    com: tuple[float, float, float] = field(init=False)
+    inertia: tuple[float, float, float] = field(init=False)
+    wheels: list[WheelConfig] = field(init=False)
+    wheel_inertia: float = field(init=False)
 
     def __post_init__(self):
         self.finalize()
@@ -289,141 +297,45 @@ class VehicleConfig:
     # -- serialization ----------------------------------------------------
 
     def to_dict(self) -> dict:
-        return {
-            "config_version": CONFIG_VERSION,
-            "sprung_masses": [{"mass": e.mass, "position": list(e.position)} for e in self.sprung_masses],
-            "suspension": {
-                "natural_frequency": self.suspension.natural_frequency,
-                "damping_ratio": self.suspension.damping_ratio,
-                "rest_length": self.suspension.rest_length,
-                "force_offset": self.suspension.force_offset,
-                "antiroll_stiffness": self.suspension.antiroll_stiffness,
-                "wheel_mass": self.suspension.wheel_mass,
-                "wheel_radius": self.suspension.wheel_radius,
-            },
-            "powertrain": {
-                "torque_curve": [list(p) for p in self.powertrain.torque_curve],
-                "idle_rpm": self.powertrain.idle_rpm,
-                "gear_ratios": {str(k): v for k, v in self.powertrain.gear_ratios.items()},
-                "final_drive": self.powertrain.final_drive,
-                "drive_config": self.powertrain.drive_config,
-                "diff_torque_drop": self.powertrain.diff_torque_drop,
-                "throttle_smoothing_gain": self.powertrain.throttle_smoothing_gain,
-                "shift_up_rpm": self.powertrain.shift_up_rpm,
-                "shift_down_rpm": self.powertrain.shift_down_rpm,
-                "shift_time": self.powertrain.shift_time,
-                "rpm_smoothing_tau": self.powertrain.rpm_smoothing_tau,
-                "tire_radius": self.powertrain.tire_radius,
-            },
-            "steering": {
-                "limit": self.steering.limit,
-                "sensitivity": self.steering.sensitivity,
-                "speed_factor": self.steering.speed_factor,
-                "wheelbase": self.steering.wheelbase,
-                "track": self.steering.track,
-                "top_speed": self.steering.top_speed,
-            },
-            "brake": {
-                "disk_radius": self.brake.disk_radius,
-                "braking_distance_60mph": self.brake.braking_distance_60mph,
-            },
-            "aero": {
-                "drag_max": self.aero.drag_max,
-                "drag_idle": self.aero.drag_idle,
-                "drag_reverse": self.aero.drag_reverse,
-                "top_speed": self.aero.top_speed,
-                "reverse_speed": self.aero.reverse_speed,
-                "angular_drag": self.aero.angular_drag,
-                "downforce_coeff": self.aero.downforce_coeff,
-            },
-            "tires": dict(self.tire_spline.to_dict(), stiffness=self.tire_stiffness),
-            "wheel_mounts": {k: list(v) for k, v in self.wheel_mounts.items()},
-            "footprint": {
-                "length": self.footprint_length,
-                "width": self.footprint_width,
-                "center_x": self.footprint_center_x,
-            },
-            "slip_speed_guard": self.slip_speed_guard,
-            "standstill_brake_decel": self.standstill_brake_decel,
-            "standstill_brake_speed": self.standstill_brake_speed,
-        }
+        return {"config_version": CONFIG_VERSION, **_to_doc(self)}
 
     @classmethod
     def from_dict(cls, doc: dict) -> "VehicleConfig":
         version = doc.get("config_version")
         if version != CONFIG_VERSION:
             raise ConfigurationError(f"unsupported config_version {version!r}")
-        s = doc["suspension"]
-        p = doc["powertrain"]
-        st = doc["steering"]
-        b = doc["brake"]
-        a = doc["aero"]
-        fp = doc["footprint"]
-        return cls(
-            sprung_masses=[SprungMass(e["mass"], tuple(e["position"])) for e in doc["sprung_masses"]],
-            suspension=SuspensionParams(
-                natural_frequency=s["natural_frequency"],
-                damping_ratio=s["damping_ratio"],
-                rest_length=s["rest_length"],
-                force_offset=s["force_offset"],
-                antiroll_stiffness=s["antiroll_stiffness"],
-                wheel_mass=s["wheel_mass"],
-                wheel_radius=s["wheel_radius"],
-            ),
-            powertrain=PowertrainParams(
-                torque_curve=[tuple(q) for q in p["torque_curve"]],
-                idle_rpm=p["idle_rpm"],
-                gear_ratios={int(k): v for k, v in p["gear_ratios"].items()},
-                final_drive=p["final_drive"],
-                drive_config=p["drive_config"],
-                diff_torque_drop=p["diff_torque_drop"],
-                throttle_smoothing_gain=p["throttle_smoothing_gain"],
-                shift_up_rpm=p["shift_up_rpm"],
-                shift_down_rpm=p["shift_down_rpm"],
-                shift_time=p["shift_time"],
-                rpm_smoothing_tau=p["rpm_smoothing_tau"],
-                tire_radius=p["tire_radius"],
-            ),
-            steering=SteeringParams(
-                limit=st["limit"],
-                sensitivity=st["sensitivity"],
-                speed_factor=st["speed_factor"],
-                wheelbase=st["wheelbase"],
-                track=st["track"],
-                top_speed=st["top_speed"],
-            ),
-            brake=BrakeParams(
-                disk_radius=b["disk_radius"],
-                braking_distance_60mph=b["braking_distance_60mph"],
-            ),
-            aero=AeroParams(
-                drag_max=a["drag_max"],
-                drag_idle=a["drag_idle"],
-                drag_reverse=a["drag_reverse"],
-                top_speed=a["top_speed"],
-                reverse_speed=a["reverse_speed"],
-                angular_drag=a["angular_drag"],
-                downforce_coeff=a["downforce_coeff"],
-            ),
-            tire_spline=FrictionSpline.from_dict(doc["tires"]),
-            tire_stiffness=doc["tires"].get("stiffness", 0.0),
-            wheel_mounts={k: tuple(v) for k, v in doc["wheel_mounts"].items()},
-            footprint_length=fp["length"],
-            footprint_width=fp["width"],
-            footprint_center_x=fp["center_x"],
-            slip_speed_guard=doc.get("slip_speed_guard", 0.1),
-            standstill_brake_decel=doc.get("standstill_brake_decel", 7.5),
-            standstill_brake_speed=doc.get("standstill_brake_speed", 2.5),
-        )
+        return _from_doc(cls, doc)
 
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
 
-    @classmethod
-    def load(cls, path) -> "VehicleConfig":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+def _to_doc(value):
+    """JSON-able document of a config value; only init fields are written."""
+    if isinstance(value, FrictionSpline):
+        return value.to_dict()
+    if is_dataclass(value):
+        return {f.name: _to_doc(getattr(value, f.name)) for f in fields(value) if f.init}
+    if isinstance(value, dict):
+        return {str(k): _to_doc(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_to_doc(v) for v in value]
+    return value
+
+
+def _from_doc(kind, doc):
+    """Inverse of _to_doc, driven by the type hints; fields with defaults may be absent."""
+    if kind is FrictionSpline:
+        return FrictionSpline.from_dict(doc)
+    if is_dataclass(kind):
+        hints = get_type_hints(kind)
+        return kind(**{f.name: _from_doc(hints[f.name], doc[f.name])
+                       for f in fields(kind) if f.init and f.name in doc})
+    origin, args = get_origin(kind), get_args(kind)
+    if origin is dict:
+        return {args[0](k): _from_doc(args[1], v) for k, v in doc.items()}
+    if origin is list:
+        return [_from_doc(args[0], v) for v in doc]
+    if origin is tuple:
+        return tuple(_from_doc(a, v) for a, v in zip(args, doc, strict=True))
+    return doc
 
 
 def default_vehicle_config() -> VehicleConfig:
@@ -485,15 +397,12 @@ def default_vehicle_config() -> VehicleConfig:
             angular_drag=120.0,
             downforce_coeff=8.0,
         ),
-        tire_spline=FrictionSpline(0.0, 0.0, 0.2, 1.0, 0.8, 0.6),
-        tire_stiffness=30000.0,
+        tires=FrictionSpline(0.0, 0.0, 0.2, 1.0, 0.8, 0.6),
         wheel_mounts={
             "FL": (1.45, 0.78, -0.05),
             "FR": (1.45, -0.78, -0.05),
             "RL": (-1.45, 0.78, -0.05),
             "RR": (-1.45, -0.78, -0.05),
         },
-        footprint_length=3.8,
-        footprint_width=1.73,
-        footprint_center_x=0.0,
+        footprint=FootprintParams(length=3.8, width=1.73, center_x=0.0),
     )

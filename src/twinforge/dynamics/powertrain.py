@@ -17,10 +17,6 @@ METERS_PER_MILE = 1609.344
 STANDSTILL_SPEED = 0.1  # m/s
 
 
-class GearError(RuntimeError):
-    """Internal gear bookkeeping error; must be unreachable from valid input."""
-
-
 def transmission_map_rpm(speed_mps: float, tire_radius_m: float, fdr: float, gear_ratio: float) -> float:
     """Engine RPM implied by vehicle speed through a given gear."""
     v_mph = abs(speed_mps) * 3600.0 / METERS_PER_MILE
@@ -58,9 +54,6 @@ def powertrain_step(
     shift is in progress, and up/down shifts decided against the
     transmission map thresholds.
     """
-    if pt.gear not in params.gear_ratios:
-        raise GearError(f"gear {pt.gear} missing from ratio table")
-
     # a direction-change request drops to neutral immediately, cancelling any
     # shift in progress; drive<->reverse never happens directly
     if pt.gear >= 1 and pt.direction_request < 0:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 
-from ..se3 import quat_integrate, quat_to_matrix, rotate, rotate_t
+from ..se3 import Mat3, Vec3, quat_from_euler_zyx, quat_integrate, quat_to_matrix, rotate, rotate_t
 from .config import GEAR_PARK, GRAVITY, VehicleConfig
 from .forces import (
     aero_forces,
@@ -97,7 +97,6 @@ class Vehicle:
         slope_lat = -gx * sy + gy * cy
         pitch = -math.atan(slope_fwd)
         roll = math.atan(slope_lat)
-        from ..se3 import quat_from_euler_zyx
         st.quat = quat_from_euler_zyx(roll, pitch, yaw)
         wn = cfg.suspension.natural_frequency
         static_comp = GRAVITY / (wn * wn)
@@ -117,28 +116,12 @@ class Vehicle:
         st.pt.engine_rpm = cfg.powertrain.idle_rpm
         return st
 
-    def origin_pose(self, state: VehicleState):
-        """World-from-body 4x4 for the config origin (numpy)."""
-        import numpy as np
-
+    def origin_pose(self, state: VehicleState) -> tuple[Mat3, Vec3]:
+        """World-from-body rotation and the world position of the config origin."""
         m = quat_to_matrix(state.quat)
-        com = self.cfg.com
-        shift = rotate(m, com)
-        out = np.eye(4)
-        out[0, :3] = m[0:3]
-        out[1, :3] = m[3:6]
-        out[2, :3] = m[6:9]
-        out[0, 3] = state.pos[0] - shift[0]
-        out[1, 3] = state.pos[1] - shift[1]
-        out[2, 3] = state.pos[2] - shift[2]
-        return out
-
-    def body_point_world(self, state: VehicleState, point) -> tuple[float, float, float]:
-        m = quat_to_matrix(state.quat)
-        com = self.cfg.com
-        rel = (point[0] - com[0], point[1] - com[1], point[2] - com[2])
-        w = rotate(m, rel)
-        return (state.pos[0] + w[0], state.pos[1] + w[1], state.pos[2] + w[2])
+        shift = rotate(m, self.cfg.com)
+        px, py, pz = state.pos
+        return m, (px - shift[0], py - shift[1], pz - shift[2])
 
     def kinetic_energy(self, state: VehicleState) -> float:
         """Body translational + rotational KE plus wheel spin KE."""
@@ -260,7 +243,7 @@ class Vehicle:
                 state.last_normal_loads[i] = 0.0
 
         # tire forces
-        spline = cfg.tire_spline
+        spline = cfg.tires
         eps_v = cfg.slip_speed_guard
         tire_fx_wheel = [0.0] * 4
         for i, w in enumerate(cfg.wheels):

@@ -17,7 +17,7 @@ WEATHERS = ("clear", "cloudy", "thin_fog", "thick_fog",
 TIMES_OF_DAY = ("00:00", "06:00", "12:00", "18:00")
 
 # Non-authoritative visibility tables; chosen so the sweep spans near-certain
-# detection down to near-certain miss. Override via condition_derive(tables=).
+# detection down to near-certain miss.
 WEATHER_VISIBILITY = {
     "clear": 1.0, "cloudy": 0.9, "thin_fog": 0.6, "thick_fog": 0.25,
     "light_rain": 0.8, "heavy_rain": 0.5, "light_snow": 0.75, "heavy_snow": 0.45,
@@ -42,17 +42,15 @@ class EnvironmentCondition:
     fog_density: float
 
 
-def condition_derive(weather: str, time_of_day: str, tables: dict | None = None) -> EnvironmentCondition:
+def condition_derive(weather: str, time_of_day: str) -> EnvironmentCondition:
     """Deterministic (weather, time) -> (visibility, ambient_light, fog_density)."""
     if weather not in WEATHERS:
         raise ValueError(f"unknown weather {weather!r}")
     if time_of_day not in TIMES_OF_DAY:
         raise ValueError(f"unknown time_of_day {time_of_day!r}")
-    t = tables or {}
-    w_vis = t.get("weather_visibility", WEATHER_VISIBILITY)[weather]
-    light = t.get("time_light", TIME_LIGHT)[time_of_day]
-    fog = t.get("weather_fog", WEATHER_FOG)[weather]
-    visibility = min(1.0, max(0.0, light * w_vis))
+    light = TIME_LIGHT[time_of_day]
+    fog = WEATHER_FOG[weather]
+    visibility = min(1.0, max(0.0, light * WEATHER_VISIBILITY[weather]))
     return EnvironmentCondition(weather, time_of_day, visibility, light, fog)
 
 
@@ -119,13 +117,13 @@ class TerrainHeightmap:
             return None
         return self.height_and_gradient(x, y)[0]
 
-    def raycast(self, origin, direction, r_max: float, step: float | None = None):
-        """March the ray against the surface; bisect the first sign change.
+    def raycast(self, origin, direction, r_max: float):
+        """March the ray in half-cell steps against the surface; bisect the
+        first sign change.
 
         Returns hit distance or None. Assumes |direction| == 1.
         """
-        if step is None:
-            step = self.cell * 0.5
+        step = self.cell * 0.5
         ox, oy, oz = float(origin[0]), float(origin[1]), float(origin[2])
         dx, dy, dz = float(direction[0]), float(direction[1]), float(direction[2])
         prev_t = 0.0
@@ -236,18 +234,11 @@ class Obstacle:
         return t_min if t_max >= t_min else None
 
 
-@dataclass
-class RayHit:
-    point: tuple[float, float, float]
-    distance: float
-    obstacle_id: str | None
-
-
 def env_raycast(terrain: TerrainHeightmap | None, obstacles, origin, direction,
-                r_max: float) -> RayHit | None:
-    """Nearest hit among the terrain surface and all obstacle boxes."""
+                r_max: float) -> float | None:
+    """Distance to the nearest hit among the terrain surface and all obstacle
+    boxes, or None when nothing is hit within r_max."""
     best_d = math.inf
-    best_id = None
     if terrain is not None:
         d = terrain.raycast(origin, direction, r_max)
         if d is not None and d <= r_max:
@@ -256,13 +247,7 @@ def env_raycast(terrain: TerrainHeightmap | None, obstacles, origin, direction,
         d = obs.raycast(origin, direction)
         if d is not None and d <= r_max and d < best_d:
             best_d = d
-            best_id = obs.obstacle_id
-    if not math.isfinite(best_d):
-        return None
-    point = (origin[0] + direction[0] * best_d,
-             origin[1] + direction[1] * best_d,
-             origin[2] + direction[2] * best_d)
-    return RayHit(point, best_d, best_id)
+    return best_d if math.isfinite(best_d) else None
 
 
 def _project_interval(corners, axis) -> tuple[float, float]:

@@ -9,6 +9,7 @@ counter-based generator, so a (case, seed) pair is bit-reproducible anywhere.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -33,17 +34,19 @@ from .environment import (
 )
 from .metrics import TelemetryLog, TelemetryRecord, compute_dtc, evaluate_verdict
 from .scenarios import build_scenario, builtin_scenario_doc, load_scenario_doc
-from .se3 import euler_zyx_from_matrix
+from .se3 import pose_matrix
 from .sensors import (
     CameraConfig,
     InsSensor,
     LidarConfig,
     camera_matrices,
     forward_camera_mount,
+    forward_lidar_mount,
     lidar_scan_2d,
     lidar_scan_3d,
     point_cloud_ascii,
     project_box,
+    projection_matrix,
 )
 
 DEFAULT_SIM = {
@@ -136,7 +139,7 @@ class Episode:
         vehicle_doc = bundle.get("vehicle")
         self.vcfg = VehicleConfig.from_dict(vehicle_doc) if vehicle_doc else default_vehicle_config()
         self.vehicle = Vehicle(self.vcfg)
-        self.front_offset = self.vcfg.footprint_center_x + self.vcfg.footprint_length / 2.0
+        self.front_offset = self.vcfg.footprint.center_x + self.vcfg.footprint.length / 2.0
 
         scenario_doc = bundle["scenario"]
         if isinstance(scenario_doc, str):
@@ -168,7 +171,6 @@ class Episode:
             near=cam["near"], far=cam["far"],
             mount=forward_camera_mount(tuple(cam["position"])))
         res = self.camera.resolution
-        from .sensors import projection_matrix
         proj = projection_matrix(self.camera)
         self._fx_px = proj[0, 0] * res[0] / 2.0
         self._fy_px = proj[1, 1] * res[1] / 2.0
@@ -182,16 +184,8 @@ class Episode:
 
     # -- helpers ---------------------------------------------------------------
 
-    def _ego_plan_pose(self, state) -> tuple[float, float, float]:
-        pose = self.vehicle.origin_pose(state)
-        m = (pose[0, 0], pose[0, 1], pose[0, 2], pose[1, 0], pose[1, 1], pose[1, 2],
-             pose[2, 0], pose[2, 1], pose[2, 2])
-        yaw = math.atan2(m[3], m[0])
-        return float(pose[0, 3]), float(pose[1, 3]), yaw
-
     def _perceive(self, state):
-        pose = self.vehicle.origin_pose(state)
-        cam_world = pose @ self.camera.mount
+        cam_world = pose_matrix(*self.vehicle.origin_pose(state)) @ self.camera.mount
         view, proj = camera_matrices(self.camera, cam_world)
         cam_pos = cam_world[:3, 3]
         views = []
@@ -213,18 +207,13 @@ class Episode:
         return detections, dtc_estimate
 
     def _raycaster(self):
-        terrain = self.scenario.terrain
-        obstacles = self.scenario.obstacles
-        def cast(origin, direction, r_max):
-            hit = env_raycast(terrain, obstacles, origin, direction, r_max)
-            return None if hit is None else hit.distance
-        return cast
+        return functools.partial(env_raycast, self.scenario.terrain, self.scenario.obstacles)
 
     def _handle_collision(self, state, ego_xy_yaw) -> bool:
         """Overlap test; push dynamic obstacles ahead and bleed ego momentum."""
         ex, ey, eyaw = ego_xy_yaw
-        ego = footprint_corners(ex, ey, eyaw, self.vcfg.footprint_length,
-                                self.vcfg.footprint_width, self.vcfg.footprint_center_x)
+        fp = self.vcfg.footprint
+        ego = footprint_corners(ex, ey, eyaw, fp.length, fp.width, fp.center_x)
         hit = False
         for obs in self.scenario.obstacles:
             if not rectangles_overlap(ego, obs.corners_2d()):
@@ -249,8 +238,7 @@ class Episode:
 
     # -- main loop ---------------------------------------------------------------
 
-    def run(self, progress_cb=None, progress_period: int = 200,
-            step_counter=None) -> EpisodeResult:
+    def run(self) -> EpisodeResult:
         dt = self.dt
         sx, sy, syaw = self.scenario.spawn
         state = self.vehicle.spawn_state(self.scenario.terrain, sx, sy, syaw)
@@ -289,7 +277,9 @@ class Episode:
                 t += dt
                 steps += 1
 
-                ego_xy_yaw = self._ego_plan_pose(state)
+                pose = self.vehicle.origin_pose(state)
+                rot, origin = pose
+                ego_xy_yaw = (origin[0], origin[1], math.atan2(rot[3], rot[0]))
                 overlapping = self._handle_collision(state, ego_xy_yaw)
                 if overlapping and not was_overlapping:
                     collision_count += 1
@@ -298,17 +288,12 @@ class Episode:
                 dtc = compute_dtc(ego_xy_yaw[0], ego_xy_yaw[1], ego_xy_yaw[2],
                                   self.front_offset, self.scenario.obstacles)
 
-                if log is not None or progress_cb is not None:
-                    record = self._make_record(state, t, detections, dtc, collision_count)
-                    if log is not None:
-                        log.append(record)
-                    if progress_cb is not None and steps % progress_period == 0:
-                        progress_cb(record)
+                if log is not None:
+                    log.append(self._make_record(state, pose, t, detections, dtc,
+                                                 collision_count))
 
                 if self.full_scans and steps % 50 == 0:
                     self._dump_scan(state, t, scan_lines)
-                if step_counter is not None and steps % 100 == 0:
-                    step_counter.value += 100
 
                 speed = state.speed
                 if self.planner.finished:
@@ -331,12 +316,13 @@ class Episode:
         scan_dump = None
         if self.full_scans:
             scan_dump = "\n".join(scan_lines)
-            points, _ = lidar_scan_3d(
+            points = lidar_scan_3d(
                 LidarConfig(mode="spatial", r_min=self.lidar.r_min, r_max=self.lidar.r_max,
                             theta_min=-0.6, theta_max=0.6, theta_res=0.05,
                             phi_min=-0.3, phi_max=0.3, phi_res=0.05,
                             mount=self.lidar.mount),
-                self.vehicle.origin_pose(state) @ self.lidar.mount, self._raycaster())
+                pose_matrix(*self.vehicle.origin_pose(state)) @ self.lidar.mount,
+                self._raycaster())
             scan_dump += "\n# spatial scan (sensor frame)\n" + point_cloud_ascii(points)
 
         verdict = None
@@ -345,10 +331,9 @@ class Episode:
         return EpisodeResult(self.case_id, status, terminal, steps, t, log, verdict,
                              error, scan_dump)
 
-    def _make_record(self, state, t: float, detections, dtc: float,
+    def _make_record(self, state, pose, t: float, detections, dtc: float,
                      collision_count: int) -> TelemetryRecord:
-        pose = self.vehicle.origin_pose(state)
-        ins = self.ins.read(pose, tuple(state.vel), tuple(state.omega), self.dt)
+        position, euler = self.ins.read(pose)
         throttle, steer, brk, hand = state.cmd_throttle, state.cmd_steer, state.cmd_brake, state.cmd_handbrake
         best_conf = 0.0
         best_area = 0.0
@@ -358,8 +343,8 @@ class Episode:
             best_area = best.area
         return TelemetryRecord(
             t=t,
-            pos_x=ins.position[0], pos_y=ins.position[1], pos_z=ins.position[2],
-            roll=ins.euler[0], pitch=ins.euler[1], yaw=ins.euler[2],
+            pos_x=position[0], pos_y=position[1], pos_z=position[2],
+            roll=euler[0], pitch=euler[1], yaw=euler[2],
             speed=state.forward_speed,
             throttle_cmd=throttle, steer_cmd=steer, brake_cmd=brk, handbrake_cmd=hand,
             gear=state.pt.gear, engine_rpm=state.pt.engine_rpm,
@@ -371,19 +356,11 @@ class Episode:
         )
 
     def _dump_scan(self, state, t: float, lines: list[str]) -> None:
-        pose = self.vehicle.origin_pose(state) @ self.lidar.mount
+        pose = pose_matrix(*self.vehicle.origin_pose(state)) @ self.lidar.mount
         ranges = lidar_scan_2d(self.lidar, pose, self._raycaster())
         head = " ".join(f"{r:.4f}" if math.isfinite(r) else "inf" for r in ranges)
         lines.append(f"t={t:.2f} {head}")
 
 
-def forward_lidar_mount(position=(1.3, 0.0, 1.6)) -> np.ndarray:
-    """Body-from-lidar transform: sensor x along body forward, z up."""
-    t = np.eye(4)
-    t[:3, 3] = position
-    return t
-
-
-def run_case(bundle: dict, collect_telemetry: bool = True, full_scans: bool = False,
-             progress_cb=None) -> EpisodeResult:
-    return Episode(bundle, collect_telemetry, full_scans).run(progress_cb=progress_cb)
+def run_case(bundle: dict, collect_telemetry: bool = True, full_scans: bool = False) -> EpisodeResult:
+    return Episode(bundle, collect_telemetry, full_scans).run()

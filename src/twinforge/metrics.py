@@ -268,11 +268,8 @@ def aggregate_report(verdicts: dict[str, "Verdict | None"], batch_plan) -> Sweep
     return SweepReport(batches, per_model, cum_passed, cum_total, infra_failed)
 
 
-def render_report_text(report: SweepReport, header_notes: list[str] | None = None) -> str:
-    lines = []
-    for note in header_notes or []:
-        lines.append(f"# {note}")
-    lines.append(f"{'Batch ID':<10}{'Unit Under Test':<18}{'Test Cases Passed':<20}{'Total Test Cases':<18}")
+def render_report_text(report: SweepReport) -> str:
+    lines = [f"{'Batch ID':<10}{'Unit Under Test':<18}{'Test Cases Passed':<20}{'Total Test Cases':<18}"]
     for b in report.batches:
         lines.append(f"{b.batch_id:<10}{b.unit_under_test:<18}{b.passed:<20}{b.total:<18}")
     lines.append(f"{'Cumulative':<10}{'N/A':<18}{report.cumulative_passed:<20}{report.cumulative_total:<18}")

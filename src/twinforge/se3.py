@@ -2,19 +2,19 @@
 
 Everything here works on plain floats and tuples so that the per-step
 integration loop never touches numpy (array construction overhead dominates
-at 3-vector sizes). Quaternions are (w, x, y, z); rotation matrices are
-row-major 9-tuples.
+at 3-vector sizes); only pose_matrix builds a numpy 4x4, for the camera and
+LIDAR. Quaternions are (w, x, y, z); rotation matrices are row-major 9-tuples.
 """
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
+
 Vec3 = tuple[float, float, float]
 Quat = tuple[float, float, float, float]
 Mat3 = tuple[float, float, float, float, float, float, float, float, float]
-
-IDENTITY_QUAT: Quat = (1.0, 0.0, 0.0, 0.0)
 
 
 def quat_normalize(q: Quat) -> Quat:
@@ -22,32 +22,6 @@ def quat_normalize(q: Quat) -> Quat:
     n = math.sqrt(w * w + x * x + y * y + z * z)
     inv = 1.0 / n
     return (w * inv, x * inv, y * inv, z * inv)
-
-
-def quat_multiply(a: Quat, b: Quat) -> Quat:
-    aw, ax, ay, az = a
-    bw, bx, by, bz = b
-    return (
-        aw * bw - ax * bx - ay * by - az * bz,
-        aw * bx + ax * bw + ay * bz - az * by,
-        aw * by - ax * bz + ay * bw + az * bx,
-        aw * bz + ax * by - ay * bx + az * bw,
-    )
-
-
-def quat_from_yaw(yaw: float) -> Quat:
-    h = 0.5 * yaw
-    return (math.cos(h), 0.0, 0.0, math.sin(h))
-
-
-def quat_from_axis_angle(axis: Vec3, angle: float) -> Quat:
-    ax, ay, az = axis
-    n = math.sqrt(ax * ax + ay * ay + az * az)
-    if n == 0.0:
-        return IDENTITY_QUAT
-    h = 0.5 * angle
-    s = math.sin(h) / n
-    return (math.cos(h), ax * s, ay * s, az * s)
 
 
 def quat_integrate(q: Quat, omega: Vec3, dt: float) -> Quat:
@@ -71,23 +45,6 @@ def quat_to_matrix(q: Quat) -> Mat3:
         2.0 * (xy + wz), 1.0 - 2.0 * (xx + zz), 2.0 * (yz - wx),
         2.0 * (xz - wy), 2.0 * (yz + wx), 1.0 - 2.0 * (xx + yy),
     )
-
-
-def quat_from_matrix(m: Mat3) -> Quat:
-    # Shepperd's method: pick the largest diagonal combination for stability.
-    m00, m01, m02, m10, m11, m12, m20, m21, m22 = m
-    tr = m00 + m11 + m22
-    if tr > 0.0:
-        s = math.sqrt(tr + 1.0) * 2.0
-        return quat_normalize(((0.25 * s), (m21 - m12) / s, (m02 - m20) / s, (m10 - m01) / s))
-    if m00 > m11 and m00 > m22:
-        s = math.sqrt(1.0 + m00 - m11 - m22) * 2.0
-        return quat_normalize(((m21 - m12) / s, 0.25 * s, (m01 + m10) / s, (m02 + m20) / s))
-    if m11 > m22:
-        s = math.sqrt(1.0 + m11 - m00 - m22) * 2.0
-        return quat_normalize(((m02 - m20) / s, (m01 + m10) / s, 0.25 * s, (m12 + m21) / s))
-    s = math.sqrt(1.0 + m22 - m00 - m11) * 2.0
-    return quat_normalize(((m10 - m01) / s, (m02 + m20) / s, (m12 + m21) / s, 0.25 * s))
 
 
 def rotate(m: Mat3, v: Vec3) -> Vec3:
@@ -138,25 +95,11 @@ def quat_from_euler_zyx(roll: float, pitch: float, yaw: float) -> Quat:
     )
 
 
-def pose_matrix(quat: Quat, pos: Vec3):
+def pose_matrix(m: Mat3, pos: Vec3) -> np.ndarray:
     """Homogeneous 4x4 world-from-body transform as a numpy array."""
-    import numpy as np
-
-    m = quat_to_matrix(quat)
     out = np.eye(4)
     out[0, :3] = m[0:3]
     out[1, :3] = m[3:6]
     out[2, :3] = m[6:9]
     out[:3, 3] = pos
-    return out
-
-
-def invert_rigid(t):
-    """Invert a rigid 4x4 transform (numpy in, numpy out)."""
-    import numpy as np
-
-    r = t[:3, :3]
-    out = np.eye(4)
-    out[:3, :3] = r.T
-    out[:3, 3] = -r.T @ t[:3, 3]
     return out

@@ -1,8 +1,5 @@
-"""Simulated sensors: actuator feedback, incremental encoders, INS,
-camera view/projection pipeline, planar and spatial LIDAR.
-
-All sensors are noise-free by default; the INS and LIDAR expose additive
-Gaussian hooks (sigma = 0 keeps them inert and the outputs deterministic).
+"""Simulated sensors: INS, camera view/projection pipeline, planar and
+spatial LIDAR. All of them are noise-free and deterministic.
 """
 
 from __future__ import annotations
@@ -12,88 +9,21 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .se3 import euler_zyx_from_matrix, quat_from_matrix
-
-GRAVITY = 9.81
+from .se3 import Mat3, Vec3, euler_zyx_from_matrix
 
 
 class DegenerateFrustumError(ValueError):
     pass
 
 
-# -- actuator feedback -------------------------------------------------------
-
-def actuator_feedback(state) -> tuple[float, float, float, float]:
-    """Echo the last commanded (throttle, steering, brake, handbrake)."""
-    return (state.cmd_throttle, state.cmd_steer, state.cmd_brake, state.cmd_handbrake)
-
-
-# -- incremental encoders ----------------------------------------------------
-
-@dataclass(frozen=True)
-class EncoderConfig:
-    ppr: int
-    cumulative_gear_ratio: float
-
-    def __post_init__(self):
-        if self.ppr < 1 or int(self.ppr) != self.ppr:
-            raise ValueError("ppr must be a positive integer")
-        if self.cumulative_gear_ratio <= 0:
-            raise ValueError("cumulative_gear_ratio must be > 0")
-
-
-def encoder_ticks(config: EncoderConfig, revolutions: float) -> int:
-    return math.floor(config.ppr * config.cumulative_gear_ratio * revolutions)
-
-
 # -- inertial navigation -----------------------------------------------------
 
-@dataclass
-class InsReading:
-    position: tuple[float, float, float]
-    euler: tuple[float, float, float]      # roll, pitch, yaw (zyx convention)
-    quaternion: tuple[float, float, float, float]  # (w, x, y, z)
-    linear_accel: tuple[float, float, float]
-    angular_vel: tuple[float, float, float]
-
-
 class InsSensor:
-    """Positioning + IMU from the rigid-body pose history.
+    """Positioning from the rigid-body pose: origin position and zyx Euler angles."""
 
-    The accelerometer reports specific force: body-frame velocity delta per
-    step plus the gravity reaction, so it reads (0, 0, +g) at rest.
-    """
-
-    def __init__(self, accel_sigma: float = 0.0, gyro_sigma: float = 0.0):
-        self.accel_sigma = accel_sigma
-        self.gyro_sigma = gyro_sigma
-        self._last_vel = None
-
-    def read(self, pose, vel_body, omega_body, dt: float, rng=None) -> InsReading:
-        r = pose[:3, :3]
-        m = (r[0, 0], r[0, 1], r[0, 2], r[1, 0], r[1, 1], r[1, 2], r[2, 0], r[2, 1], r[2, 2])
-        euler = euler_zyx_from_matrix(m)
-        quat = quat_from_matrix(m)
-        grav_body = (GRAVITY * r[2, 0], GRAVITY * r[2, 1], GRAVITY * r[2, 2])
-        if self._last_vel is None:
-            accel = grav_body
-        else:
-            lv = self._last_vel
-            accel = ((vel_body[0] - lv[0]) / dt + grav_body[0],
-                     (vel_body[1] - lv[1]) / dt + grav_body[1],
-                     (vel_body[2] - lv[2]) / dt + grav_body[2])
-        self._last_vel = (vel_body[0], vel_body[1], vel_body[2])
-        omega = (omega_body[0], omega_body[1], omega_body[2])
-        if rng is not None and (self.accel_sigma > 0.0 or self.gyro_sigma > 0.0):
-            accel = tuple(a + rng.normal(0.0, self.accel_sigma) for a in accel)
-            omega = tuple(w + rng.normal(0.0, self.gyro_sigma) for w in omega)
-        return InsReading(
-            position=(float(pose[0, 3]), float(pose[1, 3]), float(pose[2, 3])),
-            euler=euler,
-            quaternion=quat,
-            linear_accel=accel,
-            angular_vel=omega,
-        )
+    def read(self, pose: tuple[Mat3, Vec3]) -> tuple[Vec3, Vec3]:
+        rot, origin = pose
+        return origin, euler_zyx_from_matrix(rot)
 
 
 # -- camera ------------------------------------------------------------------
@@ -140,6 +70,13 @@ def forward_camera_mount(position=(1.2, 0.0, 1.4)) -> np.ndarray:
     return t
 
 
+def forward_lidar_mount(position=(1.3, 0.0, 1.6)) -> np.ndarray:
+    """Body-from-lidar transform: sensor x along body forward, z up."""
+    t = np.eye(4)
+    t[:3, 3] = position
+    return t
+
+
 def projection_matrix(config: CameraConfig) -> np.ndarray:
     left, right, top, bottom = config.frustum_offsets()
     n, f = config.near, config.far
@@ -163,28 +100,6 @@ def camera_matrices(config: CameraConfig, camera_to_world: np.ndarray) -> tuple[
     v[:3, :3] = r.T
     v[:3, 3] = -r.T @ camera_to_world[:3, 3]
     return v, projection_matrix(config)
-
-
-@dataclass
-class ProjectedPoint:
-    ndc: tuple[float, float, float] | None
-    pixel: tuple[float, float] | None
-    visible: bool
-
-
-def project_point(world_point, view: np.ndarray, proj: np.ndarray,
-                  resolution: tuple[int, int]) -> ProjectedPoint:
-    """World point -> NDC -> pixel. Visible iff NDC lands in [-1, 1]^3 with
-    the point in front of the camera."""
-    w = np.array([world_point[0], world_point[1], world_point[2], 1.0])
-    c = proj @ (view @ w)
-    if abs(c[3]) < 1e-12 or c[3] <= 0.0:
-        return ProjectedPoint(None, None, False)
-    ndc = (c[0] / c[3], c[1] / c[3], c[2] / c[3])
-    visible = all(-1.0 <= v <= 1.0 for v in ndc)
-    px = (ndc[0] + 1.0) * 0.5 * resolution[0]
-    py = (1.0 - ndc[1]) * 0.5 * resolution[1]
-    return ProjectedPoint(ndc, (px, py), visible)
 
 
 def project_points(world_points: np.ndarray, view: np.ndarray, proj: np.ndarray,
@@ -252,9 +167,7 @@ class LidarConfig:
     phi_min: float = 0.0
     phi_max: float = 0.0
     phi_res: float = 0.0
-    rate: float = 10.0
     mount: np.ndarray = field(default_factory=lambda: np.eye(4))
-    range_sigma: float = 0.0
 
     def __post_init__(self):
         if not (0.0 <= self.r_min < self.r_max):
@@ -277,8 +190,7 @@ class LidarConfig:
         return self.phi_min + np.arange(n) * self.phi_res
 
 
-def lidar_scan_2d(config: LidarConfig, lidar_to_world: np.ndarray, raycaster,
-                  rng=None) -> np.ndarray:
+def lidar_scan_2d(config: LidarConfig, lidar_to_world: np.ndarray, raycaster) -> np.ndarray:
     """One planar sweep. ranges[i] is the hit distance for theta_grid()[i],
     inf when nothing is hit inside [r_min, r_max].
 
@@ -292,22 +204,14 @@ def lidar_scan_2d(config: LidarConfig, lidar_to_world: np.ndarray, raycaster,
         local = (math.cos(theta), math.sin(theta), 0.0)
         d = r @ local
         dist = raycaster(origin, d, config.r_max)
-        if dist is None:
-            continue
-        if config.range_sigma > 0.0 and rng is not None:
-            dist = dist + rng.normal(0.0, config.range_sigma)
-        if config.r_min <= dist <= config.r_max:
+        if dist is not None and config.r_min <= dist <= config.r_max:
             out[i] = dist
     return out
 
 
-def lidar_scan_3d(config: LidarConfig, lidar_to_world: np.ndarray, raycaster,
-                  rng=None) -> tuple[np.ndarray, bytes]:
-    """Spatial scan: sensor-frame hit points, row-major channel-then-azimuth.
-
-    Returns (points (channels, rays, 3) with NaN triplets for misses, and the
-    packed byte encoding from encode_point_cloud).
-    """
+def lidar_scan_3d(config: LidarConfig, lidar_to_world: np.ndarray, raycaster) -> np.ndarray:
+    """Spatial scan: sensor-frame hit points (channels, rays, 3), row-major
+    channel-then-azimuth, with NaN triplets for misses."""
     r = lidar_to_world[:3, :3]
     origin = lidar_to_world[:3, 3]
     thetas = config.theta_grid()
@@ -319,25 +223,15 @@ def lidar_scan_3d(config: LidarConfig, lidar_to_world: np.ndarray, raycaster,
             local = (math.cos(theta) * cp, math.sin(theta) * cp, -sp)
             d = r @ local
             dist = raycaster(origin, d, config.r_max)
-            if dist is None:
-                continue
-            if config.range_sigma > 0.0 and rng is not None:
-                dist = dist + rng.normal(0.0, config.range_sigma)
-            if config.r_min <= dist <= config.r_max:
+            if dist is not None and config.r_min <= dist <= config.r_max:
                 points[ci, ri, 0] = local[0] * dist
                 points[ci, ri, 1] = local[1] * dist
                 points[ci, ri, 2] = local[2] * dist
-    return points, encode_point_cloud(points)
+    return points
 
 
-def encode_point_cloud(points: np.ndarray) -> bytes:
-    """Little-endian float32 x,y,z interleaved; misses stay NaN triplets."""
-    return np.ascontiguousarray(points, dtype="<f4").tobytes()
-
-
-def point_cloud_ascii(points: np.ndarray, decimals: int = 6) -> str:
-    """Debug dump: one 'x y z' line per hit."""
+def point_cloud_ascii(points: np.ndarray) -> str:
+    """Debug dump: one 'x y z' line per hit, 6 decimals."""
     flat = points.reshape(-1, 3)
     keep = ~np.isnan(flat[:, 0])
-    fmt = f"%.{decimals}f %.{decimals}f %.{decimals}f"
-    return "\n".join(fmt % tuple(p) for p in flat[keep])
+    return "\n".join("%.6f %.6f %.6f" % tuple(p) for p in flat[keep])

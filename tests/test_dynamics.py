@@ -1,5 +1,7 @@
 """Unit tests for the dynamics parameter machinery and force laws."""
 
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -135,6 +137,35 @@ def test_static_displacement_hand_value():
     for w in cfg2.wheels:
         assert w.corner_mass == pytest.approx(1000.0)
         assert w.static_displacement == pytest.approx(0.248490, abs=1e-5)
+
+
+# -- config serialisation ------------------------------------------------------------
+
+def test_config_json_roundtrip_reproduces_document():
+    doc = default_vehicle_config().to_dict()
+    cfg2 = VehicleConfig.from_dict(json.loads(json.dumps(doc)))
+    assert cfg2.to_dict() == doc
+
+
+def test_config_document_is_pinned():
+    doc = default_vehicle_config().to_dict()
+    text = json.dumps(doc, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "92b0701235a5d0af8cb0b72b053a9c9f7606d35342cdde7f3e17f238dceeab8d"
+
+
+def test_config_document_with_tire_stiffness_loads():
+    doc = default_vehicle_config().to_dict()
+    doc["tires"]["stiffness"] = 30000.0
+    assert VehicleConfig.from_dict(doc).to_dict() == default_vehicle_config().to_dict()
+
+
+def test_config_rejects_gap_in_forward_gears():
+    # without gear 2 the upshift from 1 would look up a ratio that is not there
+    doc = default_vehicle_config().to_dict()
+    del doc["powertrain"]["gear_ratios"]["2"]
+    with pytest.raises(ConfigurationError):
+        VehicleConfig.from_dict(doc)
 
 
 # -- suspension step ---------------------------------------------------------------

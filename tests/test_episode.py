@@ -1,0 +1,40 @@
+"""Pinned end-to-end episodes: terminal, step count, verdict and digests.
+
+These digests define "same behaviour" for the episode loop, the sensors,
+the environment and the telemetry. A change that moves one of them is a
+behaviour change and must say so.
+"""
+
+import hashlib
+
+import pytest
+
+from twinforge.episode import default_bundle, run_case
+
+
+def _bundle(scenario: str) -> dict:
+    return default_bundle(f"{scenario}/v3/clear/12:00", "v3", "clear", "12:00",
+                          seed=1, scenario=scenario)
+
+
+@pytest.mark.parametrize("scenario, steps, digest", [
+    ("default", 2011, "39f1c68ec1b52e8f0a586636bddc251f2f8995730c667ec25f2f64fe48a05ee2"),
+    ("slope", 2491, "d2bd004acd1500bca7d4355471b3caf09741cbd2fc58172025c4ea9e8b6a11b9"),
+])
+def test_pinned_episode_digest(scenario, steps, digest):
+    res = run_case(_bundle(scenario))
+    assert res.status == "done"
+    assert res.terminal == "standstill_after_aeb"
+    assert res.steps == steps
+    assert res.verdict.passed
+    assert res.log.digest() == digest
+
+
+def test_pinned_scan_digest():
+    bundle = _bundle("default")
+    bundle["sim"]["t_max"] = 5.0
+    res = run_case(bundle, collect_telemetry=True, full_scans=True)
+    assert res.terminal == "timeout"
+    assert res.log.digest() == "32cf7a9314723d0eb2fcdbb78274c43c2eb9676c1b1f0ed759b5ea02ad5f533d"
+    assert hashlib.sha256(res.scan_dump.encode()).hexdigest() == \
+        "a74ec959cdb8e0ebc21896c303596e16b0582ecf8fbf53393adb636e9d3997ac"

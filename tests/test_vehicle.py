@@ -184,7 +184,6 @@ def test_nan_force_raises_simulation_fault(vehicle, flat_terrain):
 
 
 def test_commands_are_clamped(vehicle):
-    st = type(vehicle).spawn_state.__wrapped__ if False else None
     from twinforge.dynamics.vehicle import VehicleState
     s = VehicleState()
     s.set_commands(2.0, -3.0, 1.4, 0.7)
