@@ -60,7 +60,11 @@ DEFAULT_PRESETS = {
     "v2_tiny": PerceptionModelPreset("v2_tiny", 0.45, 26.0, 1.00, 0.62, 0.20, 500.0),
 }
 
-FALSE_POSITIVE_RATE = 0.008  # per frame, well under the 1% budget
+# Defaults of the autonomy document; a document that omits one gets the same value.
+FALSE_POSITIVE_RATE = 0.008   # per frame, well under the 1% budget
+CRUISE_KP = 0.2               # throttle per m/s of cruise-speed error
+PERCEPTION_PERIOD_STEPS = 10  # plant steps per perception frame
+ASSUMED_FRONTAL_AREA = 4.3    # m^2, for the pinhole range estimate
 
 
 @dataclass
@@ -183,7 +187,7 @@ class AebPlanner:
 
 
 def longitudinal_control(decision: str, speed: float, cruise_speed: float,
-                         kp: float = 0.2) -> tuple[float, float]:
+                         kp: float = CRUISE_KP) -> tuple[float, float]:
     """(throttle, brake) for the current planner decision."""
     if decision == "brake":
         return 0.0, 1.0
@@ -232,9 +236,9 @@ def default_autonomy_doc() -> dict:
             "max_decel": 6.0,
             "range_to_dtc_offset": 1.5,
         },
-        "control": {"cruise_kp": 0.2},
-        "perception_period_steps": 10,
-        "assumed_frontal_area": 4.3,
+        "control": {"cruise_kp": CRUISE_KP},
+        "perception_period_steps": PERCEPTION_PERIOD_STEPS,
+        "assumed_frontal_area": ASSUMED_FRONTAL_AREA,
         "false_positive_rate": FALSE_POSITIVE_RATE,
     }
 

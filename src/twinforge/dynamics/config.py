@@ -9,7 +9,7 @@ MPH/inches internally; that conversion lives in powertrain.py.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from typing import get_args, get_origin, get_type_hints
 
 from .spline import FrictionSpline
@@ -213,10 +213,11 @@ class WheelConfig:
     corner_mass: float = 0.0
     spring_k: float = 0.0
     damper_b: float = 0.0
-    static_compression: float = 0.0
     static_displacement: float = 0.0  # Zs, dimensionless travel normalizer
     force_height: float = 0.0         # ZF, body-frame z of force application
     contact_reduced_mass: float = 0.0 # wheel-vs-body reduced mass at the patch
+    arm: tuple[float, float, float] = (0.0, 0.0, 0.0)  # mount - COM, body frame
+    force_arm_z: float = 0.0          # force_height - COM z
 
 
 @dataclass
@@ -257,10 +258,11 @@ class VehicleConfig:
         for w in self.wheels:
             w.spring_k, w.damper_b = suspension_coefficients(
                 w.corner_mass, self.suspension.natural_frequency, self.suspension.damping_ratio)
-            w.static_compression = w.corner_mass * GRAVITY / w.spring_k
             w.static_displacement = w.corner_mass * GRAVITY / (self.suspension.rest_length * w.spring_k)
             w.force_height = (self.com[2] - self.wheel_mounts[w.name][2]
                               + self.suspension.wheel_radius - self.suspension.force_offset)
+            w.arm = (w.mount[0] - self.com[0], w.mount[1] - self.com[1], w.mount[2] - self.com[2])
+            w.force_arm_z = w.force_height - self.com[2]
         # solid-disc approximation for wheel spin inertia
         self.wheel_inertia = 0.5 * self.suspension.wheel_mass * self.suspension.wheel_radius ** 2
         r2 = self.suspension.wheel_radius ** 2
@@ -325,6 +327,10 @@ def _from_doc(kind, doc):
     if kind is FrictionSpline:
         return FrictionSpline.from_dict(doc)
     if is_dataclass(kind):
+        missing = [f.name for f in fields(kind) if f.init and f.name not in doc
+                   and f.default is MISSING and f.default_factory is MISSING]
+        if missing:
+            raise ConfigurationError(f"{kind.__name__} document lacks {', '.join(missing)}")
         hints = get_type_hints(kind)
         return kind(**{f.name: _from_doc(hints[f.name], doc[f.name])
                        for f in fields(kind) if f.init and f.name in doc})

@@ -3,20 +3,8 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .config import GRAVITY, GEAR_REVERSE
-
-
-@dataclass
-class SuspensionResult:
-    force: float          # >= 0; scales (-dh/dx, -dh/dy, 1) at the wheel's force_height
-    wheel_z: float        # hub height, world frame
-    wheel_zdot: float
-    compression: float    # spring compression, m (<= 0 means airborne)
-    grounded: bool
-    travel: float         # normalized travel for the anti-roll bar
-    contact_z_body: float # body-frame z of the contact point (valid when grounded)
 
 
 def suspension_step(
@@ -32,8 +20,13 @@ def suspension_step(
     static_displacement: float,
     mount_to_body_z: float,
     dt: float,
-) -> SuspensionResult:
+) -> tuple[float, float, float, float, bool, float, float]:
     """One vertical update for a single wheel.
+
+    Returns (force, wheel_z, wheel_zdot, compression, grounded, travel,
+    contact_z_body): the hub height and rate in the world frame, the spring
+    compression (0 when airborne), the normalized travel for the anti-roll
+    bar and the body-frame z of the contact point (0 when airborne).
 
     The wheel rides a point contact directly below its mount. When the ground
     is within the suspension travel the hub is bound to it kinematically and
@@ -61,14 +54,14 @@ def suspension_step(
             force = 0.0
         contact_z_body = (ground_z - mount_z_world) + mount_to_body_z
         travel = (-contact_z_body - wheel_radius) / static_displacement
-        return SuspensionResult(force, new_z, new_zdot, compression, True, travel, contact_z_body)
+        return force, new_z, new_zdot, compression, True, travel, contact_z_body
     # airborne: integrate free fall, clamp at full extension
     new_zdot = wheel_zdot - GRAVITY * dt
     new_z = wheel_z + new_zdot * dt
     if new_z < full_extension:
         new_z = full_extension
         new_zdot = 0.0
-    return SuspensionResult(0.0, new_z, new_zdot, 0.0, False, 0.0, 0.0)
+    return 0.0, new_z, new_zdot, 0.0, False, 0.0, 0.0
 
 
 def antiroll_forces(
@@ -144,18 +137,17 @@ def wheel_brake_torques(
     speed: float,
     disk_radius: float,
     braking_distance: float,
-    brake_type: str,
+    pedal: float,
+    handbrake: float,
 ) -> tuple[float, float, float, float]:
     """Per-wheel brake torques in (FL, FR, RL, RR) order.
 
-    Combi brakes act on all wheels; the handbrake acts on the rear axle only.
+    The pedal brakes all wheels; the handbrake acts on the rear axle only.
     """
-    torques = [brake_torque(m, speed, disk_radius, braking_distance) for m in corner_masses]
-    if brake_type == "handbrake":
-        torques[0] = 0.0
-        torques[1] = 0.0
-    elif brake_type != "combi":
-        raise ValueError(f"unknown brake type {brake_type!r}")
+    torques = []
+    for i, m in enumerate(corner_masses):
+        tau = brake_torque(m, speed, disk_radius, braking_distance)
+        torques.append(pedal * tau + handbrake * (tau if i >= 2 else 0.0))
     return tuple(torques)
 
 
@@ -224,7 +216,7 @@ def aero_forces(
     wheel_rpm: float,
     params,
     eps_v: float = 0.1,
-) -> tuple[tuple[float, float, float], tuple[float, float, float], float, str]:
+) -> tuple[tuple[float, float, float], tuple[float, float, float], float]:
     """Drag force opposing motion, angular drag torque, downforce magnitude.
 
     The drag direction is undefined at rest, so its magnitude tapers to zero
@@ -232,7 +224,7 @@ def aero_forces(
     """
     vx, vy, vz = velocity_body
     speed = math.sqrt(vx * vx + vy * vy + vz * vz)
-    magnitude, case = aero_drag_case(speed, tau_out, gear, wheel_rpm, params)
+    magnitude, _ = aero_drag_case(speed, tau_out, gear, wheel_rpm, params)
     if speed > 1e-12:
         scale = magnitude * min(1.0, speed / eps_v) / speed
         drag = (-vx * scale, -vy * scale, -vz * scale)
@@ -241,4 +233,4 @@ def aero_forces(
     ox, oy, oz = omega_body
     torque = (-params.angular_drag * ox, -params.angular_drag * oy, -params.angular_drag * oz)
     downforce = params.downforce_coeff * speed
-    return drag, torque, downforce, case
+    return drag, torque, downforce

@@ -108,22 +108,15 @@ def powertrain_step(
 
 
 def torque_split(
-    tau_total: float,
-    drive_config: str,
+    tau_out: float,
     steer_angle: float,
     torque_drop: float,
 ) -> tuple[float, float]:
-    """(left, right) wheel torque on a driven axle.
+    """(left, right) wheel torque on a driven axle, from one wheel's share.
 
     The differential sheds torque on one side as steering angle grows; the
     drop factor is clamped to [0, 0.9].
     """
-    if drive_config == "AWD":
-        tau_out = tau_total / 4.0
-    elif drive_config in ("FWD", "RWD"):
-        tau_out = tau_total / 2.0
-    else:
-        raise ValueError(f"unknown drive_config {drive_config!r}")
     neg = -steer_angle if steer_angle < 0.0 else 0.0
     pos = steer_angle if steer_angle > 0.0 else 0.0
     drop_left = min(0.9, max(0.0, torque_drop * neg))

@@ -23,6 +23,9 @@ from .forces import (
 from .powertrain import PowertrainState, powertrain_step, torque_split
 
 
+RPM_PER_RAD_S = 60.0 / (2.0 * math.pi)
+
+
 class SimulationFault(RuntimeError):
     """Non-finite quantity reached the integrator; the episode must abort."""
 
@@ -30,11 +33,9 @@ class SimulationFault(RuntimeError):
 class VehicleState:
     __slots__ = (
         "pos", "quat", "vel", "omega",
-        "wheel_z", "wheel_zdot", "wheel_omega", "wheel_compression",
-        "wheel_grounded", "wheel_rev", "slip_x", "slip_y",
-        "pt", "steer_angle", "steer_left", "steer_right",
+        "wheel_z", "wheel_zdot", "wheel_omega", "wheel_compression", "wheel_grounded",
+        "pt", "steer_angle",
         "cmd_throttle", "cmd_steer", "cmd_brake", "cmd_handbrake",
-        "last_tau_total", "last_aero_case", "last_normal_loads",
     )
 
     def __init__(self):
@@ -47,20 +48,12 @@ class VehicleState:
         self.wheel_omega = [0.0] * 4      # spin, rad/s, positive rolling forward
         self.wheel_compression = [0.0] * 4
         self.wheel_grounded = [True] * 4
-        self.wheel_rev = [0.0] * 4        # accumulated revolutions
-        self.slip_x = [0.0] * 4
-        self.slip_y = [0.0] * 4
         self.pt = PowertrainState(engine_rpm=0.0)
         self.steer_angle = 0.0
-        self.steer_left = 0.0
-        self.steer_right = 0.0
         self.cmd_throttle = 0.0
         self.cmd_steer = 0.0
         self.cmd_brake = 0.0
         self.cmd_handbrake = 0.0
-        self.last_tau_total = 0.0
-        self.last_aero_case = "coast"
-        self.last_normal_loads = [0.0] * 4
 
     def set_commands(self, throttle: float, steer: float, brake: float, handbrake: float) -> None:
         self.cmd_throttle = min(1.0, max(0.0, throttle))
@@ -77,13 +70,12 @@ class VehicleState:
     def forward_speed(self) -> float:
         return self.vel[0]
 
-    def rotation_matrix(self):
-        return quat_to_matrix(self.quat)
-
 
 class Vehicle:
     def __init__(self, config: VehicleConfig):
         self.cfg = config
+        self.driven = tuple(i for i, w in enumerate(config.wheels) if w.driven)
+        self.corner_masses = tuple(w.corner_mass for w in config.wheels)
 
     # -- construction ------------------------------------------------------
 
@@ -139,12 +131,13 @@ class Vehicle:
     def step(self, state: VehicleState, terrain, dt: float) -> None:
         cfg = self.cfg
         susp = cfg.suspension
+        wheels = cfg.wheels
         mass = cfg.total_mass
-        com = cfg.com
         m = quat_to_matrix(state.quat)
         px, py, pz = state.pos
         vx, vy, vz = state.vel
         ox, oy, oz = state.omega
+        grounded = state.wheel_grounded
 
         # steering
         angle, d_left, d_right = steering_step(
@@ -152,32 +145,19 @@ class Vehicle:
             cfg.steering.limit, cfg.steering.sensitivity, cfg.steering.speed_factor,
             cfg.steering.top_speed, cfg.steering.wheelbase, cfg.steering.track, dt)
         state.steer_angle = angle
-        state.steer_left = d_left
-        state.steer_right = d_right
         wheel_steer = (d_left, d_right, 0.0, 0.0)
 
-        # powertrain
-        driven = [i for i, w in enumerate(cfg.wheels) if w.driven]
-        rpm_scale = 60.0 / (2.0 * math.pi)
-        wheel_rpm_avg = sum(state.wheel_omega[i] for i in driven) * rpm_scale / len(driven)
+        # powertrain: one wheel's share of the total, then the differential
+        driven = self.driven
+        wheel_rpm_avg = sum(state.wheel_omega[i] for i in driven) * RPM_PER_RAD_S / len(driven)
         tau_total = powertrain_step(
             cfg.powertrain, state.pt, state.cmd_throttle, state.cmd_handbrake,
             vx, wheel_rpm_avg, dt)
-        state.last_tau_total = tau_total
-
-        front_split = torque_split(tau_total, cfg.powertrain.drive_config, angle,
-                                   cfg.powertrain.diff_torque_drop)
-        drive_torque = [0.0] * 4
-        for i, w in enumerate(cfg.wheels):
-            if w.driven:
-                drive_torque[i] = front_split[0] if w.side > 0 else front_split[1]
-
-        corner_masses = tuple(w.corner_mass for w in cfg.wheels)
-        combi = wheel_brake_torques(corner_masses, vx, cfg.brake.disk_radius,
-                                    cfg.brake.braking_distance_60mph, "combi")
-        hand = wheel_brake_torques(corner_masses, vx, cfg.brake.disk_radius,
-                                   cfg.brake.braking_distance_60mph, "handbrake")
-        brake = [state.cmd_brake * combi[i] + state.cmd_handbrake * hand[i] for i in range(4)]
+        tau_out = tau_total / len(driven)
+        split = torque_split(tau_out, angle, cfg.powertrain.diff_torque_drop)
+        brake = wheel_brake_torques(self.corner_masses, vx, cfg.brake.disk_radius,
+                                    cfg.brake.braking_distance_60mph,
+                                    state.cmd_brake, state.cmd_handbrake)
 
         fx_sum = fy_sum = fz_sum = 0.0
         tx_sum = ty_sum = tz_sum = 0.0
@@ -187,31 +167,20 @@ class Vehicle:
         contact_z = [0.0] * 4
         vertical = [0.0] * 4
         normals = [None] * 4
-        for i, w in enumerate(cfg.wheels):
-            rel = (w.mount[0] - com[0], w.mount[1] - com[1], w.mount[2] - com[2])
-            mw = rotate(m, rel)
-            mount_x = px + mw[0]
-            mount_y = py + mw[1]
-            mount_z = pz + mw[2]
-            gz, gx, gy = terrain.height_and_gradient(mount_x, mount_y)
-            res = suspension_step(
+        for i, w in enumerate(wheels):
+            mw = rotate(m, w.arm)
+            gz, gx, gy = terrain.height_and_gradient(px + mw[0], py + mw[1])
+            (vertical[i], state.wheel_z[i], state.wheel_zdot[i], state.wheel_compression[i],
+             grounded[i], travels[i], contact_z[i]) = suspension_step(
                 state.wheel_z[i], state.wheel_zdot[i], state.wheel_compression[i],
-                mount_z, gz, susp.rest_length, w.spring_k, w.damper_b,
+                pz + mw[2], gz, susp.rest_length, w.spring_k, w.damper_b,
                 susp.wheel_radius, w.static_displacement, w.mount[2], dt)
-            state.wheel_z[i] = res.wheel_z
-            state.wheel_zdot[i] = res.wheel_zdot
-            state.wheel_compression[i] = res.compression
-            state.wheel_grounded[i] = res.grounded
-            travels[i] = res.travel
-            contact_z[i] = res.contact_z_body
-            vertical[i] = res.force
             normals[i] = rotate_t(m, (-gx, -gy, 1.0))
 
         # anti-roll bars per axle
-        for axle in (0, 1):
-            li, ri = (0, 1) if axle == 0 else (2, 3)
+        for li, ri in ((0, 1), (2, 3)):
             fl, fr = antiroll_forces(travels[li], travels[ri], susp.antiroll_stiffness,
-                                     state.wheel_grounded[li], state.wheel_grounded[ri])
+                                     grounded[li], grounded[ri])
             vertical[li] += fl
             vertical[ri] += fr
 
@@ -220,41 +189,34 @@ class Vehicle:
         # measured vertically over terrain h(x, y), so the force of the
         # potential 1/2 k c^2 is k c (-dh/dx, -dh/dy, 1).  A body-up force
         # would do work the spring never stored, e.g. on a pitched landing.
-        for i, w in enumerate(cfg.wheels):
+        # The same vertical force is the tire's normal load.
+        loads = [0.0] * 4
+        for i, w in enumerate(wheels):
             f = vertical[i]
+            loads[i] = max(0.0, f) if grounded[i] else 0.0
             if f == 0.0:
                 continue
             nx, ny, nz = normals[i]
             bfx = f * nx
             bfy = f * ny
             bfz = f * nz
-            rx = w.mount[0] - com[0]
-            ry = w.mount[1] - com[1]
-            rz = w.force_height - com[2]
+            rx, ry, _ = w.arm
+            rz = w.force_arm_z
             fx_sum += bfx
             fy_sum += bfy
             fz_sum += bfz
             tx_sum += ry * bfz - rz * bfy
             ty_sum += rz * bfx - rx * bfz
             tz_sum += rx * bfy - ry * bfx
-            state.last_normal_loads[i] = max(0.0, f)
-        for i in range(4):
-            if not state.wheel_grounded[i]:
-                state.last_normal_loads[i] = 0.0
 
         # tire forces
-        spline = cfg.tires
         eps_v = cfg.slip_speed_guard
-        tire_fx_wheel = [0.0] * 4
-        for i, w in enumerate(cfg.wheels):
-            if not state.wheel_grounded[i]:
-                state.slip_x[i] = 0.0
-                state.slip_y[i] = 0.0
+        tire_fx = [0.0] * 4
+        for i, w in enumerate(wheels):
+            if not grounded[i]:
                 continue
-            load = state.last_normal_loads[i]
-            rx = w.mount[0] - com[0]
-            ry = w.mount[1] - com[1]
-            rz = contact_z[i] - com[2]
+            rx, ry, _ = w.arm
+            rz = contact_z[i] - cfg.com[2]
             cvx = vx + oy * rz - oz * ry
             cvy = vy + oz * rx - ox * rz
             sa = wheel_steer[i]
@@ -263,26 +225,22 @@ class Vehicle:
             wvy = -sn * cvx + cs * cvy
             rel = susp.wheel_radius * state.wheel_omega[i] - wvx
             cap = abs(rel) * w.contact_reduced_mass / dt
-            f_lon, f_lat, s_x, s_y = tire_forces(
-                state.wheel_omega[i], wvx, wvy, susp.wheel_radius, spline, load,
+            f_lon, f_lat, _, _ = tire_forces(
+                state.wheel_omega[i], wvx, wvy, susp.wheel_radius, cfg.tires, loads[i],
                 eps_v, cap)
-            state.slip_x[i] = s_x
-            state.slip_y[i] = s_y
-            tire_fx_wheel[i] = f_lon
+            tire_fx[i] = f_lon
             bfx = cs * f_lon - sn * f_lat
             bfy = sn * f_lon + cs * f_lat
             fx_sum += bfx
             fy_sum += bfy
-            tx_sum += ry * 0.0 - rz * bfy
-            ty_sum += rz * bfx - rx * 0.0
+            tx_sum -= rz * bfy
+            ty_sum += rz * bfx
             tz_sum += rx * bfy - ry * bfx
 
         # aerodynamics
-        tau_out = tau_total / (4.0 if cfg.powertrain.drive_config == "AWD" else 2.0)
-        drag, ang_drag, downforce, case = aero_forces(
+        drag, ang_drag, downforce = aero_forces(
             (vx, vy, vz), (ox, oy, oz), tau_out, state.pt.gear, wheel_rpm_avg,
             cfg.aero, eps_v)
-        state.last_aero_case = case
         fx_sum += drag[0]
         fy_sum += drag[1]
         fz_sum += drag[2] - downforce
@@ -331,12 +289,12 @@ class Vehicle:
         # wheel spin (brake torque pulls toward zero but cannot cross it)
         i_w = cfg.wheel_inertia
         locked = state.pt.gear == GEAR_PARK
-        for i in range(4):
+        for i, w in enumerate(wheels):
             if locked:
                 state.wheel_omega[i] = 0.0
                 continue
-            net = drive_torque[i] - susp.wheel_radius * tire_fx_wheel[i]
-            w_spin = state.wheel_omega[i] + dt * net / i_w
+            drive = (split[0] if w.side > 0 else split[1]) if w.driven else 0.0
+            w_spin = state.wheel_omega[i] + dt * (drive - susp.wheel_radius * tire_fx[i]) / i_w
             cap = dt * brake[i] / i_w
             if w_spin > cap:
                 w_spin -= cap
@@ -345,7 +303,6 @@ class Vehicle:
             else:
                 w_spin = 0.0
             state.wheel_omega[i] = w_spin
-            state.wheel_rev[i] += w_spin * dt / (2.0 * math.pi)
 
         total = (state.pos[0] + state.pos[1] + state.pos[2]
                  + nvx + nvy + nvz + nox + noy + noz

@@ -9,6 +9,7 @@ counter-based generator, so a (case, seed) pair is bit-reproducible anywhere.
 
 from __future__ import annotations
 
+import copy
 import functools
 import math
 from dataclasses import dataclass
@@ -16,6 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autonomy import (
+    ASSUMED_FRONTAL_AREA,
+    CRUISE_KP,
+    FALSE_POSITIVE_RATE,
+    PERCEPTION_PERIOD_STEPS,
     AebPlanner,
     ObstacleView,
     SurrogateDetector,
@@ -91,7 +96,7 @@ def default_bundle(case_id: str = "adhoc", model: str = "v3", weather: str = "cl
         "autonomy": default_autonomy_doc(),
         "vehicle": None,
         "sim": dict(DEFAULT_SIM),
-        "sensors": DEFAULT_SENSORS,
+        "sensors": copy.deepcopy(DEFAULT_SENSORS),
     }
 
 
@@ -155,11 +160,11 @@ class Episode:
         self.rng = np.random.Generator(np.random.Philox(key=int(bundle["seed"])))
         self.detector = SurrogateDetector(
             presets[bundle["model"]], self.condition, self.rng,
-            false_positive_rate=adoc.get("false_positive_rate", 0.008))
+            false_positive_rate=adoc.get("false_positive_rate", FALSE_POSITIVE_RATE))
         self.planner = AebPlanner(aeb_cfg)
-        self.cruise_kp = adoc.get("control", {}).get("cruise_kp", 0.2)
-        self.perception_period = int(adoc.get("perception_period_steps", 5))
-        self.assumed_frontal_area = float(adoc.get("assumed_frontal_area", 4.3))
+        self.cruise_kp = adoc.get("control", {}).get("cruise_kp", CRUISE_KP)
+        self.perception_period = int(adoc.get("perception_period_steps", PERCEPTION_PERIOD_STEPS))
+        self.assumed_frontal_area = float(adoc.get("assumed_frontal_area", ASSUMED_FRONTAL_AREA))
 
         sensors = dict(DEFAULT_SENSORS)
         sensors.update(bundle.get("sensors") or {})

@@ -102,23 +102,6 @@ def camera_matrices(config: CameraConfig, camera_to_world: np.ndarray) -> tuple[
     return v, projection_matrix(config)
 
 
-def project_points(world_points: np.ndarray, view: np.ndarray, proj: np.ndarray,
-                   resolution: tuple[int, int]):
-    """Vectorized projection. Returns (ndc (n,3), pixels (n,2), visible (n,))."""
-    n = world_points.shape[0]
-    homo = np.hstack([world_points, np.ones((n, 1))])
-    c = (proj @ view @ homo.T).T
-    w = c[:, 3]
-    in_front = w > 1e-12
-    safe_w = np.where(in_front, w, 1.0)
-    ndc = c[:, :3] / safe_w[:, None]
-    visible = in_front & np.all(np.abs(ndc) <= 1.0, axis=1)
-    pixels = np.empty((n, 2))
-    pixels[:, 0] = (ndc[:, 0] + 1.0) * 0.5 * resolution[0]
-    pixels[:, 1] = (1.0 - ndc[:, 1]) * 0.5 * resolution[1]
-    return ndc, pixels, visible
-
-
 @dataclass
 class BoxProjection:
     u_min: float
@@ -136,17 +119,18 @@ def project_box(corners_world: np.ndarray, view: np.ndarray, proj: np.ndarray,
     Returns None when every corner is behind the camera or the clipped box is
     empty.
     """
-    _, pixels, _ = project_points(corners_world, view, proj, resolution)
     homo = np.hstack([corners_world, np.ones((len(corners_world), 1))])
-    w = (proj @ view @ homo.T).T[:, 3]
-    front = w > 1e-12
+    clip = (proj @ view @ homo.T).T
+    front = clip[:, 3] > 1e-12
     if not np.any(front):
         return None
-    pts = pixels[front]
-    u_min = max(0.0, float(pts[:, 0].min()))
-    v_min = max(0.0, float(pts[:, 1].min()))
-    u_max = min(float(resolution[0]), float(pts[:, 0].max()))
-    v_max = min(float(resolution[1]), float(pts[:, 1].max()))
+    ndc = clip[front, :2] / clip[front, 3:4]
+    us = (ndc[:, 0] + 1.0) * 0.5 * resolution[0]
+    vs = (1.0 - ndc[:, 1]) * 0.5 * resolution[1]
+    u_min = max(0.0, float(us.min()))
+    v_min = max(0.0, float(vs.min()))
+    u_max = min(float(resolution[0]), float(us.max()))
+    v_max = min(float(resolution[1]), float(vs.max()))
     if u_max <= u_min or v_max <= v_min:
         return None
     area = (u_max - u_min) * (v_max - v_min)

@@ -168,6 +168,23 @@ def test_config_rejects_gap_in_forward_gears():
         VehicleConfig.from_dict(doc)
 
 
+@pytest.mark.parametrize("section, field, kind", [
+    (None, "footprint", "VehicleConfig"),
+    ("suspension", "wheel_mass", "SuspensionParams"),
+])
+def test_config_missing_field_names_it(section, field, kind):
+    doc = default_vehicle_config().to_dict()
+    del (doc[section] if section else doc)[field]
+    with pytest.raises(ConfigurationError, match=f"{kind} document lacks {field}"):
+        VehicleConfig.from_dict(doc)
+
+
+def test_pedal_and_handbrake_add_on_the_rear_axle():
+    tau = brake_torque(500.0, 10.0, 0.15, 18.0)
+    assert wheel_brake_torques((500.0,) * 4, 10.0, 0.15, 18.0, 0.5, 1.0) == (
+        0.5 * tau, 0.5 * tau, 0.5 * tau + tau, 0.5 * tau + tau)
+
+
 # -- suspension step ---------------------------------------------------------------
 
 def _susp(wheel_z, zdot, prev_comp, mount_z, ground_z, dt=0.01):
@@ -183,26 +200,27 @@ def test_suspension_static_equilibrium_balances_gravity():
     comp = corner_mass * GRAVITY / k
     # mount placed so the spring sits exactly at static compression
     mount_z = 0.35 + 0.45 - comp
-    res = _susp(0.35, 0.0, comp, mount_z, 0.0)
-    assert res.grounded
-    assert res.force == pytest.approx(corner_mass * GRAVITY, rel=1e-9)
-    assert res.wheel_zdot == pytest.approx(0.0)
+    force, _, wheel_zdot, _, grounded, _, _ = _susp(0.35, 0.0, comp, mount_z, 0.0)
+    assert grounded
+    assert force == pytest.approx(corner_mass * GRAVITY, rel=1e-9)
+    assert wheel_zdot == pytest.approx(0.0)
 
 
 def test_suspension_airborne_is_forceless_free_fall():
     # hub still near the mount (strut compressed), ground far below: the
     # wheel free-falls toward full extension with no force on the body
-    res = _susp(1.90, 0.0, 0.0, mount_z=2.0, ground_z=-5.0, dt=0.01)
-    assert not res.grounded
-    assert res.force == 0.0
-    assert res.wheel_zdot == pytest.approx(-GRAVITY * 0.01)
-    assert res.wheel_z == pytest.approx(1.90 - GRAVITY * 0.01 * 0.01)
+    force, wheel_z, wheel_zdot, _, grounded, _, _ = _susp(
+        1.90, 0.0, 0.0, mount_z=2.0, ground_z=-5.0, dt=0.01)
+    assert not grounded
+    assert force == 0.0
+    assert wheel_zdot == pytest.approx(-GRAVITY * 0.01)
+    assert wheel_z == pytest.approx(1.90 - GRAVITY * 0.01 * 0.01)
 
 
 def test_suspension_airborne_clamps_at_full_extension():
-    res = _susp(1.57, -3.0, 0.0, mount_z=2.0, ground_z=-5.0, dt=0.01)
-    assert res.wheel_z == pytest.approx(2.0 - 0.45)
-    assert res.wheel_zdot == 0.0
+    _, wheel_z, wheel_zdot, _, _, _, _ = _susp(1.57, -3.0, 0.0, mount_z=2.0, ground_z=-5.0, dt=0.01)
+    assert wheel_z == pytest.approx(2.0 - 0.45)
+    assert wheel_zdot == 0.0
 
 
 # -- anti-roll bar ---------------------------------------------------------------
@@ -273,7 +291,7 @@ def test_steering_slew_rate():
 # -- brakes --------------------------------------------------------------------------
 
 def test_brake_torque_zero_speed():
-    assert wheel_brake_torques((500.0,) * 4, 0.0, 0.15, 18.0, "combi") == (0.0,) * 4
+    assert wheel_brake_torques((500.0,) * 4, 0.0, 0.15, 18.0, 1.0, 1.0) == (0.0,) * 4
 
 
 def test_brake_torque_hand_value():
@@ -284,7 +302,7 @@ def test_brake_torque_hand_value():
 
 
 def test_handbrake_rear_only():
-    torques = wheel_brake_torques((500.0,) * 4, 10.0, 0.15, 18.0, "handbrake")
+    torques = wheel_brake_torques((500.0,) * 4, 10.0, 0.15, 18.0, 0.0, 1.0)
     assert torques[0] == 0.0 and torques[1] == 0.0
     assert torques[2] > 0.0 and torques[3] > 0.0
 
@@ -426,7 +444,7 @@ def test_aero_exactly_one_case_fires():
 
 def test_aero_at_rest():
     from twinforge.dynamics.forces import aero_forces
-    drag, torque, down, _ = aero_forces((0.0, 0.0, 0.0), (0.0, 0.0, 0.0), 0.0, 0, 0.0, _Aero())
+    drag, torque, down = aero_forces((0.0, 0.0, 0.0), (0.0, 0.0, 0.0), 0.0, 0, 0.0, _Aero())
     assert drag == (0.0, 0.0, 0.0)
     assert torque == (0.0, 0.0, 0.0)
     assert down == 0.0
@@ -536,14 +554,14 @@ def test_rpm_tracks_wheel_speed_target():
 # -- torque split --------------------------------------------------------------------------
 
 def test_split_straight_ahead_equal():
-    left, right = torque_split(400.0, "AWD", 0.0, 0.5)
+    left, right = torque_split(400.0 / 4, 0.0, 0.5)  # AWD
     assert left == right == 100.0
-    left, right = torque_split(400.0, "RWD", 0.0, 0.5)
+    left, right = torque_split(400.0 / 2, 0.0, 0.5)  # FWD or RWD
     assert left == right == 200.0
 
 
 def test_split_drop_clamped_at_09():
-    left, right = torque_split(400.0, "AWD", 2.4, 0.5)  # drop = 1.2 -> clamp 0.9
+    left, right = torque_split(400.0 / 4, 2.4, 0.5)  # drop = 1.2 -> clamp 0.9
     assert right == pytest.approx(100.0 * 0.1)
     assert left == pytest.approx(100.0)
 
@@ -554,8 +572,8 @@ def test_split_sum_bounded_property():
         tau = rng.uniform(0, 500)
         angle = rng.uniform(-0.7, 0.7)
         drop = rng.uniform(0, 2.0)
-        left, right = torque_split(tau, "AWD", angle, drop)
         tau_out = tau / 4.0
+        left, right = torque_split(tau_out, angle, drop)
         assert left + right <= 2 * tau_out + 1e-12
         if angle == 0.0:
             assert left + right == pytest.approx(2 * tau_out)

@@ -9,7 +9,7 @@ import hashlib
 
 import pytest
 
-from twinforge.episode import default_bundle, run_case
+from twinforge.episode import DEFAULT_SENSORS, Episode, default_bundle, run_case
 
 
 def _bundle(scenario: str) -> dict:
@@ -38,3 +38,20 @@ def test_pinned_scan_digest():
     assert res.log.digest() == "32cf7a9314723d0eb2fcdbb78274c43c2eb9676c1b1f0ed759b5ea02ad5f533d"
     assert hashlib.sha256(res.scan_dump.encode()).hexdigest() == \
         "a74ec959cdb8e0ebc21896c303596e16b0582ecf8fbf53393adb636e9d3997ac"
+
+
+def test_autonomy_document_without_perception_period_uses_the_default():
+    bundle = _bundle("default")
+    del bundle["autonomy"]["perception_period_steps"]
+    res = run_case(bundle)
+    assert res.steps == 2011
+    assert res.log.digest() == \
+        "39f1c68ec1b52e8f0a586636bddc251f2f8995730c667ec25f2f64fe48a05ee2"
+
+
+def test_bundles_do_not_share_the_default_sensors():
+    bundle = _bundle("default")
+    bundle["sensors"]["camera"]["near"] = 5.0
+    assert DEFAULT_SENSORS["camera"]["near"] == 0.1
+    assert _bundle("default")["sensors"]["camera"]["near"] == 0.1
+    assert Episode(_bundle("default")).camera.near == 0.1

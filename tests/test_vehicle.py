@@ -1,13 +1,16 @@
 """Integration tests for the full 6-DOF vehicle step."""
 
+import hashlib
 import math
+import struct
 
 import numpy as np
 import pytest
 
 from twinforge.dynamics import SimulationFault, Vehicle, default_vehicle_config
-from twinforge.dynamics.config import GRAVITY
+from twinforge.dynamics.config import GEAR_PARK, GRAVITY
 from twinforge.environment import TerrainHeightmap
+from twinforge.se3 import quat_to_matrix
 
 DT = 0.01
 
@@ -75,7 +78,7 @@ def test_orientation_stays_orthonormal(vehicle, flat_terrain):
     for i in range(800):
         st.set_commands(0.9, 0.4 * math.sin(i * 0.02), 0.0, 0.0)
         vehicle.step(st, flat_terrain, DT)
-        r = np.array(st.rotation_matrix()).reshape(3, 3)
+        r = np.array(quat_to_matrix(st.quat)).reshape(3, 3)
         worst = max(worst, float(np.abs(r @ r.T - np.eye(3)).max()))
     assert worst < 1e-9
 
@@ -138,6 +141,12 @@ def _total_energy(vehicle, st):
     return e
 
 
+def _edge_terrain(drop):
+    """Flat ground that drops by `drop` past x = 50."""
+    profile = np.where(np.arange(201) * 2.0 - 100.0 < 50.0, 0.0, -drop)
+    return TerrainHeightmap(np.tile(profile, (101, 1)), 2.0, (-100.0, -101.0))
+
+
 def _check_cliff_landing(vehicle, drop, steps=1000):
     """Coast at 12 m/s off an edge at x = 50 where the ground drops by `drop`.
 
@@ -145,9 +154,7 @@ def _check_cliff_landing(vehicle, drop, steps=1000):
     depending on the drop. Total energy must never rise above its starting
     value (relative tolerance 1e-6), and the car must land inside the map.
     """
-    n = 201
-    profile = np.where(np.arange(n) * 2.0 - 100.0 < 50.0, 0.0, -drop)
-    terrain = TerrainHeightmap(np.tile(profile, (101, 1)), 2.0, (-100.0, -101.0))
+    terrain = _edge_terrain(drop)
     st = _roll_state(vehicle, terrain, 12.0)
     e0 = _total_energy(vehicle, st)
     airborne_seen = landed = False
@@ -176,6 +183,45 @@ def test_cliff_landing_does_not_create_energy(vehicle, drop):
     _check_cliff_landing(vehicle, drop)
 
 
+def test_grounded_wheel_without_vertical_force_gets_no_tire_load(vehicle, monkeypatch):
+    # coasting off a 0.3 m step, the spring and anti-roll forces of grounded
+    # wheels sum to exactly 0.0 for a while; the tire must then see no load,
+    # not the load of the step before
+    from twinforge.dynamics import vehicle as vehicle_module
+
+    calls = {"suspension_step": [], "antiroll_forces": [], "tire_forces": []}
+
+    def recording(name):
+        fn = getattr(vehicle_module, name)
+
+        def wrapper(*args):
+            out = fn(*args)
+            calls[name].append(args[5] if name == "tire_forces" else out)
+            return out
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(vehicle_module, name, recording(name))
+    terrain = _edge_terrain(0.3)
+    st = _roll_state(vehicle, terrain, 12.0)
+    unloaded = 0
+    for k in range(1000):
+        for c in calls.values():
+            c.clear()
+        st.set_commands(0.0, 0.0, 0.0, 0.0)
+        vehicle.step(st, terrain, DT)
+        vertical = [res[0] for res in calls["suspension_step"]]
+        for (fl, fr), (li, ri) in zip(calls["antiroll_forces"], ((0, 1), (2, 3))):
+            vertical[li] += fl
+            vertical[ri] += fr
+        on_ground = [i for i in range(4) if st.wheel_grounded[i]]
+        for i, load in zip(on_ground, calls["tire_forces"], strict=True):
+            if vertical[i] == 0.0:
+                unloaded += 1
+                assert load == 0.0, f"step {k}, wheel {i}: stale load {load:.1f} N"
+    assert unloaded > 0
+
+
 def test_nan_force_raises_simulation_fault(vehicle, flat_terrain):
     st = vehicle.spawn_state(flat_terrain, 0.0, 0.0, 0.0)
     st.vel[0] = float("nan")
@@ -201,3 +247,38 @@ def test_steering_angle_never_exceeds_limit(vehicle, flat_terrain):
         vehicle.step(st, flat_terrain, DT)
         assert abs(st.steer_angle) <= limit + 1e-12
     assert st.steer_angle == pytest.approx(limit)
+
+
+def _plant_blob(st):
+    vals = [*st.pos, *st.quat, *st.vel, *st.omega, *st.wheel_omega, *st.wheel_z,
+            *st.wheel_zdot, *st.wheel_compression, st.pt.engine_rpm, st.steer_angle]
+    return (struct.pack(f"<{len(vals)}d", *vals) + bytes([st.pt.gear & 0xFF])
+            + bytes(int(g) for g in st.wheel_grounded))
+
+
+@pytest.mark.parametrize("drive, digest", [
+    ("AWD",
+     "5d5cf32e00817a8aefadbd91af4e4208a5015e45dfb5e981eefb34884533b929"),
+    ("FWD",
+     "af51b61dc94e7d060ce72e51fb1dc05d0f884d1d677537d03cd22e4b1e573ee2"),
+    ("RWD",
+     "c14a10f6def4b469a159bf6f3dc257c1c257b0a3196955020ed01d254197122a"),
+])
+def test_plant_trajectory_digest(drive, digest):
+    # rough terrain, steering, throttle, pedal then handbrake: the paths the
+    # pinned episodes never take (they never steer, use FWD/RWD or the handbrake)
+    heights = np.random.default_rng(3).normal(0.0, 0.15, (101, 301))
+    terrain = TerrainHeightmap(heights, 2.0, (-100.0, -100.0))
+    cfg = default_vehicle_config()
+    cfg.powertrain.drive_config = drive
+    cfg.finalize()
+    vehicle = Vehicle(cfg)
+    st = vehicle.spawn_state(terrain, 0.0, 0.0, 0.0)
+    h = hashlib.sha256()
+    for k in range(1500):
+        st.set_commands(0.8 if k < 700 else 0.0, 0.6 * math.sin(k / 90),
+                        0.6 if 700 <= k < 1100 else 0.0, 1.0 if k >= 1100 else 0.0)
+        vehicle.step(st, terrain, DT)
+        h.update(_plant_blob(st))
+    assert st.pt.gear == GEAR_PARK
+    assert h.hexdigest() == digest
