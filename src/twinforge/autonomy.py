@@ -12,9 +12,11 @@ detector variants rank in day versus night conditions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
+
+from .documents import ConfigurationError, from_doc, to_doc
 
 AUTONOMY_SCHEMA_VERSION = 1
 
@@ -38,7 +40,6 @@ STANDSTILL_SPEED = 0.05  # m/s, releases the AEB latch
 
 @dataclass(frozen=True)
 class PerceptionModelPreset:
-    model_id: str
     base_detect_rate: float
     range_halflife: float      # m
     low_light_penalty: float   # in [0, 1]
@@ -51,20 +52,6 @@ class PerceptionModelPreset:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {v}")
-
-
-DEFAULT_PRESETS = {
-    "v3": PerceptionModelPreset("v3", 0.95, 60.0, 0.25, 0.85, 0.12, 350.0),
-    "v2": PerceptionModelPreset("v2", 0.88, 45.0, 0.45, 0.78, 0.15, 400.0),
-    "v3_tiny": PerceptionModelPreset("v3_tiny", 0.62, 32.0, 0.80, 0.70, 0.18, 450.0),
-    "v2_tiny": PerceptionModelPreset("v2_tiny", 0.45, 26.0, 1.00, 0.62, 0.20, 500.0),
-}
-
-# Defaults of the autonomy document; a document that omits one gets the same value.
-FALSE_POSITIVE_RATE = 0.008   # per frame, well under the 1% budget
-CRUISE_KP = 0.2               # throttle per m/s of cruise-speed error
-PERCEPTION_PERIOD_STEPS = 10  # plant steps per perception frame
-ASSUMED_FRONTAL_AREA = 4.3    # m^2, for the pinhole range estimate
 
 
 @dataclass
@@ -90,6 +77,27 @@ class AebConfig:
             raise ValueError("persistence_frames must be >= 1")
         if self.fos < 1.0:
             raise ValueError("fos must be >= 1")
+
+
+@dataclass
+class ControlParams:
+    cruise_kp: float = 0.2  # throttle per m/s of cruise-speed error
+
+
+@dataclass
+class AutonomyConfig:
+    """The autonomy section of a case bundle."""
+    presets: dict[str, PerceptionModelPreset] = field(default_factory=lambda: {
+        "v3": PerceptionModelPreset(0.95, 60.0, 0.25, 0.85, 0.12, 350.0),
+        "v2": PerceptionModelPreset(0.88, 45.0, 0.45, 0.78, 0.15, 400.0),
+        "v3_tiny": PerceptionModelPreset(0.62, 32.0, 0.80, 0.70, 0.18, 450.0),
+        "v2_tiny": PerceptionModelPreset(0.45, 26.0, 1.00, 0.62, 0.20, 500.0),
+    })
+    aeb: AebConfig = field(default_factory=AebConfig)
+    control: ControlParams = field(default_factory=ControlParams)
+    perception_period_steps: int = 10   # plant steps per perception frame
+    assumed_frontal_area: float = 4.3   # m^2, for the pinhole range estimate
+    false_positive_rate: float = 0.008  # per frame, well under the 1% budget
 
 
 def effective_visibility(condition, lights: str) -> float:
@@ -124,7 +132,7 @@ class SurrogateDetector:
     """Stochastic stand-in for a neural detector; owns the episode RNG stream."""
 
     def __init__(self, preset: PerceptionModelPreset, condition, rng: np.random.Generator,
-                 false_positive_rate: float = FALSE_POSITIVE_RATE):
+                 false_positive_rate: float):
         self.preset = preset
         self.condition = condition
         self.rng = rng
@@ -187,7 +195,7 @@ class AebPlanner:
 
 
 def longitudinal_control(decision: str, speed: float, cruise_speed: float,
-                         kp: float = CRUISE_KP) -> tuple[float, float]:
+                         kp: float) -> tuple[float, float]:
     """(throttle, brake) for the current planner decision."""
     if decision == "brake":
         return 0.0, 1.0
@@ -211,53 +219,13 @@ def estimate_range_px(area_px: float, fx_px: float, fy_px: float,
     return math.sqrt(fx_px * fy_px * assumed_frontal_area / area_px)
 
 
-# -- preset document ----------------------------------------------------------
+# -- autonomy document --------------------------------------------------------
 
 def default_autonomy_doc() -> dict:
-    return {
-        "schema_version": AUTONOMY_SCHEMA_VERSION,
-        "presets": {
-            mid: {
-                "base_detect_rate": p.base_detect_rate,
-                "range_halflife": p.range_halflife,
-                "low_light_penalty": p.low_light_penalty,
-                "confidence_mean": p.confidence_mean,
-                "confidence_spread": p.confidence_spread,
-                "min_pixel_area": p.min_pixel_area,
-            }
-            for mid, p in DEFAULT_PRESETS.items()
-        },
-        "aeb": {
-            "threat_classes": ["moose"],
-            "min_confidence": 0.5,
-            "min_area": 400.0,
-            "persistence_frames": 3,
-            "fos": 1.5,
-            "max_decel": 6.0,
-            "range_to_dtc_offset": 1.5,
-        },
-        "control": {"cruise_kp": CRUISE_KP},
-        "perception_period_steps": PERCEPTION_PERIOD_STEPS,
-        "assumed_frontal_area": ASSUMED_FRONTAL_AREA,
-        "false_positive_rate": FALSE_POSITIVE_RATE,
-    }
+    return {"schema_version": AUTONOMY_SCHEMA_VERSION, **to_doc(AutonomyConfig())}
 
 
-def parse_autonomy_doc(doc: dict) -> tuple[dict[str, PerceptionModelPreset], AebConfig, dict]:
+def parse_autonomy_doc(doc: dict) -> AutonomyConfig:
     if doc.get("schema_version") != AUTONOMY_SCHEMA_VERSION:
-        raise ValueError(f"unsupported autonomy schema_version {doc.get('schema_version')!r}")
-    presets = {
-        mid: PerceptionModelPreset(model_id=mid, **fields)
-        for mid, fields in doc["presets"].items()
-    }
-    a = doc["aeb"]
-    aeb = AebConfig(
-        threat_classes=tuple(a["threat_classes"]),
-        min_confidence=a["min_confidence"],
-        min_area=a["min_area"],
-        persistence_frames=a["persistence_frames"],
-        fos=a["fos"],
-        max_decel=a["max_decel"],
-        range_to_dtc_offset=a["range_to_dtc_offset"],
-    )
-    return presets, aeb, doc
+        raise ConfigurationError(f"unsupported autonomy schema_version {doc.get('schema_version')!r}")
+    return from_doc(AutonomyConfig, doc)

@@ -1,7 +1,7 @@
 """Fixed-timestep 6-DOF vehicle dynamics."""
 
+from ..documents import ConfigurationError
 from .config import (
-    ConfigurationError,
     SprungMass,
     SuspensionParams,
     PowertrainParams,

@@ -9,9 +9,9 @@ MPH/inches internally; that conversion lives in powertrain.py.
 from __future__ import annotations
 
 import math
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass
-from typing import get_args, get_origin, get_type_hints
+from dataclasses import dataclass, field
 
+from ..documents import ConfigurationError, from_doc, to_doc
 from .spline import FrictionSpline
 
 GRAVITY = 9.81
@@ -24,10 +24,6 @@ WHEEL_NAMES = ("FL", "FR", "RL", "RR")
 GEAR_PARK = -2
 GEAR_REVERSE = -1
 GEAR_NEUTRAL = 0
-
-
-class ConfigurationError(ValueError):
-    """Raised when a vehicle configuration violates its invariants."""
 
 
 @dataclass(frozen=True)
@@ -299,49 +295,14 @@ class VehicleConfig:
     # -- serialization ----------------------------------------------------
 
     def to_dict(self) -> dict:
-        return {"config_version": CONFIG_VERSION, **_to_doc(self)}
+        return {"config_version": CONFIG_VERSION, **to_doc(self)}
 
     @classmethod
     def from_dict(cls, doc: dict) -> "VehicleConfig":
         version = doc.get("config_version")
         if version != CONFIG_VERSION:
             raise ConfigurationError(f"unsupported config_version {version!r}")
-        return _from_doc(cls, doc)
-
-
-def _to_doc(value):
-    """JSON-able document of a config value; only init fields are written."""
-    if isinstance(value, FrictionSpline):
-        return value.to_dict()
-    if is_dataclass(value):
-        return {f.name: _to_doc(getattr(value, f.name)) for f in fields(value) if f.init}
-    if isinstance(value, dict):
-        return {str(k): _to_doc(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_to_doc(v) for v in value]
-    return value
-
-
-def _from_doc(kind, doc):
-    """Inverse of _to_doc, driven by the type hints; fields with defaults may be absent."""
-    if kind is FrictionSpline:
-        return FrictionSpline.from_dict(doc)
-    if is_dataclass(kind):
-        missing = [f.name for f in fields(kind) if f.init and f.name not in doc
-                   and f.default is MISSING and f.default_factory is MISSING]
-        if missing:
-            raise ConfigurationError(f"{kind.__name__} document lacks {', '.join(missing)}")
-        hints = get_type_hints(kind)
-        return kind(**{f.name: _from_doc(hints[f.name], doc[f.name])
-                       for f in fields(kind) if f.init and f.name in doc})
-    origin, args = get_origin(kind), get_args(kind)
-    if origin is dict:
-        return {args[0](k): _from_doc(args[1], v) for k, v in doc.items()}
-    if origin is list:
-        return [_from_doc(args[0], v) for v in doc]
-    if origin is tuple:
-        return tuple(_from_doc(a, v) for a, v in zip(args, doc, strict=True))
-    return doc
+        return from_doc(cls, doc)
 
 
 def default_vehicle_config() -> VehicleConfig:

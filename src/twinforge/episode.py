@@ -9,18 +9,13 @@ counter-based generator, so a (case, seed) pair is bit-reproducible anywhere.
 
 from __future__ import annotations
 
-import copy
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .autonomy import (
-    ASSUMED_FRONTAL_AREA,
-    CRUISE_KP,
-    FALSE_POSITIVE_RATE,
-    PERCEPTION_PERIOD_STEPS,
     AebPlanner,
     ObstacleView,
     SurrogateDetector,
@@ -30,8 +25,10 @@ from .autonomy import (
     parse_autonomy_doc,
     default_autonomy_doc,
 )
+from .documents import from_doc, to_doc
 from .dynamics import SimulationFault, Vehicle, VehicleConfig, default_vehicle_config
 from .environment import (
+    TerrainQueryError,
     condition_derive,
     env_raycast,
     footprint_corners,
@@ -41,9 +38,9 @@ from .metrics import TelemetryLog, TelemetryRecord, compute_dtc, evaluate_verdic
 from .scenarios import build_scenario, builtin_scenario_doc, load_scenario_doc
 from .se3 import pose_matrix
 from .sensors import (
-    CameraConfig,
     InsSensor,
-    LidarConfig,
+    SensorParams,
+    angle_grid,
     camera_matrices,
     forward_camera_mount,
     forward_lidar_mount,
@@ -54,31 +51,14 @@ from .sensors import (
     projection_matrix,
 )
 
-DEFAULT_SIM = {
-    "dt": 0.01,
-    "t_max": 120.0,
-    "post_stop_grace": 10.0,
-    "collision_still_grace": 3.0,
-}
+@dataclass
+class SimParams:
+    """The sim section of a case bundle."""
+    dt: float = 0.01
+    t_max: float = 120.0
+    post_stop_grace: float = 10.0
+    collision_still_grace: float = 3.0
 
-DEFAULT_SENSORS = {
-    "camera": {
-        "focal_length": 1.732,
-        "sensor_size": [36.0, 27.0],
-        "resolution": [640, 480],
-        "near": 0.1,
-        "far": 300.0,
-        "position": [1.2, 0.0, 1.4],
-    },
-    "lidar": {
-        "r_min": 0.5,
-        "r_max": 80.0,
-        "theta_min": -1.5707963267948966,
-        "theta_max": 1.5707963267948966,
-        "theta_res": 0.01745329251994,
-        "position": [1.3, 0.0, 1.6],
-    },
-}
 
 OBSTACLE_MASS = 300.0  # kg, for the collision momentum knock
 PUSH_CLEARANCE = 0.8   # m between faces after a dynamic obstacle is shoved
@@ -95,8 +75,8 @@ def default_bundle(case_id: str = "adhoc", model: str = "v3", weather: str = "cl
         "scenario": builtin_scenario_doc(scenario) if isinstance(scenario, str) else scenario,
         "autonomy": default_autonomy_doc(),
         "vehicle": None,
-        "sim": dict(DEFAULT_SIM),
-        "sensors": copy.deepcopy(DEFAULT_SENSORS),
+        "sim": to_doc(SimParams()),
+        "sensors": to_doc(SensorParams()),
     }
 
 
@@ -134,12 +114,7 @@ class Episode:
         self.collect_telemetry = collect_telemetry
         self.full_scans = full_scans
 
-        sim = dict(DEFAULT_SIM)
-        sim.update(bundle.get("sim") or {})
-        self.dt = float(sim["dt"])
-        self.t_max = float(sim["t_max"])
-        self.post_stop_grace = float(sim["post_stop_grace"])
-        self.collision_still_grace = float(sim["collision_still_grace"])
+        self.sim = from_doc(SimParams, bundle.get("sim") or {})
 
         vehicle_doc = bundle.get("vehicle")
         self.vcfg = VehicleConfig.from_dict(vehicle_doc) if vehicle_doc else default_vehicle_config()
@@ -153,44 +128,30 @@ class Episode:
         self.condition = condition_derive(bundle["weather"], bundle["time_of_day"])
         self.lights = headlight_control(self.condition.ambient_light, self.condition.fog_density)
 
-        autonomy_doc = bundle.get("autonomy") or default_autonomy_doc()
-        presets, aeb_cfg, adoc = parse_autonomy_doc(autonomy_doc)
-        if bundle["model"] not in presets:
+        self.autonomy = parse_autonomy_doc(bundle.get("autonomy") or default_autonomy_doc())
+        if bundle["model"] not in self.autonomy.presets:
             raise ValueError(f"no perception preset for model {bundle['model']!r}")
         self.rng = np.random.Generator(np.random.Philox(key=int(bundle["seed"])))
         self.detector = SurrogateDetector(
-            presets[bundle["model"]], self.condition, self.rng,
-            false_positive_rate=adoc.get("false_positive_rate", FALSE_POSITIVE_RATE))
-        self.planner = AebPlanner(aeb_cfg)
-        self.cruise_kp = adoc.get("control", {}).get("cruise_kp", CRUISE_KP)
-        self.perception_period = int(adoc.get("perception_period_steps", PERCEPTION_PERIOD_STEPS))
-        self.assumed_frontal_area = float(adoc.get("assumed_frontal_area", ASSUMED_FRONTAL_AREA))
+            self.autonomy.presets[bundle["model"]], self.condition, self.rng,
+            self.autonomy.false_positive_rate)
+        self.planner = AebPlanner(self.autonomy.aeb)
 
-        sensors = dict(DEFAULT_SENSORS)
-        sensors.update(bundle.get("sensors") or {})
-        cam = sensors["camera"]
-        self.camera = CameraConfig(
-            focal_length=cam["focal_length"],
-            sensor_size=tuple(cam["sensor_size"]),
-            resolution=tuple(int(v) for v in cam["resolution"]),
-            near=cam["near"], far=cam["far"],
-            mount=forward_camera_mount(tuple(cam["position"])))
+        sensors = from_doc(SensorParams, bundle.get("sensors") or {})
+        self.camera = sensors.camera
+        self.camera_mount = forward_camera_mount(self.camera.position)
         res = self.camera.resolution
         proj = projection_matrix(self.camera)
         self._fx_px = proj[0, 0] * res[0] / 2.0
         self._fy_px = proj[1, 1] * res[1] / 2.0
         self.ins = InsSensor()
-        lid = sensors["lidar"]
-        self.lidar = LidarConfig(
-            mode="planar", r_min=lid["r_min"], r_max=lid["r_max"],
-            theta_min=lid["theta_min"], theta_max=lid["theta_max"],
-            theta_res=lid["theta_res"],
-            mount=forward_lidar_mount(tuple(lid["position"])))
+        self.lidar = sensors.lidar
+        self.lidar_mount = forward_lidar_mount(self.lidar.position)
 
     # -- helpers ---------------------------------------------------------------
 
     def _perceive(self, state):
-        cam_world = pose_matrix(*self.vehicle.origin_pose(state)) @ self.camera.mount
+        cam_world = pose_matrix(*self.vehicle.origin_pose(state)) @ self.camera_mount
         view, proj = camera_matrices(self.camera, cam_world)
         cam_pos = cam_world[:3, 3]
         views = []
@@ -207,7 +168,7 @@ class Episode:
         if threat:
             best = max(threat, key=lambda d: d.area)
             rng_est = estimate_range_px(best.area, self._fx_px, self._fy_px,
-                                        self.assumed_frontal_area)
+                                        self.autonomy.assumed_frontal_area)
             dtc_estimate = rng_est - self.planner.cfg.range_to_dtc_offset
         return detections, dtc_estimate
 
@@ -244,7 +205,7 @@ class Episode:
     # -- main loop ---------------------------------------------------------------
 
     def run(self) -> EpisodeResult:
-        dt = self.dt
+        dt = self.sim.dt
         sx, sy, syaw = self.scenario.spawn
         state = self.vehicle.spawn_state(self.scenario.terrain, sx, sy, syaw)
         log = TelemetryLog() if self.collect_telemetry else None
@@ -261,26 +222,28 @@ class Episode:
         status = "done"
         t = 0.0
         steps = 0
-        max_steps = int(round(self.t_max / dt))
+        max_steps = int(round(self.sim.t_max / dt))
         cruise_speed = self.scenario.cruise_speed
+        cruise_kp = self.autonomy.control.cruise_kp
+        perception_period = self.autonomy.perception_period_steps
 
         try:
             for i in range(max_steps):
-                if i % self.perception_period == 0:
+                if i % perception_period == 0:
                     detections, dtc_estimate = self._perceive(state)
                     self.planner.plan(detections, dtc_estimate, state.forward_speed)
                 if self.planner.braking:
                     throttle, brake = longitudinal_control("brake", state.forward_speed,
-                                                           cruise_speed, self.cruise_kp)
+                                                           cruise_speed, cruise_kp)
                 elif self.planner.finished:
                     throttle, brake = 0.0, 0.0  # mission over, coast
                 else:
                     throttle, brake = longitudinal_control("cruise", state.forward_speed,
-                                                           cruise_speed, self.cruise_kp)
+                                                           cruise_speed, cruise_kp)
                 state.set_commands(throttle, 0.0, brake, 0.0)
                 self.vehicle.step(state, self.scenario.terrain, dt)
-                t += dt
                 steps += 1
+                t = steps * dt
 
                 pose = self.vehicle.origin_pose(state)
                 rot, origin = pose
@@ -303,30 +266,28 @@ class Episode:
                 speed = state.speed
                 if self.planner.finished:
                     hold_elapsed += dt
-                    if hold_elapsed >= self.post_stop_grace:
+                    if hold_elapsed >= self.sim.post_stop_grace:
                         terminal = "standstill_after_aeb"
                         break
                 if collision_count > 0 and speed < 0.05 and not self.planner.braking:
                     collision_still += dt
-                    if collision_still >= self.collision_still_grace:
+                    if collision_still >= self.sim.collision_still_grace:
                         terminal = "standstill_after_collision"
                         break
                 elif speed >= 0.05:
                     collision_still = 0.0
-        except SimulationFault as exc:
+        except (SimulationFault, TerrainQueryError) as exc:
             status = "failed"
             terminal = "fault"
-            error = str(exc)
+            error = f"{type(exc).__name__}: {exc}"
 
         scan_dump = None
         if self.full_scans:
             scan_dump = "\n".join(scan_lines)
             points = lidar_scan_3d(
-                LidarConfig(mode="spatial", r_min=self.lidar.r_min, r_max=self.lidar.r_max,
-                            theta_min=-0.6, theta_max=0.6, theta_res=0.05,
-                            phi_min=-0.3, phi_max=0.3, phi_res=0.05,
-                            mount=self.lidar.mount),
-                pose_matrix(*self.vehicle.origin_pose(state)) @ self.lidar.mount,
+                replace(self.lidar, theta_min=-0.6, theta_max=0.6, theta_res=0.05),
+                angle_grid(-0.3, 0.3, 0.05),
+                pose_matrix(*self.vehicle.origin_pose(state)) @ self.lidar_mount,
                 self._raycaster())
             scan_dump += "\n# spatial scan (sensor frame)\n" + point_cloud_ascii(points)
 
@@ -361,7 +322,7 @@ class Episode:
         )
 
     def _dump_scan(self, state, t: float, lines: list[str]) -> None:
-        pose = pose_matrix(*self.vehicle.origin_pose(state)) @ self.lidar.mount
+        pose = pose_matrix(*self.vehicle.origin_pose(state)) @ self.lidar_mount
         ranges = lidar_scan_2d(self.lidar, pose, self._raycaster())
         head = " ".join(f"{r:.4f}" if math.isfinite(r) else "inf" for r in ranges)
         lines.append(f"t={t:.2f} {head}")

@@ -125,8 +125,6 @@ def build_terrain(spec: dict, spawn_x: float) -> TerrainHeightmap:
 
 @dataclass
 class BuiltScenario:
-    name: str
-    doc: dict
     terrain: TerrainHeightmap
     obstacles: list
     spawn: tuple[float, float, float]
@@ -160,8 +158,6 @@ def build_scenario(doc: dict, front_offset: float) -> BuiltScenario:
             dynamic=bool(entry.get("dynamic", False)),
         ))
     return BuiltScenario(
-        name=doc["name"],
-        doc=doc,
         terrain=terrain,
         obstacles=obstacles,
         spawn=(sx, sy, syaw),

@@ -30,12 +30,12 @@ class InsSensor:
 
 @dataclass
 class CameraConfig:
-    focal_length: float       # dimensionless: 2N/(R-L) of the projection
-    sensor_size: tuple[float, float]  # (s_x, s_y); aspect a = s_y / s_x
-    resolution: tuple[int, int]       # (W_px, H_px)
-    near: float
-    far: float
-    mount: np.ndarray = field(default_factory=lambda: np.eye(4))  # body-from-camera
+    focal_length: float = 1.732  # dimensionless: 2N/(R-L) of the projection
+    sensor_size: tuple[float, float] = (36.0, 27.0)  # (s_x, s_y); aspect a = s_y / s_x
+    resolution: tuple[int, int] = (640, 480)         # (W_px, H_px)
+    near: float = 0.1
+    far: float = 300.0
+    position: tuple[float, float, float] = (1.2, 0.0, 1.4)  # body frame
 
     def __post_init__(self):
         if not (0.0 < self.near < self.far):
@@ -44,7 +44,6 @@ class CameraConfig:
             raise DegenerateFrustumError("resolution must be >= 1 px")
         if self.focal_length <= 0 or min(self.sensor_size) <= 0:
             raise DegenerateFrustumError("focal length and sensor size must be > 0")
-        self.mount = np.asarray(self.mount, dtype=np.float64)
 
     @property
     def aspect(self) -> float:
@@ -57,7 +56,7 @@ class CameraConfig:
         return (-half_w, half_w, half_h, -half_h)
 
 
-def forward_camera_mount(position=(1.2, 0.0, 1.4)) -> np.ndarray:
+def forward_camera_mount(position: Vec3) -> np.ndarray:
     """Body-from-camera transform for a camera looking along body +x.
 
     Camera axes: x right (-body y), y up (+body z), z backward (-body x).
@@ -70,7 +69,7 @@ def forward_camera_mount(position=(1.2, 0.0, 1.4)) -> np.ndarray:
     return t
 
 
-def forward_lidar_mount(position=(1.3, 0.0, 1.6)) -> np.ndarray:
+def forward_lidar_mount(position: Vec3) -> np.ndarray:
     """Body-from-lidar transform: sensor x along body forward, z up."""
     t = np.eye(4)
     t[:3, 3] = position
@@ -142,47 +141,42 @@ def project_box(corners_world: np.ndarray, view: np.ndarray, proj: np.ndarray,
 
 @dataclass
 class LidarConfig:
-    mode: str                 # "planar" | "spatial"
-    r_min: float
-    r_max: float
-    theta_min: float
-    theta_max: float
-    theta_res: float
-    phi_min: float = 0.0
-    phi_max: float = 0.0
-    phi_res: float = 0.0
-    mount: np.ndarray = field(default_factory=lambda: np.eye(4))
+    r_min: float = 0.5
+    r_max: float = 80.0
+    theta_min: float = -1.5707963267948966
+    theta_max: float = 1.5707963267948966
+    theta_res: float = 0.01745329251994
+    position: tuple[float, float, float] = (1.3, 0.0, 1.6)  # body frame
 
     def __post_init__(self):
         if not (0.0 <= self.r_min < self.r_max):
             raise ValueError("need 0 <= r_min < r_max")
         if self.theta_res <= 0 or self.theta_max < self.theta_min:
             raise ValueError("bad horizontal angular range")
-        if self.mode == "spatial":
-            if self.phi_res <= 0 or self.phi_max < self.phi_min:
-                raise ValueError("spatial mode needs a vertical angular range")
-        elif self.mode != "planar":
-            raise ValueError(f"unknown LIDAR mode {self.mode!r}")
-        self.mount = np.asarray(self.mount, dtype=np.float64)
 
-    def theta_grid(self) -> np.ndarray:
-        n = int(math.floor((self.theta_max - self.theta_min) / self.theta_res + 1e-9)) + 1
-        return self.theta_min + np.arange(n) * self.theta_res
 
-    def phi_grid(self) -> np.ndarray:
-        n = int(math.floor((self.phi_max - self.phi_min) / self.phi_res + 1e-9)) + 1
-        return self.phi_min + np.arange(n) * self.phi_res
+@dataclass
+class SensorParams:
+    """The sensors section of a case bundle."""
+    camera: CameraConfig = field(default_factory=CameraConfig)
+    lidar: LidarConfig = field(default_factory=LidarConfig)
+
+
+def angle_grid(lo: float, hi: float, res: float) -> np.ndarray:
+    """lo, lo + res, ... up to hi (inclusive within 1e-9 of a step)."""
+    n = int(math.floor((hi - lo) / res + 1e-9)) + 1
+    return lo + np.arange(n) * res
 
 
 def lidar_scan_2d(config: LidarConfig, lidar_to_world: np.ndarray, raycaster) -> np.ndarray:
-    """One planar sweep. ranges[i] is the hit distance for theta_grid()[i],
-    inf when nothing is hit inside [r_min, r_max].
+    """One planar sweep over the config's azimuth grid. ranges[i] is the hit
+    distance of the i-th azimuth, inf when nothing is hit inside [r_min, r_max].
 
     raycaster(origin, direction, r_max) -> distance or None.
     """
     r = lidar_to_world[:3, :3]
     origin = lidar_to_world[:3, 3]
-    thetas = config.theta_grid()
+    thetas = angle_grid(config.theta_min, config.theta_max, config.theta_res)
     out = np.full(len(thetas), np.inf)
     for i, theta in enumerate(thetas):
         local = (math.cos(theta), math.sin(theta), 0.0)
@@ -193,13 +187,14 @@ def lidar_scan_2d(config: LidarConfig, lidar_to_world: np.ndarray, raycaster) ->
     return out
 
 
-def lidar_scan_3d(config: LidarConfig, lidar_to_world: np.ndarray, raycaster) -> np.ndarray:
-    """Spatial scan: sensor-frame hit points (channels, rays, 3), row-major
+def lidar_scan_3d(config: LidarConfig, phis: np.ndarray, lidar_to_world: np.ndarray,
+                  raycaster) -> np.ndarray:
+    """Spatial scan: the config's azimuth grid at each elevation in phis.
+    Sensor-frame hit points (channels, rays, 3), row-major
     channel-then-azimuth, with NaN triplets for misses."""
     r = lidar_to_world[:3, :3]
     origin = lidar_to_world[:3, 3]
-    thetas = config.theta_grid()
-    phis = config.phi_grid()
+    thetas = angle_grid(config.theta_min, config.theta_max, config.theta_res)
     points = np.full((len(phis), len(thetas), 3), np.nan)
     for ci, phi in enumerate(phis):
         cp, sp = math.cos(phi), math.sin(phi)
