@@ -84,8 +84,10 @@ class TerrainHeightmap:
     def bounds(self) -> tuple[float, float, float, float]:
         return (self.origin[0], self.origin[1], self._max_x, self._max_y)
 
-    def contains(self, x: float, y: float) -> bool:
-        return (self.origin[0] <= x <= self._max_x) and (self.origin[1] <= y <= self._max_y)
+    def contains(self, x, y):
+        """Whether (x, y) lies on the map; elementwise over arrays."""
+        return ((self.origin[0] <= x) & (x <= self._max_x)
+                & (self.origin[1] <= y) & (y <= self._max_y))
 
     def height_and_gradient(self, x: float, y: float) -> tuple[float, float, float]:
         """Bilinear height and the analytic gradient of the bilinear patch."""
@@ -117,59 +119,78 @@ class TerrainHeightmap:
             return None
         return self.height_and_gradient(x, y)[0]
 
-    def raycast(self, origin, direction, r_max: float):
-        """March the ray in half-cell steps against the surface; bisect the
-        first sign change.
+    def heights_at(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """Bilinear heights at in-bounds points, with `height_and_gradient`'s
+        arithmetic in the same order, so each equals its scalar height."""
+        fx = (xs - self.origin[0]) / self.cell
+        fy = (ys - self.origin[1]) / self.cell
+        ix = np.minimum(fx.astype(np.intp), self._nx - 2)
+        iy = np.minimum(fy.astype(np.intp), self._ny - 2)
+        u = fx - ix
+        v = fy - iy
+        h = self.heights
+        h00 = h[iy, ix]
+        h10 = h[iy, ix + 1]
+        h01 = h[iy + 1, ix]
+        h11 = h[iy + 1, ix + 1]
+        return (h00 * (1 - u) * (1 - v) + h10 * u * (1 - v)
+                + h01 * (1 - u) * v + h11 * u * v)
 
-        Returns hit distance or None. Assumes |direction| == 1.
+    def raycast(self, origin, directions, r_max: float) -> np.ndarray:
+        """March every ray in half-cell steps against the surface in lockstep;
+        bisect each ray's first sign change.
+
+        directions is (n, 3) with unit rows. Returns (n,) hit distances, inf
+        for a miss. A ray whose first in-map sample is at or below the surface
+        after off-map samples hits at that sample; an origin at or below the
+        surface hits at 0.
         """
         step = self.cell * 0.5
         ox, oy, oz = float(origin[0]), float(origin[1]), float(origin[2])
-        dx, dy, dz = float(direction[0]), float(direction[1]), float(direction[2])
-        prev_t = 0.0
-        h = self.height_or_none(ox, oy)
-        prev_diff = None if h is None else oz - h
-        if prev_diff is not None and prev_diff <= 0.0:
-            return 0.0  # started at/below the surface
-        t = step
-        while t <= r_max:
-            x = ox + dx * t
-            y = oy + dy * t
-            z = oz + dz * t
-            if dz >= 0.0 and z > self._z_max and (prev_diff is None or prev_diff > 0.0):
-                return None  # climbing above all terrain
-            hzt = self.height_or_none(x, y)
-            if hzt is None:
-                prev_diff = None
-                prev_t = t
-                t += step
-                continue
-            diff = z - hzt
-            if diff <= 0.0 and prev_diff is not None and prev_diff > 0.0:
-                return self._bisect(origin, direction, prev_t, t)
-            if diff <= 0.0 and prev_diff is None:
-                return t  # entered the map below the surface; best estimate
-            prev_diff = diff
-            prev_t = t
-            t += step
-        return None
-
-    def _bisect(self, origin, direction, t_lo: float, t_hi: float, tol: float = 1e-6) -> float:
-        ox, oy, oz = origin
-        dx, dy, dz = direction
+        d = np.asarray(directions, dtype=np.float64).reshape(-1, 3)
+        h0 = self.height_or_none(ox, oy)
+        if h0 is not None and oz - h0 <= 0.0:
+            return np.zeros(len(d))
+        ts = np.add.accumulate(np.full(int(r_max / step) + 2, step))
+        ts = ts[ts <= r_max]
+        out = np.full(len(d), np.inf)
+        if not len(ts):
+            return out
+        dx, dy, dz = d[:, 0:1], d[:, 1:2], d[:, 2:3]
+        xs = ox + dx * ts
+        ys = oy + dy * ts
+        zs = oz + dz * ts
+        # A ray that climbs above all terrain misses, before its height query.
+        climb = (dz >= 0.0) & (zs > self._z_max)
+        inside = self.contains(xs, ys) & ~np.logical_or.accumulate(climb, axis=1)
+        ground = np.zeros_like(inside)
+        ground[inside] = zs[inside] - self.heights_at(xs[inside], ys[inside]) <= 0.0
+        event = climb | ground
+        rays = np.flatnonzero(event.any(axis=1))
+        k = event[rays].argmax(axis=1)
+        hit = ground[rays, k]
+        rays, k = rays[hit], k[hit]
+        out[rays] = ts[k]
+        # From an in-map sample above the surface, bisect the crossing.
+        prev_inside = np.where(k > 0, inside[rays, k - 1], h0 is not None)
+        rays, k = rays[prev_inside], k[prev_inside]
+        lo = np.where(k > 0, ts[k - 1], 0.0)
+        hi = ts[k]
         for _ in range(64):
-            if t_hi - t_lo <= tol:
+            live = np.flatnonzero(hi - lo > 1e-6)
+            if not len(live):
                 break
-            tm = 0.5 * (t_lo + t_hi)
-            h = self.height_or_none(ox + dx * tm, oy + dy * tm)
-            if h is None:
-                t_lo = tm
-                continue
-            if (oz + dz * tm) - h > 0.0:
-                t_lo = tm
-            else:
-                t_hi = tm
-        return 0.5 * (t_lo + t_hi)
+            tm = 0.5 * (lo[live] + hi[live])
+            ray = d[rays[live]]
+            x = ox + ray[:, 0] * tm
+            y = oy + ray[:, 1] * tm
+            above = ~self.contains(x, y)
+            on = ~above
+            above[on] = (oz + ray[on, 2] * tm[on]) - self.heights_at(x[on], y[on]) > 0.0
+            lo[live] = np.where(above, tm, lo[live])
+            hi[live] = np.where(above, hi[live], tm)
+        out[rays] = 0.5 * (lo + hi)
+        return out
 
 
 @dataclass
@@ -207,47 +228,48 @@ class Obstacle:
                                 self.position[2] + lz))
         return np.array(pts)
 
-    def raycast(self, origin, direction) -> float | None:
-        """Slab test in the obstacle's local frame; exact for the box."""
+    def raycast(self, origin, directions) -> np.ndarray:
+        """Slab test of every ray in the obstacle's local frame; exact for the
+        box. directions is (n, 3); returns (n,) entry distances, inf for a
+        miss (0 from inside the box)."""
         c, s = math.cos(self.yaw), math.sin(self.yaw)
+        d = np.asarray(directions, dtype=np.float64).reshape(-1, 3)
         ox = origin[0] - self.position[0]
         oy = origin[1] - self.position[1]
         oz = origin[2] - self.position[2]
         lo = (c * ox + s * oy, -s * ox + c * oy, oz)
-        ld = (c * direction[0] + s * direction[1],
-              -s * direction[0] + c * direction[1], direction[2])
-        t_min, t_max = 0.0, math.inf
-        for o, d, e in zip(lo, ld, self.extents):
+        ld = (c * d[:, 0] + s * d[:, 1], -s * d[:, 0] + c * d[:, 1], d[:, 2])
+        t_min = np.zeros(len(d))
+        t_max = np.full(len(d), math.inf)
+        miss = np.zeros(len(d), dtype=bool)
+        for o, dd, e in zip(lo, ld, self.extents):
             h = e / 2.0
-            if abs(d) < 1e-12:
-                if o < -h or o > h:
-                    return None
-                continue
-            t1 = (-h - o) / d
-            t2 = (h - o) / d
-            if t1 > t2:
-                t1, t2 = t2, t1
-            t_min = max(t_min, t1)
-            t_max = min(t_max, t2)
-            if t_min > t_max:
-                return None
-        return t_min if t_max >= t_min else None
+            parallel = np.abs(dd) < 1e-12
+            if o < -h or o > h:
+                miss |= parallel
+            dd = np.where(parallel, 1.0, dd)
+            t1 = (-h - o) / dd
+            t2 = (h - o) / dd
+            t1, t2 = np.minimum(t1, t2), np.maximum(t1, t2)
+            t_min = np.where(~parallel & (t1 > t_min), t1, t_min)
+            t_max = np.where(~parallel & (t2 < t_max), t2, t_max)
+        miss |= t_min > t_max
+        return np.where(miss, math.inf, t_min)
 
 
-def env_raycast(terrain: TerrainHeightmap | None, obstacles, origin, direction,
-                r_max: float) -> float | None:
-    """Distance to the nearest hit among the terrain surface and all obstacle
-    boxes, or None when nothing is hit within r_max."""
-    best_d = math.inf
+def env_raycast(terrain: TerrainHeightmap | None, obstacles, origin, directions,
+                r_max: float) -> np.ndarray:
+    """Distance along each of the (n, 3) directions to the nearest hit among
+    the terrain surface and all obstacle boxes: (n,), inf where nothing is
+    hit within r_max."""
+    best = np.full(len(directions), math.inf)
     if terrain is not None:
-        d = terrain.raycast(origin, direction, r_max)
-        if d is not None and d <= r_max:
-            best_d = d
+        d = terrain.raycast(origin, directions, r_max)
+        best = np.where(d <= r_max, d, best)
     for obs in obstacles:
-        d = obs.raycast(origin, direction)
-        if d is not None and d <= r_max and d < best_d:
-            best_d = d
-    return best_d if math.isfinite(best_d) else None
+        d = obs.raycast(origin, directions)
+        best = np.where((d <= r_max) & (d < best), d, best)
+    return best
 
 
 def _project_interval(corners, axis) -> tuple[float, float]:

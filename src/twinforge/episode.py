@@ -329,4 +329,10 @@ class Episode:
 
 
 def run_case(bundle: dict, collect_telemetry: bool = True, full_scans: bool = False) -> EpisodeResult:
-    return Episode(bundle, collect_telemetry, full_scans).run()
+    """Run one case; a bundle that `Episode` rejects is a `failed` result."""
+    try:
+        episode = Episode(bundle, collect_telemetry, full_scans)
+    except ValueError as exc:  # ConfigurationError, ScenarioError, DegenerateFrustumError
+        return EpisodeResult(bundle["case_id"], "failed", "fault", 0, 0.0, None, None,
+                             f"{type(exc).__name__}: {exc}", None)
+    return episode.run()

@@ -168,45 +168,40 @@ def angle_grid(lo: float, hi: float, res: float) -> np.ndarray:
     return lo + np.arange(n) * res
 
 
-def lidar_scan_2d(config: LidarConfig, lidar_to_world: np.ndarray, raycaster) -> np.ndarray:
-    """One planar sweep over the config's azimuth grid. ranges[i] is the hit
-    distance of the i-th azimuth, inf when nothing is hit inside [r_min, r_max].
-
-    raycaster(origin, direction, r_max) -> distance or None.
-    """
+def _cast(config: LidarConfig, lidar_to_world: np.ndarray, local: np.ndarray,
+          raycaster) -> np.ndarray:
+    """Distances along the sensor-frame unit rays local (n, 3), all cast in
+    one raycaster call; NaN where nothing is hit inside [r_min, r_max]."""
     r = lidar_to_world[:3, :3]
-    origin = lidar_to_world[:3, 3]
+    dirs = np.array([r @ v for v in local]).reshape(-1, 3)
+    dist = raycaster(lidar_to_world[:3, 3], dirs, config.r_max)
+    return np.where((config.r_min <= dist) & (dist <= config.r_max), dist, np.nan)
+
+
+def lidar_scan_2d(config: LidarConfig, lidar_to_world: np.ndarray, raycaster) -> np.ndarray:
+    """One planar sweep over the config's azimuth grid, cast as one batch.
+    ranges[i] is the hit distance of the i-th azimuth, inf when nothing is
+    hit inside [r_min, r_max].
+
+    raycaster(origin, directions (n, 3), r_max) -> (n,) distances, inf for a miss.
+    """
     thetas = angle_grid(config.theta_min, config.theta_max, config.theta_res)
-    out = np.full(len(thetas), np.inf)
-    for i, theta in enumerate(thetas):
-        local = (math.cos(theta), math.sin(theta), 0.0)
-        d = r @ local
-        dist = raycaster(origin, d, config.r_max)
-        if dist is not None and config.r_min <= dist <= config.r_max:
-            out[i] = dist
-    return out
+    local = np.array([(math.cos(theta), math.sin(theta), 0.0) for theta in thetas])
+    dist = _cast(config, lidar_to_world, local, raycaster)
+    return np.where(np.isnan(dist), np.inf, dist)
 
 
 def lidar_scan_3d(config: LidarConfig, phis: np.ndarray, lidar_to_world: np.ndarray,
                   raycaster) -> np.ndarray:
-    """Spatial scan: the config's azimuth grid at each elevation in phis.
-    Sensor-frame hit points (channels, rays, 3), row-major
-    channel-then-azimuth, with NaN triplets for misses."""
-    r = lidar_to_world[:3, :3]
-    origin = lidar_to_world[:3, 3]
+    """Spatial scan: the config's azimuth grid at each elevation in phis, cast
+    as one batch (see `lidar_scan_2d`). Sensor-frame hit points
+    (channels, rays, 3), row-major channel-then-azimuth, with NaN triplets
+    for misses."""
     thetas = angle_grid(config.theta_min, config.theta_max, config.theta_res)
-    points = np.full((len(phis), len(thetas), 3), np.nan)
-    for ci, phi in enumerate(phis):
-        cp, sp = math.cos(phi), math.sin(phi)
-        for ri, theta in enumerate(thetas):
-            local = (math.cos(theta) * cp, math.sin(theta) * cp, -sp)
-            d = r @ local
-            dist = raycaster(origin, d, config.r_max)
-            if dist is not None and config.r_min <= dist <= config.r_max:
-                points[ci, ri, 0] = local[0] * dist
-                points[ci, ri, 1] = local[1] * dist
-                points[ci, ri, 2] = local[2] * dist
-    return points
+    local = np.array([(math.cos(theta) * math.cos(phi), math.sin(theta) * math.cos(phi),
+                       -math.sin(phi)) for phi in phis for theta in thetas])
+    dist = _cast(config, lidar_to_world, local, raycaster)
+    return (local * dist[:, None]).reshape(len(phis), len(thetas), 3)
 
 
 def point_cloud_ascii(points: np.ndarray) -> str:

@@ -87,6 +87,29 @@ def test_preset_missing_a_field_names_it():
         Episode(bundle)
 
 
+def _drop_preset_field(bundle):
+    del bundle["autonomy"]["presets"]["v3"]["min_pixel_area"]
+
+
+def _bad_scenario_kind(bundle):
+    bundle["scenario"]["terrain"]["kind"] = "lunar"
+
+
+@pytest.mark.parametrize("edit, error", [
+    (_drop_preset_field,
+     "ConfigurationError: PerceptionModelPreset document lacks min_pixel_area"),
+    (lambda b: b.update(model="v9"), "ValueError: no perception preset for model 'v9'"),
+    (_bad_scenario_kind, "ScenarioError: unknown terrain kind 'lunar'"),
+], ids=["preset-missing-field", "model-without-preset", "bad-scenario-kind"])
+def test_rejected_bundle_is_a_failed_result(edit, error):
+    bundle = _bundle("default")
+    edit(bundle)
+    res = run_case(bundle)
+    assert (res.case_id, res.status, res.terminal) == (bundle["case_id"], "failed", "fault")
+    assert (res.steps, res.log, res.verdict) == (0, None, None)
+    assert res.error == error
+
+
 @pytest.mark.parametrize("section, kind", [
     ("autonomy", AutonomyConfig), ("sensors", SensorParams), ("sim", SimParams),
 ])
