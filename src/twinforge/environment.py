@@ -144,6 +144,11 @@ class TerrainHeightmap:
         for a miss. A ray whose first in-map sample is at or below the surface
         after off-map samples hits at that sample; an origin at or below the
         surface hits at 0.
+
+        Memory is O(n · r_max / cell): every ray's samples are held at once,
+        and a ray keeps its samples after its first hit. Only r_max = 80 m
+        with a 2 m cell has been measured (under 1 MB more peak RSS per
+        181-ray sweep).
         """
         step = self.cell * 0.5
         ox, oy, oz = float(origin[0]), float(origin[1]), float(origin[2])

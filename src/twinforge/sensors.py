@@ -149,8 +149,8 @@ class LidarConfig:
     position: tuple[float, float, float] = (1.3, 0.0, 1.6)  # body frame
 
     def __post_init__(self):
-        if not (0.0 <= self.r_min < self.r_max):
-            raise ValueError("need 0 <= r_min < r_max")
+        if not (0.0 <= self.r_min < self.r_max < math.inf):
+            raise ValueError("need 0 <= r_min < r_max < inf")
         if self.theta_res <= 0 or self.theta_max < self.theta_min:
             raise ValueError("bad horizontal angular range")
 

@@ -68,3 +68,9 @@ def test_scan_3d_has_nan_triplets_exactly_at_the_misses():
     assert 0 < expected_hit.sum() < expected_hit.size
     # Hits lie on the ground, HEIGHT below the level sensor.
     assert np.all(np.abs(points[expected_hit][:, 2] + HEIGHT) <= 1e-6)
+
+
+@pytest.mark.parametrize("r_min, r_max", [(0.5, math.inf), (0.5, 0.5), (-0.1, 80.0)])
+def test_lidar_config_rejects_a_bad_range(r_min, r_max):
+    with pytest.raises(ValueError, match="r_min < r_max < inf"):
+        LidarConfig(r_min=r_min, r_max=r_max)
