@@ -122,16 +122,6 @@ def ackermann_angles(angle: float, wheelbase: float, track: float) -> tuple[floa
     return left, right
 
 
-def brake_torque(
-    corner_mass: float,
-    speed: float,
-    disk_radius: float,
-    braking_distance: float,
-) -> float:
-    """Brake torque magnitude for one wheel at the current speed."""
-    return corner_mass * speed * speed / (2.0 * braking_distance) * disk_radius
-
-
 def wheel_brake_torques(
     corner_masses: tuple[float, float, float, float],
     speed: float,
@@ -142,13 +132,14 @@ def wheel_brake_torques(
 ) -> tuple[float, float, float, float]:
     """Per-wheel brake torques in (FL, FR, RL, RR) order.
 
-    The pedal brakes all wheels; the handbrake acts on the rear axle only.
+    Each wheel's torque magnitude is m·v²/(2·d)·r for its corner mass m at
+    speed v, braking distance d and disk radius r. The pedal brakes all
+    wheels; the handbrake acts on the rear axle only.
     """
-    torques = []
-    for i, m in enumerate(corner_masses):
-        tau = brake_torque(m, speed, disk_radius, braking_distance)
-        torques.append(pedal * tau + handbrake * (tau if i >= 2 else 0.0))
-    return tuple(torques)
+    two_d = 2.0 * braking_distance
+    fl, fr, rl, rr = [m * speed * speed / two_d * disk_radius for m in corner_masses]
+    return (pedal * fl + handbrake * 0.0, pedal * fr + handbrake * 0.0,
+            pedal * rl + handbrake * rl, pedal * rr + handbrake * rr)
 
 
 def tire_forces(

@@ -19,6 +19,7 @@ class FrictionSpline:
         self.s0, self.f0 = float(s0), float(f0)
         self.se, self.fe = float(se), float(fe)
         self.sa, self.fa = float(sa), float(fa)
+        # Python floats: numpy scalars would slow every evaluation.
         self._c0 = self._fit_segment0()
         self._c1 = self._fit_segment1()
 
@@ -32,7 +33,7 @@ class FrictionSpline:
             [6 * s0, 2.0, 0.0, 0.0],
         ])
         b = np.array([self.f0, self.fe, 0.0, 0.0])
-        return tuple(np.linalg.solve(a, b))
+        return tuple(np.linalg.solve(a, b).tolist())
 
     def _fit_segment1(self) -> tuple[float, float, float, float]:
         # f(se)=fe, f'(se)=0, f(sa)=fa, f'(sa)=0
@@ -44,7 +45,7 @@ class FrictionSpline:
             [3 * sa ** 2, 2 * sa, 1.0, 0.0],
         ])
         b = np.array([self.fe, 0.0, self.fa, 0.0])
-        return tuple(np.linalg.solve(a, b))
+        return tuple(np.linalg.solve(a, b).tolist())
 
     def __call__(self, s: float) -> float:
         if s <= self.s0:

@@ -76,6 +76,13 @@ class Vehicle:
         self.cfg = config
         self.driven = tuple(i for i, w in enumerate(config.wheels) if w.driven)
         self.corner_masses = tuple(w.corner_mass for w in config.wheels)
+        # Per-wheel constants the step's loops unpack.
+        self.wheel_consts = tuple(
+            (w.arm, w.spring_k, w.damper_b, w.static_displacement, w.mount[2],
+             w.force_arm_z, w.contact_reduced_mass) for w in config.wheels)
+        # Which share of torque_split drives each wheel: 0 left, 1 right, -1 none.
+        self.drive_shares = tuple((0 if w.side > 0 else 1) if w.driven else -1
+                                  for w in config.wheels)
 
     # -- construction ------------------------------------------------------
 
@@ -131,13 +138,16 @@ class Vehicle:
     def step(self, state: VehicleState, terrain, dt: float) -> None:
         cfg = self.cfg
         susp = cfg.suspension
-        wheels = cfg.wheels
+        consts = self.wheel_consts
         mass = cfg.total_mass
         m = quat_to_matrix(state.quat)
+        m0, m1, m2, m3, m4, m5, m6, m7, m8 = m
         px, py, pz = state.pos
         vx, vy, vz = state.vel
         ox, oy, oz = state.omega
         grounded = state.wheel_grounded
+        wheel_omega = state.wheel_omega
+        radius = susp.wheel_radius
 
         # steering
         angle, d_left, d_right = steering_step(
@@ -149,7 +159,7 @@ class Vehicle:
 
         # powertrain: one wheel's share of the total, then the differential
         driven = self.driven
-        wheel_rpm_avg = sum(state.wheel_omega[i] for i in driven) * RPM_PER_RAD_S / len(driven)
+        wheel_rpm_avg = sum(wheel_omega[i] for i in driven) * RPM_PER_RAD_S / len(driven)
         tau_total = powertrain_step(
             cfg.powertrain, state.pt, state.cmd_throttle, state.cmd_handbrake,
             vx, wheel_rpm_avg, dt)
@@ -162,20 +172,29 @@ class Vehicle:
         fx_sum = fy_sum = fz_sum = 0.0
         tx_sum = ty_sum = tz_sum = 0.0
 
-        # suspension per wheel
+        # suspension per wheel; the mount's world offset is R * arm
+        rest = susp.rest_length
+        wheel_z = state.wheel_z
+        wheel_zdot = state.wheel_zdot
+        compression = state.wheel_compression
         travels = [0.0] * 4
         contact_z = [0.0] * 4
         vertical = [0.0] * 4
         normals = [None] * 4
-        for i, w in enumerate(wheels):
-            mw = rotate(m, w.arm)
-            gz, gx, gy = terrain.height_and_gradient(px + mw[0], py + mw[1])
-            (vertical[i], state.wheel_z[i], state.wheel_zdot[i], state.wheel_compression[i],
+        for i, ((ax, ay, az), spring_k, damper_b, zs, mount_z, _, _) in enumerate(consts):
+            gz, gx, gy = terrain.height_and_gradient(px + (m0 * ax + m1 * ay + m2 * az),
+                                                     py + (m3 * ax + m4 * ay + m5 * az))
+            (vertical[i], wheel_z[i], wheel_zdot[i], compression[i],
              grounded[i], travels[i], contact_z[i]) = suspension_step(
-                state.wheel_z[i], state.wheel_zdot[i], state.wheel_compression[i],
-                pz + mw[2], gz, susp.rest_length, w.spring_k, w.damper_b,
-                susp.wheel_radius, w.static_displacement, w.mount[2], dt)
-            normals[i] = rotate_t(m, (-gx, -gy, 1.0))
+                wheel_z[i], wheel_zdot[i], compression[i],
+                pz + (m6 * ax + m7 * ay + m8 * az), gz, rest, spring_k, damper_b,
+                radius, zs, mount_z, dt)
+            # R^T * (-gx, -gy, 1)
+            ngx = -gx
+            ngy = -gy
+            normals[i] = (m0 * ngx + m3 * ngy + m6,
+                          m1 * ngx + m4 * ngy + m7,
+                          m2 * ngx + m5 * ngy + m8)
 
         # anti-roll bars per axle
         for li, ri in ((0, 1), (2, 3)):
@@ -191,7 +210,7 @@ class Vehicle:
         # would do work the spring never stored, e.g. on a pitched landing.
         # The same vertical force is the tire's normal load.
         loads = [0.0] * 4
-        for i, w in enumerate(wheels):
+        for i, ((rx, ry, _), _, _, _, _, rz, _) in enumerate(consts):
             f = vertical[i]
             loads[i] = max(0.0, f) if grounded[i] else 0.0
             if f == 0.0:
@@ -200,8 +219,6 @@ class Vehicle:
             bfx = f * nx
             bfy = f * ny
             bfz = f * nz
-            rx, ry, _ = w.arm
-            rz = w.force_arm_z
             fx_sum += bfx
             fy_sum += bfy
             fz_sum += bfz
@@ -211,23 +228,23 @@ class Vehicle:
 
         # tire forces
         eps_v = cfg.slip_speed_guard
+        tires = cfg.tires
+        com_z = cfg.com[2]
         tire_fx = [0.0] * 4
-        for i, w in enumerate(wheels):
+        for i, ((rx, ry, _), _, _, _, _, _, reduced_mass) in enumerate(consts):
             if not grounded[i]:
                 continue
-            rx, ry, _ = w.arm
-            rz = contact_z[i] - cfg.com[2]
+            rz = contact_z[i] - com_z
             cvx = vx + oy * rz - oz * ry
             cvy = vy + oz * rx - ox * rz
             sa = wheel_steer[i]
             cs, sn = math.cos(sa), math.sin(sa)
             wvx = cs * cvx + sn * cvy
             wvy = -sn * cvx + cs * cvy
-            rel = susp.wheel_radius * state.wheel_omega[i] - wvx
-            cap = abs(rel) * w.contact_reduced_mass / dt
-            f_lon, f_lat, _, _ = tire_forces(
-                state.wheel_omega[i], wvx, wvy, susp.wheel_radius, cfg.tires, loads[i],
-                eps_v, cap)
+            spin = wheel_omega[i]
+            rel = radius * spin - wvx
+            cap = abs(rel) * reduced_mass / dt
+            f_lon, f_lat, _, _ = tire_forces(spin, wvx, wvy, radius, tires, loads[i], eps_v, cap)
             tire_fx[i] = f_lon
             bfx = cs * f_lon - sn * f_lat
             bfy = sn * f_lon + cs * f_lat
@@ -280,33 +297,35 @@ class Vehicle:
         noy = oy + doy * dt
         noz = oz + doz * dt
 
-        wv = rotate(m, (nvx, nvy, nvz))
-        state.pos = [px + wv[0] * dt, py + wv[1] * dt, pz + wv[2] * dt]
+        # world velocity R * v
+        npx = px + (m0 * nvx + m1 * nvy + m2 * nvz) * dt
+        npy = py + (m3 * nvx + m4 * nvy + m5 * nvz) * dt
+        npz = pz + (m6 * nvx + m7 * nvy + m8 * nvz) * dt
+        state.pos = [npx, npy, npz]
         state.vel = [nvx, nvy, nvz]
         state.omega = [nox, noy, noz]
-        state.quat = quat_integrate(state.quat, (nox, noy, noz), dt)
+        q = state.quat = quat_integrate(state.quat, (nox, noy, noz), dt)
 
         # wheel spin (brake torque pulls toward zero but cannot cross it)
         i_w = cfg.wheel_inertia
-        locked = state.pt.gear == GEAR_PARK
-        for i, w in enumerate(wheels):
-            if locked:
-                state.wheel_omega[i] = 0.0
-                continue
-            drive = (split[0] if w.side > 0 else split[1]) if w.driven else 0.0
-            w_spin = state.wheel_omega[i] + dt * (drive - susp.wheel_radius * tire_fx[i]) / i_w
-            cap = dt * brake[i] / i_w
-            if w_spin > cap:
-                w_spin -= cap
-            elif w_spin < -cap:
-                w_spin += cap
-            else:
-                w_spin = 0.0
-            state.wheel_omega[i] = w_spin
+        if state.pt.gear == GEAR_PARK:
+            wheel_omega[:] = [0.0] * len(wheel_omega)
+        else:
+            for i, share in enumerate(self.drive_shares):
+                drive = split[share] if share >= 0 else 0.0
+                w_spin = wheel_omega[i] + dt * (drive - radius * tire_fx[i]) / i_w
+                cap = dt * brake[i] / i_w
+                if w_spin > cap:
+                    w_spin -= cap
+                elif w_spin < -cap:
+                    w_spin += cap
+                else:
+                    w_spin = 0.0
+                wheel_omega[i] = w_spin
 
-        total = (state.pos[0] + state.pos[1] + state.pos[2]
+        total = (npx + npy + npz
                  + nvx + nvy + nvz + nox + noy + noz
-                 + state.quat[0] + state.quat[1] + state.quat[2] + state.quat[3])
+                 + q[0] + q[1] + q[2] + q[3])
         if not math.isfinite(total):
             raise SimulationFault(
                 f"non-finite state after step: pos={state.pos} vel={state.vel} "

@@ -61,18 +61,23 @@ class TerrainHeightmap:
     """
 
     def __init__(self, heights: np.ndarray, cell: float, origin: tuple[float, float] = (0.0, 0.0)):
-        heights = np.asarray(heights, dtype=np.float64)
+        heights = np.ascontiguousarray(heights, dtype=np.float64)
         if heights.ndim != 2 or heights.shape[0] < 2 or heights.shape[1] < 2:
             raise ValueError("heightmap needs at least a 2x2 grid")
         if not np.all(np.isfinite(heights)):
             raise ValueError("heightmap contains non-finite values")
         self.heights = heights
+        self._flat = memoryview(heights.reshape(-1))  # a view: no copy
         self.cell = float(cell)
         self.origin = (float(origin[0]), float(origin[1]))
         self._ny, self._nx = heights.shape
         self._max_x = self.origin[0] + (self._nx - 1) * self.cell
         self._max_y = self.origin[1] + (self._ny - 1) * self.cell
         self._z_max = float(heights.max())
+
+    def __reduce__(self):
+        # A memoryview cannot be pickled; rebuild the map from its grid.
+        return type(self), (self.heights, self.cell, self.origin)
 
     @classmethod
     def flat(cls, height: float = 0.0, size: float = 200.0, cell: float = 2.0,
@@ -90,29 +95,41 @@ class TerrainHeightmap:
                 & (self.origin[1] <= y) & (y <= self._max_y))
 
     def height_and_gradient(self, x: float, y: float) -> tuple[float, float, float]:
-        """Bilinear height and the analytic gradient of the bilinear patch."""
-        fx = (x - self.origin[0]) / self.cell
-        fy = (y - self.origin[1]) / self.cell
+        """Bilinear height and the analytic gradient of the bilinear patch.
+
+        Raises `TerrainQueryError` exactly where `contains` is false. Where
+        `(max - origin) / cell` rounds past the last grid index, the last
+        patch is extrapolated, as in `heights_at`. The corners are read as
+        Python floats from the flat buffer, so all arithmetic is on floats.
+        """
+        ox, oy = self.origin
+        if not (ox <= x <= self._max_x and oy <= y <= self._max_y):
+            raise TerrainQueryError(f"terrain query ({x:.2f}, {y:.2f}) out of bounds {self.bounds}")
+        cell = self.cell
+        nx = self._nx
+        fx = (x - ox) / cell
+        fy = (y - oy) / cell
         ix = int(fx)
         iy = int(fy)
-        if fx < 0.0 or fy < 0.0 or ix > self._nx - 2 and fx > self._nx - 1 or iy > self._ny - 2 and fy > self._ny - 1:
-            raise TerrainQueryError(f"terrain query ({x:.2f}, {y:.2f}) out of bounds {self.bounds}")
-        if ix > self._nx - 2:
-            ix = self._nx - 2
+        if ix > nx - 2:
+            ix = nx - 2
         if iy > self._ny - 2:
             iy = self._ny - 2
         u = fx - ix
         v = fy - iy
-        h = self.heights
-        h00 = h[iy, ix]
-        h10 = h[iy, ix + 1]
-        h01 = h[iy + 1, ix]
-        h11 = h[iy + 1, ix + 1]
-        z = (h00 * (1 - u) * (1 - v) + h10 * u * (1 - v)
-             + h01 * (1 - u) * v + h11 * u * v)
-        dzdx = ((h10 - h00) * (1 - v) + (h11 - h01) * v) / self.cell
-        dzdy = ((h01 - h00) * (1 - u) + (h11 - h10) * u) / self.cell
-        return float(z), float(dzdx), float(dzdy)
+        k = iy * nx + ix
+        h = self._flat
+        h00 = h[k]
+        h10 = h[k + 1]
+        h01 = h[k + nx]
+        h11 = h[k + nx + 1]
+        iu = 1 - u
+        iv = 1 - v
+        z = (h00 * iu * iv + h10 * u * iv
+             + h01 * iu * v + h11 * u * v)
+        dzdx = ((h10 - h00) * iv + (h11 - h01) * v) / cell
+        dzdy = ((h01 - h00) * iu + (h11 - h10) * u) / cell
+        return z, dzdx, dzdy
 
     def height_or_none(self, x: float, y: float):
         if not self.contains(x, y):
@@ -277,22 +294,31 @@ def env_raycast(terrain: TerrainHeightmap | None, obstacles, origin, directions,
     return best
 
 
-def _project_interval(corners, axis) -> tuple[float, float]:
-    vals = [c[0] * axis[0] + c[1] * axis[1] for c in corners]
-    return min(vals), max(vals)
-
-
 def rectangles_overlap(corners_a, corners_b) -> bool:
-    """Separating-axis test for two convex quads in the plane."""
-    for corners in (corners_a, corners_b):
-        for i in range(4):
-            x1, y1 = corners[i]
-            x2, y2 = corners[(i + 1) % 4]
-            axis = (y1 - y2, x2 - x1)
-            a_lo, a_hi = _project_interval(corners_a, axis)
-            b_lo, b_hi = _project_interval(corners_b, axis)
-            if a_hi < b_lo or b_hi < a_lo:
-                return False
+    """Separating-axis test for two convex quads in the plane.
+
+    Each quad's four edge normals are candidate axes; both quads' corners are
+    projected onto each axis as c_x * axis_x + c_y * axis_y.
+    """
+    (a0x, a0y), (a1x, a1y), (a2x, a2y), (a3x, a3y) = corners_a
+    (b0x, b0y), (b1x, b1y), (b2x, b2y), (b3x, b3y) = corners_b
+    for x1, y1, x2, y2 in ((a0x, a0y, a1x, a1y), (a1x, a1y, a2x, a2y),
+                           (a2x, a2y, a3x, a3y), (a3x, a3y, a0x, a0y),
+                           (b0x, b0y, b1x, b1y), (b1x, b1y, b2x, b2y),
+                           (b2x, b2y, b3x, b3y), (b3x, b3y, b0x, b0y)):
+        ux = y1 - y2
+        uy = x2 - x1
+        pa0 = a0x * ux + a0y * uy
+        pa1 = a1x * ux + a1y * uy
+        pa2 = a2x * ux + a2y * uy
+        pa3 = a3x * ux + a3y * uy
+        pb0 = b0x * ux + b0y * uy
+        pb1 = b1x * ux + b1y * uy
+        pb2 = b2x * ux + b2y * uy
+        pb3 = b3x * ux + b3y * uy
+        if (max(pa0, pa1, pa2, pa3) < min(pb0, pb1, pb2, pb3)
+                or max(pb0, pb1, pb2, pb3) < min(pa0, pa1, pa2, pa3)):
+            return False
     return True
 
 

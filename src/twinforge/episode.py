@@ -308,18 +308,10 @@ class Episode:
             best_conf = best.confidence
             best_area = best.area
         return TelemetryRecord(
-            t=t,
-            pos_x=position[0], pos_y=position[1], pos_z=position[2],
-            roll=euler[0], pitch=euler[1], yaw=euler[2],
-            speed=state.forward_speed,
-            throttle_cmd=throttle, steer_cmd=steer, brake_cmd=brk, handbrake_cmd=hand,
-            gear=state.pt.gear, engine_rpm=state.pt.engine_rpm,
-            detection_count=len(detections),
-            best_confidence=best_conf, best_area_px=best_area,
-            aeb_active=1 if self.planner.braking else 0,
-            dtc=dtc, collision_count=collision_count,
-            lights=self.lights,
-        )
+            t, position[0], position[1], position[2], euler[0], euler[1], euler[2],
+            state.forward_speed, throttle, steer, brk, hand,
+            state.pt.gear, state.pt.engine_rpm, len(detections), best_conf, best_area,
+            1 if self.planner.braking else 0, dtc, collision_count, self.lights)
 
     def _dump_scan(self, state, t: float, lines: list[str]) -> None:
         pose = pose_matrix(*self.vehicle.origin_pose(state)) @ self.lidar_mount

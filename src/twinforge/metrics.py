@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import operator
 from dataclasses import dataclass, fields
 
 TELEMETRY_COLUMNS = (
@@ -58,14 +59,12 @@ class TelemetryRecord:
 assert tuple(f.name for f in fields(TelemetryRecord)) == TELEMETRY_COLUMNS
 
 
-def _format_value(name: str, value) -> str:
-    if name in _FLOAT_COLUMNS:
-        if math.isinf(value):
-            return "inf" if value > 0 else "-inf"
-        return f"{value:.6f}"
-    if name in _INT_COLUMNS:
-        return str(int(value))
-    return str(value)
+# One %-template per row: "%.6f" writes inf, -inf and nan as "inf", "-inf"
+# and "nan"; "%d" truncates like int().
+_ROW_TEMPLATE = ",".join(
+    "%.6f" if name in _FLOAT_COLUMNS else "%d" if name in _INT_COLUMNS else "%s"
+    for name in TELEMETRY_COLUMNS)
+_row_values = operator.attrgetter(*TELEMETRY_COLUMNS)
 
 
 class TelemetryLog:
@@ -82,11 +81,9 @@ class TelemetryLog:
         self.records.append(record)
 
     def to_csv(self) -> str:
-        lines = [",".join(TELEMETRY_COLUMNS)]
-        for rec in self.records:
-            lines.append(",".join(
-                _format_value(name, getattr(rec, name)) for name in TELEMETRY_COLUMNS))
-        return "\n".join(lines) + "\n"
+        rows = [_ROW_TEMPLATE % _row_values(rec) for rec in self.records]
+        # One join, with "" for the final newline: no second copy of the text.
+        return "\n".join([",".join(TELEMETRY_COLUMNS), *rows, ""])
 
     def to_bytes(self) -> bytes:
         return self.to_csv().encode("utf-8")
@@ -132,7 +129,9 @@ def compute_dtc(ego_x: float, ego_y: float, ego_yaw: float, front_offset: float,
     hx, hy = math.cos(ego_yaw), math.sin(ego_yaw)
     front_s = ego_x * hx + ego_y * hy + front_offset
     for obs in obstacles:
-        near = min(cx * hx + cy * hy for cx, cy in obs.corners_2d())
+        (c0x, c0y), (c1x, c1y), (c2x, c2y), (c3x, c3y) = obs.corners_2d()
+        near = min(c0x * hx + c0y * hy, c1x * hx + c1y * hy,
+                   c2x * hx + c2y * hy, c3x * hx + c3y * hy)
         gap = near - front_s
         if gap < best:
             best = gap

@@ -25,7 +25,6 @@ from twinforge.dynamics.forces import (
     ackermann_angles,
     aero_drag_case,
     antiroll_forces,
-    brake_torque,
     steering_step,
     suspension_step,
     tire_forces,
@@ -290,6 +289,11 @@ def test_steering_slew_rate():
 
 # -- brakes --------------------------------------------------------------------------
 
+def brake_torque(corner_mass, speed, disk_radius, braking_distance):
+    """Reference: one wheel's brake torque magnitude, m·v²/(2·d)·r."""
+    return corner_mass * speed * speed / (2.0 * braking_distance) * disk_radius
+
+
 def test_brake_torque_zero_speed():
     assert wheel_brake_torques((500.0,) * 4, 0.0, 0.15, 18.0, 1.0, 1.0) == (0.0,) * 4
 
@@ -347,6 +351,16 @@ def test_spline_against_closed_form_oracle():
 def test_spline_requires_ordered_knots():
     with pytest.raises(ValueError):
         FrictionSpline(0.5, 0.0, 0.2, 1.0, 0.8, 0.6)
+
+
+def test_spline_coefficients_are_python_floats():
+    # numpy scalars would slow every tire_forces call; the values, and so the
+    # vehicle document (test_config_document_is_pinned), are unchanged.
+    sp = default_vehicle_config().tires
+    coeffs = sp.coefficients
+    for seg in ("segment0", "segment1"):
+        assert all(type(c) is float for c in coeffs[seg].values())
+    assert type(sp(0.05)) is float and type(sp(0.5)) is float
 
 
 def test_spline_serialization_roundtrip():

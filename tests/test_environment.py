@@ -1,17 +1,26 @@
-"""The batched terrain march and obstacle slab test against the scalar
-one-ray versions they replaced, which live on here as the reference.
+"""The batched terrain march and obstacle slab test, the plain-float height
+query and the inline separating-axis test against the versions they
+replaced, which live on here as the reference.
 
-Equality is exact: the batch does the reference's arithmetic in the same
-order, so every distance must match bit for bit (a reference miss, None, is
-inf in the batch).
+Equality is exact: the new code does the reference's arithmetic in the same
+order, so every distance and height must match bit for bit (a reference
+miss, None, is inf in the batch).
 """
 
 import math
+import pickle
 
 import numpy as np
 import pytest
 
-from twinforge.environment import Obstacle, TerrainHeightmap, TerrainQueryError, env_raycast
+from twinforge.environment import (
+    Obstacle,
+    TerrainHeightmap,
+    TerrainQueryError,
+    env_raycast,
+    footprint_corners,
+    rectangles_overlap,
+)
 from twinforge.scenarios import build_scenario, builtin_scenario_doc
 
 
@@ -104,6 +113,45 @@ def ref_env_raycast(terrain, obstacles, origin, direction, r_max):
         if d is not None and d <= r_max and d < best_d:
             best_d = d
     return best_d
+
+
+def ref_height_and_gradient(terrain, x, y):
+    """The bilinear patch on numpy scalars, as the query computed it before it
+    read Python floats from the flat buffer."""
+    fx = (x - terrain.origin[0]) / terrain.cell
+    fy = (y - terrain.origin[1]) / terrain.cell
+    ix = min(int(fx), terrain._nx - 2)
+    iy = min(int(fy), terrain._ny - 2)
+    u = fx - ix
+    v = fy - iy
+    h = terrain.heights
+    h00 = h[iy, ix]
+    h10 = h[iy, ix + 1]
+    h01 = h[iy + 1, ix]
+    h11 = h[iy + 1, ix + 1]
+    z = (h00 * (1 - u) * (1 - v) + h10 * u * (1 - v)
+         + h01 * (1 - u) * v + h11 * u * v)
+    dzdx = ((h10 - h00) * (1 - v) + (h11 - h01) * v) / terrain.cell
+    dzdy = ((h01 - h00) * (1 - u) + (h11 - h10) * u) / terrain.cell
+    return float(z), float(dzdx), float(dzdy)
+
+
+def _project_interval(corners, axis):
+    vals = [c[0] * axis[0] + c[1] * axis[1] for c in corners]
+    return min(vals), max(vals)
+
+
+def ref_rectangles_overlap(corners_a, corners_b):
+    for corners in (corners_a, corners_b):
+        for i in range(4):
+            x1, y1 = corners[i]
+            x2, y2 = corners[(i + 1) % 4]
+            axis = (y1 - y2, x2 - x1)
+            a_lo, a_hi = _project_interval(corners_a, axis)
+            b_lo, b_hi = _project_interval(corners_b, axis)
+            if a_hi < b_lo or b_hi < a_lo:
+                return False
+    return True
 
 
 def _inf(d):
@@ -246,27 +294,103 @@ def test_env_raycast_equals_the_scalar_nearest_hit():
     assert hits > 50
 
 
-def _last_accepted(terrain, x, y, axis):
-    point = [x, y]
-    while True:
-        try:
-            terrain.height_and_gradient(*point)
-            return point[axis]
-        except TerrainQueryError:
-            point[axis] = np.nextafter(point[axis], -math.inf)
-
-
 @pytest.mark.parametrize("name", TERRAINS)
 def test_heights_at_equals_the_scalar_height(name):
     terrain = TERRAINS[name]()
     rng = np.random.default_rng(15)
     x0, y0, x1, y1 = terrain.bounds
-    # The largest coordinates the scalar query accepts: at a non-power-of-two
-    # cell the map's max edge itself can round past the last grid index.
-    x1, y1 = _last_accepted(terrain, x1, y0, 0), _last_accepted(terrain, x0, y1, 1)
+    # The max edges themselves: at a non-power-of-two cell they can round
+    # past the last grid index, and both queries clamp there.
     xs = np.concatenate([rng.uniform(x0, x1, 500), [x1, x1, x0], rng.uniform(x0, x1, 3),
                          [x1] * 3])
     ys = np.concatenate([rng.uniform(y0, y1, 500), [y1, y0, y1], [y1] * 3,
                          rng.uniform(y0, y1, 3)])
     got = terrain.heights_at(xs, ys)
     assert got.tolist() == [terrain.height_and_gradient(x, y)[0] for x, y in zip(xs, ys)]
+
+
+@pytest.mark.parametrize("name", TERRAINS)
+def test_height_and_gradient_equals_the_numpy_formula(name):
+    terrain = TERRAINS[name]()
+    rng = np.random.default_rng(16)
+    x0, y0, x1, y1 = terrain.bounds
+    points = list(zip(rng.uniform(x0, x1, 5000).tolist(), rng.uniform(y0, y1, 5000).tolist()))
+    points += [(x0, y0), (x1, y1), (x0, y1), (x1, y0)]
+    for x, y in points:
+        got = terrain.height_and_gradient(x, y)
+        assert all(type(g) is float for g in got)
+        assert got == ref_height_and_gradient(terrain, x, y)
+
+
+def test_max_edge_inside_the_map_reads_the_clamped_height():
+    # (max - origin) / cell rounds past the last grid index here.
+    terrain = _random_terrain(0.7)
+    assert terrain.contains(13.7, 19.5)
+    assert terrain.height_and_gradient(13.7, 19.5)[0] == \
+        terrain.heights_at(np.array([13.7]), np.array([19.5]))[0]
+    assert terrain.height_or_none(13.7, 19.5) is not None
+
+
+def test_heightmap_survives_a_pickle_round_trip():
+    terrain = _random_terrain(0.7)
+    back = pickle.loads(pickle.dumps(terrain))
+    assert back.bounds == terrain.bounds
+    assert back.height_and_gradient(1.0, 10.0) == terrain.height_and_gradient(1.0, 10.0)
+
+
+@pytest.mark.parametrize("name", TERRAINS)
+def test_height_query_raises_exactly_off_the_map(name):
+    terrain = TERRAINS[name]()
+    x0, y0, x1, y1 = terrain.bounds
+    xm, ym = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
+    edges = [(x0, ym, 0, -1), (x1, ym, 0, 1), (xm, y0, 1, -1), (xm, y1, 1, 1)]
+    for x, y, axis, out in edges:
+        for steps in (0, 1, 2):
+            point = [x, y]
+            for _ in range(steps):
+                point[axis] = float(np.nextafter(point[axis], out * math.inf))
+            for probe in (point, [x, y]):
+                if terrain.contains(*probe):
+                    terrain.height_and_gradient(*probe)
+                else:
+                    with pytest.raises(TerrainQueryError):
+                        terrain.height_and_gradient(*probe)
+            assert terrain.contains(*point) == (steps == 0)
+    for bad in ((math.nan, ym), (xm, math.inf), (-math.inf, ym)):
+        with pytest.raises(TerrainQueryError):
+            terrain.height_and_gradient(*bad)
+
+
+def _quad(rng, scale=3.0):
+    return footprint_corners(*rng.uniform(-scale, scale, 2).tolist(),
+                             float(rng.uniform(-math.pi, math.pi)),
+                             *rng.uniform(0.3, 4.0, 2).tolist(), float(rng.uniform(-0.5, 0.5)))
+
+
+def _shifted(corners, d, k=1.0):
+    return [(x + k * d[0], y + k * d[1]) for x, y in corners]
+
+
+def test_rectangles_overlap_equals_the_projection_reference():
+    rng = np.random.default_rng(17)
+    pairs = [(_quad(rng), _quad(rng)) for _ in range(3000)]
+    for _ in range(200):
+        a = _quad(rng)
+        c0, c1, c2, c3 = a
+        along = (c0[0] - c3[0], c0[1] - c3[1])
+        diagonal = (c0[0] - c2[0], c0[1] - c2[1])
+        pairs.append((a, _shifted(a, along)))     # face to face
+        pairs.append((a, _shifted(a, diagonal)))  # corner to corner
+        far0, far1 = _shifted([c0, c1], along, rng.uniform(0.2, 3.0))
+        pairs.append((a, [c1, c0, far0, far1]))   # another length on a's first edge
+        pairs.append((a, list(a)))                # identical
+    pairs.append(([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)],
+                  [(1.0, 0.0), (2.0, 0.0), (2.0, 1.0), (1.0, 1.0)]))
+    outcomes = set()
+    for a, b in pairs:
+        want = ref_rectangles_overlap(a, b)
+        assert rectangles_overlap(a, b) == want
+        assert rectangles_overlap(b, a) == ref_rectangles_overlap(b, a)
+        outcomes.add(want)
+    assert outcomes == {True, False}
+    assert rectangles_overlap(*pairs[-1])  # unit squares that share an edge touch

@@ -1,0 +1,172 @@
+"""Telemetry CSV, distance to collision and verdicts.
+
+The CSV must be byte for byte what a per-field formatter writes, and
+`compute_dtc` must equal the projection it replaced; both references live on
+here.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from twinforge.environment import Obstacle
+from twinforge.metrics import (
+    TELEMETRY_COLUMNS,
+    TelemetryError,
+    TelemetryLog,
+    TelemetryRecord,
+    compute_dtc,
+    evaluate_verdict,
+    parse_csv,
+)
+
+FLOAT_COLUMNS = {
+    "t", "pos_x", "pos_y", "pos_z", "roll", "pitch", "yaw", "speed",
+    "throttle_cmd", "steer_cmd", "brake_cmd", "handbrake_cmd",
+    "engine_rpm", "best_confidence", "best_area_px", "dtc",
+}
+INT_COLUMNS = {"gear", "detection_count", "aeb_active", "collision_count"}
+
+
+# -- the references ----------------------------------------------------------------
+
+def ref_format_value(name, value):
+    if name in FLOAT_COLUMNS:
+        if math.isinf(value):
+            return "inf" if value > 0 else "-inf"
+        return f"{value:.6f}"
+    if name in INT_COLUMNS:
+        return str(int(value))
+    return str(value)
+
+
+def ref_to_csv(records):
+    lines = [",".join(TELEMETRY_COLUMNS)]
+    for rec in records:
+        lines.append(",".join(ref_format_value(name, getattr(rec, name))
+                              for name in TELEMETRY_COLUMNS))
+    return "\n".join(lines) + "\n"
+
+
+def ref_compute_dtc(ego_x, ego_y, ego_yaw, front_offset, obstacles):
+    best = math.inf
+    hx, hy = math.cos(ego_yaw), math.sin(ego_yaw)
+    front_s = ego_x * hx + ego_y * hy + front_offset
+    for obs in obstacles:
+        near = min(cx * hx + cy * hy for cx, cy in obs.corners_2d())
+        gap = near - front_s
+        if gap < best:
+            best = gap
+    return best
+
+
+# -- inputs --------------------------------------------------------------------------
+
+SPECIAL_FLOATS = [math.inf, -math.inf, math.nan, -0.0, 0.0, 1e12, -1e-7, 5e-7, -5e-7,
+                  0.1234565, 2.5e-7, 123456.7890125, 1e-300, -1.0, 1, True, np.float64(0.3)]
+
+
+def _record(t, rng, special=None, collisions=0):
+    """A record with random fields; `special` puts one value in every float field."""
+    vals = {"collision_count": collisions}
+    for name in TELEMETRY_COLUMNS:
+        if name in vals:
+            continue
+        if name == "t":
+            vals[name] = t
+        elif name in FLOAT_COLUMNS:
+            vals[name] = special if special is not None else float(rng.normal(0.0, 50.0))
+        elif name in INT_COLUMNS:
+            vals[name] = int(rng.integers(-3, 40))
+        else:
+            vals[name] = rng.choice(["off", "low", "high"]).item()
+    return TelemetryRecord(**vals)
+
+
+def _log(records):
+    log = TelemetryLog()
+    for rec in records:
+        log.append(rec)
+    return log
+
+
+# -- tests -----------------------------------------------------------------------------
+
+def test_to_csv_equals_the_per_field_formatter():
+    rng = np.random.default_rng(21)
+    records = [_record(0.01 * (i + 1), rng, collisions=i // 100) for i in range(300)]
+    records += [_record(10.0 + i, rng, special=v, collisions=3)
+                for i, v in enumerate(SPECIAL_FLOATS)]
+    # int fields given as bools, floats and numpy ints, as `%d` and int() both take them
+    records.append(TelemetryRecord(100.0, *[0.5] * 11, True, 800.0, np.int64(2), 0.9,
+                                   1e12, False, -math.inf, 3.0, "high"))
+    log = _log(records)
+    assert log.to_csv() == ref_to_csv(records)
+    assert TelemetryLog().to_csv() == ref_to_csv([]) == ",".join(TELEMETRY_COLUMNS) + "\n"
+    text = log.to_csv()
+    for token in ("inf", "-inf", "nan", "-0.000000", "1000000000000.000000"):
+        assert f",{token}," in text or f",{token}\n" in text
+
+
+def test_csv_round_trips_through_parse_csv():
+    rng = np.random.default_rng(22)
+    records = [_record(0.01 * (i + 1), rng, collisions=i // 100) for i in range(200)]
+    records += [_record(10.0 + i, rng, special=v, collisions=2)
+                for i, v in enumerate(SPECIAL_FLOATS)]
+    text = _log(records).to_csv()
+    parsed = parse_csv(text)
+    assert len(parsed) == len(records)
+    # Parsing reads back what was written, so writing again gives the same bytes.
+    assert _log(parsed).to_csv() == text
+    # Values that six decimals hold exactly come back equal.
+    exact = [_record(float(i + 1), rng, special=v)
+             for i, v in enumerate([0.5, -0.25, 1e12, math.inf, -math.inf, 3.0])]
+    assert parse_csv(_log(exact).to_csv()) == exact
+
+
+def test_parse_csv_rejects_a_bad_header_and_short_line():
+    with pytest.raises(TelemetryError):
+        parse_csv("t,pos_x\n0.1,0.2\n")
+    text = _log([_record(0.01, np.random.default_rng(23))]).to_csv()
+    with pytest.raises(TelemetryError, match="line 2"):
+        parse_csv(text.rsplit(",", 1)[0] + "\n")
+
+
+def test_compute_dtc_equals_the_generator_version():
+    rng = np.random.default_rng(24)
+    for _ in range(2000):
+        obstacles = [Obstacle(f"o{k}", "moose", tuple(rng.uniform(0.2, 4.0, 3).tolist()),
+                              rng.uniform(-30.0, 30.0, 3).tolist(),
+                              yaw=float(rng.uniform(-math.pi, math.pi)))
+                     for k in range(int(rng.integers(0, 4)))]
+        x, y = rng.uniform(-30.0, 30.0, 2).tolist()
+        yaw = float(rng.uniform(-math.pi, math.pi))
+        front = float(rng.uniform(0.0, 3.0))
+        got = compute_dtc(x, y, yaw, front, obstacles)
+        assert got == ref_compute_dtc(x, y, yaw, front, obstacles)
+        if not obstacles:
+            assert got == math.inf
+
+
+def test_evaluate_verdict_on_a_hand_built_log():
+    rng = np.random.default_rng(25)
+    rows = []
+    for t, dtc, aeb, collisions in ((0.01, 12.0, 0, 0), (0.02, 4.5, 1, 0), (0.03, 0.75, 1, 0)):
+        rec = _record(t, rng)
+        rec.dtc, rec.aeb_active, rec.collision_count = dtc, aeb, collisions
+        rows.append(rec)
+    v = evaluate_verdict(rows, "case-a")
+    assert (v.case_id, v.passed, v.collision_count, v.aeb_triggered) == ("case-a", True, 0, True)
+    assert (v.min_dtc, v.stop_margin, v.duration) == (0.75, 0.75, 0.03)
+
+    # A collision on the last row: failed, and the margin is the worst penetration.
+    rows[1].dtc = -0.5
+    rows[2].collision_count = 1
+    v = evaluate_verdict(rows, "case-b")
+    assert (v.passed, v.collision_count, v.min_dtc, v.stop_margin) == (False, 1, -0.5, -0.5)
+
+    # The verdict is the same read back from the CSV.
+    assert evaluate_verdict(parse_csv(_log(rows).to_csv()), "case-b") == v
+    with pytest.raises(TelemetryError):
+        evaluate_verdict([])
