@@ -59,7 +59,6 @@ class Detection:
     cls: str
     confidence: float
     area: float               # px^2
-    center: tuple[float, float]
 
 
 @dataclass
@@ -77,6 +76,8 @@ class AebConfig:
             raise ValueError("persistence_frames must be >= 1")
         if self.fos < 1.0:
             raise ValueError("fos must be >= 1")
+        if not self.max_decel > 0.0:
+            raise ValueError("max_decel must be > 0")
 
 
 @dataclass
@@ -98,6 +99,10 @@ class AutonomyConfig:
     perception_period_steps: int = 10   # plant steps per perception frame
     assumed_frontal_area: float = 4.3   # m^2, for the pinhole range estimate
     false_positive_rate: float = 0.008  # per frame, well under the 1% budget
+
+    def __post_init__(self):
+        if self.perception_period_steps < 1:
+            raise ValueError("perception_period_steps must be >= 1")
 
 
 def effective_visibility(condition, lights: str) -> float:
@@ -124,7 +129,6 @@ class ObstacleView:
     """Camera-space evidence for one obstacle, produced by the projection pipeline."""
     cls: str
     area: float
-    center: tuple[float, float]
     distance: float  # camera to obstacle center, m
 
 
@@ -149,12 +153,15 @@ class SurrogateDetector:
                 continue
             conf = self.rng.normal(self.preset.confidence_mean * vis,
                                    self.preset.confidence_spread)
-            out.append(Detection(view.cls, min(1.0, max(0.0, conf)), view.area, view.center))
+            out.append(Detection(view.cls, min(1.0, max(0.0, conf)), view.area))
         if self.rng.random() < self.false_positive_rate:
             area = self.rng.uniform(30.0, 250.0)
             conf = self.rng.uniform(0.3, 0.9)
-            out.append(Detection("moose", conf, area, (self.rng.uniform(0, 640),
-                                                       self.rng.uniform(0, 480))))
+            # The box centre is not used, but its two draws stay so that every
+            # later draw of the case's stream, and so its telemetry, holds.
+            self.rng.uniform(0, 640)
+            self.rng.uniform(0, 480)
+            out.append(Detection("moose", conf, area))
         return out
 
 

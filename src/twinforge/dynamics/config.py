@@ -201,7 +201,6 @@ class FootprintParams:
 class WheelConfig:
     name: str
     mount: tuple[float, float, float]  # strut top in body frame
-    steered: bool
     driven: bool
     side: int   # +1 left, -1 right
     axle: int   # 0 front, 1 rear
@@ -210,10 +209,9 @@ class WheelConfig:
     spring_k: float = 0.0
     damper_b: float = 0.0
     static_displacement: float = 0.0  # Zs, dimensionless travel normalizer
-    force_height: float = 0.0         # ZF, body-frame z of force application
     contact_reduced_mass: float = 0.0 # wheel-vs-body reduced mass at the patch
     arm: tuple[float, float, float] = (0.0, 0.0, 0.0)  # mount - COM, body frame
-    force_arm_z: float = 0.0          # force_height - COM z
+    force_arm_z: float = 0.0          # ZF - COM z, ZF the body-frame z of force application
 
 
 @dataclass
@@ -255,10 +253,9 @@ class VehicleConfig:
             w.spring_k, w.damper_b = suspension_coefficients(
                 w.corner_mass, self.suspension.natural_frequency, self.suspension.damping_ratio)
             w.static_displacement = w.corner_mass * GRAVITY / (self.suspension.rest_length * w.spring_k)
-            w.force_height = (self.com[2] - self.wheel_mounts[w.name][2]
-                              + self.suspension.wheel_radius - self.suspension.force_offset)
             w.arm = (w.mount[0] - self.com[0], w.mount[1] - self.com[1], w.mount[2] - self.com[2])
-            w.force_arm_z = w.force_height - self.com[2]
+            w.force_arm_z = (self.com[2] - w.mount[2] + self.suspension.wheel_radius
+                             - self.suspension.force_offset) - self.com[2]
         # solid-disc approximation for wheel spin inertia
         self.wheel_inertia = 0.5 * self.suspension.wheel_mass * self.suspension.wheel_radius ** 2
         r2 = self.suspension.wheel_radius ** 2
@@ -273,7 +270,6 @@ class VehicleConfig:
         return WheelConfig(
             name=name,
             mount=mount,
-            steered=front,
             driven=driven,
             side=1 if name[1] == "L" else -1,
             axle=0 if front else 1,

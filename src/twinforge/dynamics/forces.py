@@ -138,8 +138,7 @@ def wheel_brake_torques(
     """
     two_d = 2.0 * braking_distance
     fl, fr, rl, rr = [m * speed * speed / two_d * disk_radius for m in corner_masses]
-    return (pedal * fl + handbrake * 0.0, pedal * fr + handbrake * 0.0,
-            pedal * rl + handbrake * rl, pedal * rr + handbrake * rr)
+    return (pedal * fl, pedal * fr, pedal * rl + handbrake * rl, pedal * rr + handbrake * rr)
 
 
 def tire_forces(
@@ -151,8 +150,8 @@ def tire_forces(
     normal_load: float,
     eps_v: float = 0.1,
     lon_force_cap: float = math.inf,
-) -> tuple[float, float, float, float]:
-    """Longitudinal/lateral tire forces and slips in the wheel frame.
+) -> tuple[float, float]:
+    """Longitudinal/lateral tire forces in the wheel frame.
 
     Slip denominators are guarded by eps_v and the forces taper linearly
     below it so contact is quiet at standstill. Forces oppose the slip.
@@ -172,31 +171,19 @@ def tire_forces(
     if abs(f_x) > lon_force_cap:
         f_x = math.copysign(lon_force_cap, f_x)
     f_y = -math.copysign(spline(abs(s_y)), v_y) * normal_load * taper_y if v_y != 0.0 else 0.0
-    return f_x, f_y, s_x, s_y
+    return f_x, f_y
 
 
-# Aero case identifiers, in evaluation order.
-AERO_TOP_SPEED = "top_speed"
-AERO_COAST = "coast"
-AERO_REVERSE = "reverse_overspeed"
-AERO_NOMINAL = "nominal"
-
-
-def aero_drag_case(
-    speed: float,
-    tau_out: float,
-    gear: int,
-    wheel_rpm: float,
-    params,
-) -> tuple[float, str]:
-    """Air drag magnitude and which case of the operating-condition table fired."""
+def aero_drag(speed: float, tau_out: float, gear: int, wheel_rpm: float, params) -> float:
+    """Air drag magnitude from the first matching row of the operating-condition
+    table: top speed, coasting, reverse overspeed, nominal."""
     if speed >= params.top_speed:
-        return params.drag_max, AERO_TOP_SPEED
+        return params.drag_max
     if tau_out == 0.0:
-        return params.drag_idle, AERO_COAST
+        return params.drag_idle
     if speed >= params.reverse_speed and gear == GEAR_REVERSE and wheel_rpm < 0.0:
-        return params.drag_reverse, AERO_REVERSE
-    return params.drag_idle, AERO_NOMINAL
+        return params.drag_reverse
+    return params.drag_idle
 
 
 def aero_forces(
@@ -215,7 +202,7 @@ def aero_forces(
     """
     vx, vy, vz = velocity_body
     speed = math.sqrt(vx * vx + vy * vy + vz * vz)
-    magnitude, _ = aero_drag_case(speed, tau_out, gear, wheel_rpm, params)
+    magnitude = aero_drag(speed, tau_out, gear, wheel_rpm, params)
     if speed > 1e-12:
         scale = magnitude * min(1.0, speed / eps_v) / speed
         drag = (-vx * scale, -vy * scale, -vz * scale)

@@ -244,7 +244,7 @@ class Vehicle:
             spin = wheel_omega[i]
             rel = radius * spin - wvx
             cap = abs(rel) * reduced_mass / dt
-            f_lon, f_lat, _, _ = tire_forces(spin, wvx, wvy, radius, tires, loads[i], eps_v, cap)
+            f_lon, f_lat = tire_forces(spin, wvx, wvy, radius, tires, loads[i], eps_v, cap)
             tire_fx[i] = f_lon
             bfx = cs * f_lon - sn * f_lat
             bfy = sn * f_lon + cs * f_lat

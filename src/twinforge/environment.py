@@ -230,13 +230,8 @@ class Obstacle:
         self.position = [float(v) for v in self.position]
 
     def corners_2d(self) -> list[tuple[float, float]]:
-        hx, hy = self.extents[0] / 2.0, self.extents[1] / 2.0
-        c, s = math.cos(self.yaw), math.sin(self.yaw)
-        out = []
-        for lx, ly in ((hx, hy), (hx, -hy), (-hx, -hy), (-hx, hy)):
-            out.append((self.position[0] + c * lx - s * ly,
-                        self.position[1] + s * lx + c * ly))
-        return out
+        return footprint_corners(self.position[0], self.position[1], self.yaw,
+                                 self.extents[0], self.extents[1])
 
     def corners_3d(self) -> np.ndarray:
         hx, hy, hz = (e / 2.0 for e in self.extents)

@@ -16,6 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .autonomy import (
+    STANDSTILL_SPEED,
     AebPlanner,
     ObstacleView,
     SurrogateDetector,
@@ -58,6 +59,10 @@ class SimParams:
     t_max: float = 120.0
     post_stop_grace: float = 10.0
     collision_still_grace: float = 3.0
+
+    def __post_init__(self):
+        if not 0.0 < self.dt <= self.t_max < math.inf:
+            raise ValueError(f"need 0 < dt <= t_max < inf, got dt={self.dt}, t_max={self.t_max}")
 
 
 OBSTACLE_MASS = 300.0  # kg, for the collision momentum knock
@@ -109,7 +114,6 @@ class EpisodeResult:
 
 class Episode:
     def __init__(self, bundle: dict, collect_telemetry: bool = True, full_scans: bool = False):
-        self.bundle = bundle
         self.case_id = bundle["case_id"]
         self.collect_telemetry = collect_telemetry
         self.full_scans = full_scans
@@ -141,9 +145,9 @@ class Episode:
         self.camera = sensors.camera
         self.camera_mount = forward_camera_mount(self.camera.position)
         res = self.camera.resolution
-        proj = projection_matrix(self.camera)
-        self._fx_px = proj[0, 0] * res[0] / 2.0
-        self._fy_px = proj[1, 1] * res[1] / 2.0
+        self._proj = projection_matrix(self.camera)
+        self._fx_px = self._proj[0, 0] * res[0] / 2.0
+        self._fy_px = self._proj[1, 1] * res[1] / 2.0
         self.ins = InsSensor()
         self.lidar = sensors.lidar
         self.lidar_mount = forward_lidar_mount(self.lidar.position)
@@ -152,15 +156,15 @@ class Episode:
 
     def _perceive(self, state):
         cam_world = pose_matrix(*self.vehicle.origin_pose(state)) @ self.camera_mount
-        view, proj = camera_matrices(self.camera, cam_world)
+        view = camera_matrices(cam_world)
         cam_pos = cam_world[:3, 3]
         views = []
         for obs in self.scenario.obstacles:
-            bp = project_box(obs.corners_3d(), view, proj, self.camera.resolution)
-            if bp is None:
+            area = project_box(obs.corners_3d(), view, self._proj, self.camera.resolution)
+            if area is None:
                 continue
             d = float(np.linalg.norm(np.asarray(obs.position) - cam_pos))
-            views.append(ObstacleView(obs.cls, bp.area, bp.center, d))
+            views.append(ObstacleView(obs.cls, area, d))
         detections = self.detector.detect(views, self.lights)
         dtc_estimate = None
         threat = [d for d in detections if d.cls in self.planner.cfg.threat_classes
@@ -269,12 +273,12 @@ class Episode:
                     if hold_elapsed >= self.sim.post_stop_grace:
                         terminal = "standstill_after_aeb"
                         break
-                if collision_count > 0 and speed < 0.05 and not self.planner.braking:
+                if collision_count > 0 and speed < STANDSTILL_SPEED and not self.planner.braking:
                     collision_still += dt
                     if collision_still >= self.sim.collision_still_grace:
                         terminal = "standstill_after_collision"
                         break
-                elif speed >= 0.05:
+                elif speed >= STANDSTILL_SPEED:
                     collision_still = 0.0
         except (SimulationFault, TerrainQueryError) as exc:
             status = "failed"

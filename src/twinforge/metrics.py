@@ -11,20 +11,7 @@ import hashlib
 import math
 import operator
 from dataclasses import dataclass, fields
-
-TELEMETRY_COLUMNS = (
-    "t", "pos_x", "pos_y", "pos_z", "roll", "pitch", "yaw", "speed",
-    "throttle_cmd", "steer_cmd", "brake_cmd", "handbrake_cmd",
-    "gear", "engine_rpm", "detection_count", "best_confidence",
-    "best_area_px", "aeb_active", "dtc", "collision_count", "lights",
-)
-
-_FLOAT_COLUMNS = {
-    "t", "pos_x", "pos_y", "pos_z", "roll", "pitch", "yaw", "speed",
-    "throttle_cmd", "steer_cmd", "brake_cmd", "handbrake_cmd",
-    "engine_rpm", "best_confidence", "best_area_px", "dtc",
-}
-_INT_COLUMNS = {"gear", "detection_count", "aeb_active", "collision_count"}
+from typing import get_type_hints
 
 
 class TelemetryError(RuntimeError):
@@ -56,14 +43,14 @@ class TelemetryRecord:
     lights: str
 
 
-assert tuple(f.name for f in fields(TelemetryRecord)) == TELEMETRY_COLUMNS
-
+# The record's fields are the CSV schema: its names are the columns, in
+# order, and each annotation is the type that `parse_csv` converts back to.
+TELEMETRY_COLUMNS = tuple(f.name for f in fields(TelemetryRecord))
+_COLUMN_TYPES = tuple(map(get_type_hints(TelemetryRecord).__getitem__, TELEMETRY_COLUMNS))
 
 # One %-template per row: "%.6f" writes inf, -inf and nan as "inf", "-inf"
 # and "nan"; "%d" truncates like int().
-_ROW_TEMPLATE = ",".join(
-    "%.6f" if name in _FLOAT_COLUMNS else "%d" if name in _INT_COLUMNS else "%s"
-    for name in TELEMETRY_COLUMNS)
+_ROW_TEMPLATE = ",".join({float: "%.6f", int: "%d", str: "%s"}[kind] for kind in _COLUMN_TYPES)
 _row_values = operator.attrgetter(*TELEMETRY_COLUMNS)
 
 
@@ -101,18 +88,11 @@ def parse_csv(text: str) -> list[TelemetryRecord]:
         parts = line.split(",")
         if len(parts) != len(TELEMETRY_COLUMNS):
             raise TelemetryError(f"line {ln}: expected {len(TELEMETRY_COLUMNS)} fields")
-        kwargs = {}
         try:
-            for name, raw in zip(TELEMETRY_COLUMNS, parts):
-                if name in _FLOAT_COLUMNS:
-                    kwargs[name] = float(raw)
-                elif name in _INT_COLUMNS:
-                    kwargs[name] = int(raw)
-                else:
-                    kwargs[name] = raw
+            values = [kind(raw) for kind, raw in zip(_COLUMN_TYPES, parts)]
         except ValueError as exc:
             raise TelemetryError(f"line {ln}: {exc}") from exc
-        out.append(TelemetryRecord(**kwargs))
+        out.append(TelemetryRecord(*values))
     return out
 
 

@@ -65,7 +65,6 @@ def load_scenario_doc(path_or_name: str) -> dict:
             doc = json.load(fh)
     except OSError as exc:
         raise ScenarioError(f"cannot load scenario {path_or_name!r}: {exc}") from exc
-    validate_scenario_doc(doc)
     return doc
 
 
@@ -77,6 +76,15 @@ def validate_scenario_doc(doc: dict) -> None:
             raise ScenarioError(f"scenario missing field {key!r}")
     if doc["terrain"].get("kind") not in ("rolling", "upslope", "flat"):
         raise ScenarioError(f"unknown terrain kind {doc['terrain'].get('kind')!r}")
+    if "cell" in doc["terrain"] and not float(doc["terrain"]["cell"]) > 0.0:
+        raise ScenarioError("terrain cell must be > 0")
+    for key in ("x", "y"):
+        if key not in doc["spawn"]:
+            raise ScenarioError(f"scenario spawn missing field {key!r}")
+    for entry in doc["obstacles"]:
+        for key in ("id", "class", "extents", "ahead"):
+            if key not in entry:
+                raise ScenarioError(f"scenario obstacle missing field {key!r}")
 
 
 def build_terrain(spec: dict, spawn_x: float) -> TerrainHeightmap:

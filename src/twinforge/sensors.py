@@ -92,28 +92,19 @@ def projection_matrix(config: CameraConfig) -> np.ndarray:
     return p
 
 
-def camera_matrices(config: CameraConfig, camera_to_world: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """View matrix (world -> camera) and projection matrix."""
+def camera_matrices(camera_to_world: np.ndarray) -> np.ndarray:
+    """View matrix (world -> camera)."""
     r = camera_to_world[:3, :3]
     v = np.eye(4)
     v[:3, :3] = r.T
     v[:3, 3] = -r.T @ camera_to_world[:3, 3]
-    return v, projection_matrix(config)
-
-
-@dataclass
-class BoxProjection:
-    u_min: float
-    v_min: float
-    u_max: float
-    v_max: float
-    area: float
-    center: tuple[float, float]
+    return v
 
 
 def project_box(corners_world: np.ndarray, view: np.ndarray, proj: np.ndarray,
-                resolution: tuple[int, int]) -> BoxProjection | None:
-    """Clipped image-space bounding box of a world-space box (8 corners).
+                resolution: tuple[int, int]) -> float | None:
+    """Area in px^2 of the clipped image-space bounding box of a world-space
+    box (8 corners).
 
     Returns None when every corner is behind the camera or the clipped box is
     empty.
@@ -132,9 +123,7 @@ def project_box(corners_world: np.ndarray, view: np.ndarray, proj: np.ndarray,
     v_max = min(float(resolution[1]), float(vs.max()))
     if u_max <= u_min or v_max <= v_min:
         return None
-    area = (u_max - u_min) * (v_max - v_min)
-    return BoxProjection(u_min, v_min, u_max, v_max, area,
-                         ((u_min + u_max) / 2.0, (v_min + v_max) / 2.0))
+    return (u_max - u_min) * (v_max - v_min)
 
 
 # -- LIDAR -------------------------------------------------------------------

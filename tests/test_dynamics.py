@@ -18,12 +18,8 @@ from twinforge.dynamics import (
 )
 from twinforge.dynamics.config import GRAVITY, GEAR_NEUTRAL, GEAR_PARK, GEAR_REVERSE
 from twinforge.dynamics.forces import (
-    AERO_COAST,
-    AERO_NOMINAL,
-    AERO_REVERSE,
-    AERO_TOP_SPEED,
     ackermann_angles,
-    aero_drag_case,
+    aero_drag,
     antiroll_forces,
     steering_step,
     suspension_step,
@@ -374,8 +370,7 @@ def test_spline_serialization_roundtrip():
 
 def test_tire_pure_rolling_is_forceless():
     sp = FrictionSpline(0.0, 0.0, 0.2, 1.0, 0.8, 0.6)
-    f_x, f_y, s_x, s_y = tire_forces(10.0 / 0.35, 10.0, 0.0, 0.35, sp, 5000.0)
-    assert s_x == pytest.approx(0.0, abs=1e-12)
+    f_x, f_y = tire_forces(10.0 / 0.35, 10.0, 0.0, 0.35, sp, 5000.0)
     assert f_x == pytest.approx(0.0, abs=1e-9)
     assert f_y == 0.0
 
@@ -383,26 +378,25 @@ def test_tire_pure_rolling_is_forceless():
 def test_tire_slip_signs_oppose_slip():
     sp = FrictionSpline(0.0, 0.0, 0.2, 1.0, 0.8, 0.6)
     # wheel spinning faster than ground speed -> pushes vehicle forward
-    f_x, _, s_x, _ = tire_forces(40.0, 10.0, 0.0, 0.35, sp, 5000.0)
-    assert s_x > 0.0 and f_x > 0.0
+    f_x, _ = tire_forces(40.0, 10.0, 0.0, 0.35, sp, 5000.0)
+    assert f_x > 0.0
     # locked wheel while moving -> drags vehicle backward
-    f_x, _, s_x, _ = tire_forces(0.0, 10.0, 0.0, 0.35, sp, 5000.0)
-    assert s_x < 0.0 and f_x < 0.0
+    f_x, _ = tire_forces(0.0, 10.0, 0.0, 0.35, sp, 5000.0)
+    assert f_x < 0.0
     # lateral slip opposed
-    _, f_y, _, s_y = tire_forces(10.0 / 0.35, 10.0, 2.0, 0.35, sp, 5000.0)
-    assert s_y > 0.0 and f_y < 0.0
+    _, f_y = tire_forces(10.0 / 0.35, 10.0, 2.0, 0.35, sp, 5000.0)
+    assert f_y < 0.0
 
 
 def test_tire_low_speed_guard():
     sp = FrictionSpline(0.0, 0.0, 0.2, 1.0, 0.8, 0.6)
     # denominator guarded at eps_v: slip stays finite at standstill
-    f_x, f_y, s_x, s_y = tire_forces(0.0, 0.0, 0.0, 0.35, sp, 5000.0, eps_v=0.1)
-    assert (f_x, f_y, s_x, s_y) == (0.0, 0.0, 0.0, 0.0)
+    assert tire_forces(0.0, 0.0, 0.0, 0.35, sp, 5000.0, eps_v=0.1) == (0.0, 0.0)
 
 
 def test_tire_longitudinal_impulse_cap():
     sp = FrictionSpline(0.0, 0.0, 0.2, 1.0, 0.8, 0.6)
-    f_x, _, _, _ = tire_forces(10.0 / 0.35 + 0.01, 10.0, 0.0, 0.35, sp, 5000.0,
+    f_x, _ = tire_forces(10.0 / 0.35 + 0.01, 10.0, 0.0, 0.35, sp, 5000.0,
                                lon_force_cap=1.0)
     assert abs(f_x) <= 1.0
 
@@ -422,17 +416,19 @@ class _Aero:
 def test_aero_case_table_exhaustive():
     p = _Aero()
     # order matters: top speed wins over everything
-    assert aero_drag_case(31.0, 0.0, -1, -100.0, p) == (2600.0, AERO_TOP_SPEED)
-    assert aero_drag_case(30.0, 50.0, 1, 100.0, p) == (2600.0, AERO_TOP_SPEED)
+    assert aero_drag(31.0, 0.0, -1, -100.0, p) == p.drag_max
+    assert aero_drag(30.0, 50.0, 1, 100.0, p) == p.drag_max
     # coasting
-    assert aero_drag_case(10.0, 0.0, 1, 100.0, p) == (220.0, AERO_COAST)
+    assert aero_drag(10.0, 0.0, 1, 100.0, p) == p.drag_idle
+    # coasting beats reverse overspeed
+    assert aero_drag(9.0, 0.0, -1, -10.0, p) == p.drag_idle
     # reverse overspeed requires all three conditions
-    assert aero_drag_case(9.0, 50.0, -1, -10.0, p) == (1200.0, AERO_REVERSE)
-    assert aero_drag_case(7.0, 50.0, -1, -10.0, p) == (220.0, AERO_NOMINAL)
-    assert aero_drag_case(9.0, 50.0, 1, -10.0, p) == (220.0, AERO_NOMINAL)
-    assert aero_drag_case(9.0, 50.0, -1, 10.0, p) == (220.0, AERO_NOMINAL)
+    assert aero_drag(9.0, 50.0, -1, -10.0, p) == p.drag_reverse
+    assert aero_drag(7.0, 50.0, -1, -10.0, p) == p.drag_idle
+    assert aero_drag(9.0, 50.0, 1, -10.0, p) == p.drag_idle
+    assert aero_drag(9.0, 50.0, -1, 10.0, p) == p.drag_idle
     # nominal
-    assert aero_drag_case(10.0, 50.0, 1, 100.0, p) == (220.0, AERO_NOMINAL)
+    assert aero_drag(10.0, 50.0, 1, 100.0, p) == p.drag_idle
 
 
 def test_aero_exactly_one_case_fires():
@@ -443,17 +439,16 @@ def test_aero_exactly_one_case_fires():
         tau = rng.choice([0.0, rng.uniform(0.1, 400)])
         gear = int(rng.choice([-1, 0, 1, 2]))
         wrpm = rng.uniform(-200, 200)
-        _, case = aero_drag_case(speed, tau, gear, wrpm, p)
         # recompute by first-match over the explicit table
         if speed >= p.top_speed:
-            expect = AERO_TOP_SPEED
+            expect = p.drag_max
         elif tau == 0.0:
-            expect = AERO_COAST
+            expect = p.drag_idle
         elif speed >= p.reverse_speed and gear == -1 and wrpm < 0:
-            expect = AERO_REVERSE
+            expect = p.drag_reverse
         else:
-            expect = AERO_NOMINAL
-        assert case == expect
+            expect = p.drag_idle
+        assert aero_drag(speed, tau, gear, wrpm, p) == expect
 
 
 def test_aero_at_rest():

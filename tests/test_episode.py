@@ -100,7 +100,24 @@ def _bad_scenario_kind(bundle):
      "ConfigurationError: PerceptionModelPreset document lacks min_pixel_area"),
     (lambda b: b.update(model="v9"), "ValueError: no perception preset for model 'v9'"),
     (_bad_scenario_kind, "ScenarioError: unknown terrain kind 'lunar'"),
-], ids=["preset-missing-field", "model-without-preset", "bad-scenario-kind"])
+    (lambda b: b["sim"].update(t_max=0),
+     "ValueError: need 0 < dt <= t_max < inf, got dt=0.01, t_max=0"),
+    (lambda b: b["sim"].update(dt=-0.01),
+     "ValueError: need 0 < dt <= t_max < inf, got dt=-0.01, t_max=120.0"),
+    (lambda b: b["sim"].update(dt=0),
+     "ValueError: need 0 < dt <= t_max < inf, got dt=0, t_max=120.0"),
+    (lambda b: b["autonomy"]["aeb"].update(max_decel=0), "ValueError: max_decel must be > 0"),
+    (lambda b: b["autonomy"].update(perception_period_steps=0),
+     "ValueError: perception_period_steps must be >= 1"),
+    (lambda b: b["scenario"]["terrain"].update(cell=0), "ScenarioError: terrain cell must be > 0"),
+    (lambda b: b["scenario"]["obstacles"][0].pop("ahead"),
+     "ScenarioError: scenario obstacle missing field 'ahead'"),
+    (lambda b: b["scenario"]["obstacles"][0].pop("extents"),
+     "ScenarioError: scenario obstacle missing field 'extents'"),
+    (lambda b: b["scenario"]["spawn"].pop("x"), "ScenarioError: scenario spawn missing field 'x'"),
+], ids=["preset-missing-field", "model-without-preset", "bad-scenario-kind", "zero-t-max",
+        "negative-dt", "zero-dt", "zero-max-decel", "zero-perception-period", "zero-cell",
+        "obstacle-without-ahead", "obstacle-without-extents", "spawn-without-x"])
 def test_rejected_bundle_is_a_failed_result(edit, error):
     bundle = _bundle("default")
     edit(bundle)

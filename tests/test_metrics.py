@@ -21,6 +21,12 @@ from twinforge.metrics import (
     parse_csv,
 )
 
+COLUMNS = (
+    "t", "pos_x", "pos_y", "pos_z", "roll", "pitch", "yaw", "speed",
+    "throttle_cmd", "steer_cmd", "brake_cmd", "handbrake_cmd",
+    "gear", "engine_rpm", "detection_count", "best_confidence",
+    "best_area_px", "aeb_active", "dtc", "collision_count", "lights",
+)
 FLOAT_COLUMNS = {
     "t", "pos_x", "pos_y", "pos_z", "roll", "pitch", "yaw", "speed",
     "throttle_cmd", "steer_cmd", "brake_cmd", "handbrake_cmd",
@@ -42,10 +48,10 @@ def ref_format_value(name, value):
 
 
 def ref_to_csv(records):
-    lines = [",".join(TELEMETRY_COLUMNS)]
+    lines = [",".join(COLUMNS)]
     for rec in records:
         lines.append(",".join(ref_format_value(name, getattr(rec, name))
-                              for name in TELEMETRY_COLUMNS))
+                              for name in COLUMNS))
     return "\n".join(lines) + "\n"
 
 
@@ -70,7 +76,7 @@ SPECIAL_FLOATS = [math.inf, -math.inf, math.nan, -0.0, 0.0, 1e12, -1e-7, 5e-7, -
 def _record(t, rng, special=None, collisions=0):
     """A record with random fields; `special` puts one value in every float field."""
     vals = {"collision_count": collisions}
-    for name in TELEMETRY_COLUMNS:
+    for name in COLUMNS:
         if name in vals:
             continue
         if name == "t":
@@ -94,6 +100,7 @@ def _log(records):
 # -- tests -----------------------------------------------------------------------------
 
 def test_to_csv_equals_the_per_field_formatter():
+    assert TELEMETRY_COLUMNS == COLUMNS
     rng = np.random.default_rng(21)
     records = [_record(0.01 * (i + 1), rng, collisions=i // 100) for i in range(300)]
     records += [_record(10.0 + i, rng, special=v, collisions=3)
@@ -117,6 +124,9 @@ def test_csv_round_trips_through_parse_csv():
     text = _log(records).to_csv()
     parsed = parse_csv(text)
     assert len(parsed) == len(records)
+    kinds = {name: float if name in FLOAT_COLUMNS else int if name in INT_COLUMNS else str
+             for name in COLUMNS}
+    assert all(type(getattr(rec, name)) is kinds[name] for rec in parsed for name in COLUMNS)
     # Parsing reads back what was written, so writing again gives the same bytes.
     assert _log(parsed).to_csv() == text
     # Values that six decimals hold exactly come back equal.
