@@ -1,14 +1,15 @@
 """Terrain heightmap, obstacle bodies, ray-casting, and the weather /
 time-of-day model that drives visibility and ambient light.
 
-Everything here is immutable after scenario construction except obstacle
-positions, which a collision can displace when the obstacle is dynamic.
+Everything here is immutable after scenario construction: the world is
+static.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -215,35 +216,41 @@ class TerrainHeightmap:
         return out
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Obstacle:
+    """A static box. Its 2D corners, homogeneous 3D corners and position
+    array are built once, with the obstacle."""
     obstacle_id: str
     cls: str
     extents: tuple[float, float, float]  # full sizes along local x, y, z
-    position: list = field(default_factory=lambda: [0.0, 0.0, 0.0])
+    position: tuple[float, float, float] = (0.0, 0.0, 0.0)
     yaw: float = 0.0
-    dynamic: bool = False
 
     def __post_init__(self):
         if min(self.extents) <= 0:
             raise ValueError("obstacle extents must be positive")
-        self.position = [float(v) for v in self.position]
-
-    def corners_2d(self) -> list[tuple[float, float]]:
-        return footprint_corners(self.position[0], self.position[1], self.yaw,
-                                 self.extents[0], self.extents[1])
-
-    def corners_3d(self) -> np.ndarray:
+        px, py, pz = position = tuple(float(v) for v in self.position)
         hx, hy, hz = (e / 2.0 for e in self.extents)
         c, s = math.cos(self.yaw), math.sin(self.yaw)
-        pts = []
-        for lx in (-hx, hx):
-            for ly in (-hy, hy):
-                for lz in (-hz, hz):
-                    pts.append((self.position[0] + c * lx - s * ly,
-                                self.position[1] + s * lx + c * ly,
-                                self.position[2] + lz))
-        return np.array(pts)
+        pts = [(px + c * lx - s * ly, py + s * lx + c * ly, pz + lz)
+               for lx in (-hx, hx) for ly in (-hy, hy) for lz in (-hz, hz)]
+        # (4, 8): the transpose of the (8, 4) rows [x, y, z, 1].
+        homo = np.hstack([np.array(pts), np.ones((8, 1))]).T
+        homo.flags.writeable = False
+        position_array = np.array(position)
+        position_array.flags.writeable = False
+        init = functools.partial(object.__setattr__, self)
+        init("position", position)
+        init("position_array", position_array)
+        init("_corners_2d", tuple(footprint_corners(px, py, self.yaw, *self.extents[:2])))
+        init("_corners_3d", homo)
+
+    def corners_2d(self) -> tuple[tuple[float, float], ...]:
+        return self._corners_2d
+
+    def corners_3d(self) -> np.ndarray:
+        """Homogeneous world corners, (4, 8): one column [x, y, z, 1] each."""
+        return self._corners_3d
 
     def raycast(self, origin, directions) -> np.ndarray:
         """Slab test of every ray in the obstacle's local frame; exact for the

@@ -2,9 +2,11 @@
 fixed timestep until a terminal condition.
 
 Terminal conditions: standstill after an emergency stop (with a grace window
-so the trace captures any rollback), standstill after a collision, or the
-simulated-time cap. Every source of randomness is the case-seeded
-counter-based generator, so a (case, seed) pair is bit-reproducible anywhere.
+so the trace captures any rollback), a collision (a fixed trace window after
+the first overlap; the world is static, so nothing after it changes the
+verdict), or the simulated-time cap. Every source of randomness is the
+case-seeded counter-based generator, so a (case, seed) pair is
+bit-reproducible anywhere.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .autonomy import (
-    STANDSTILL_SPEED,
     AebPlanner,
     ObstacleView,
     SurrogateDetector,
@@ -58,15 +59,12 @@ class SimParams:
     dt: float = 0.01
     t_max: float = 120.0
     post_stop_grace: float = 10.0
-    collision_still_grace: float = 3.0
+    contact_window: float = 1.0  # s traced after the first overlap
 
     def __post_init__(self):
         if not 0.0 < self.dt <= self.t_max < math.inf:
             raise ValueError(f"need 0 < dt <= t_max < inf, got dt={self.dt}, t_max={self.t_max}")
 
-
-OBSTACLE_MASS = 300.0  # kg, for the collision momentum knock
-PUSH_CLEARANCE = 0.8   # m between faces after a dynamic obstacle is shoved
 
 
 def default_bundle(case_id: str = "adhoc", model: str = "v3", weather: str = "clear",
@@ -87,9 +85,12 @@ def default_bundle(case_id: str = "adhoc", model: str = "v3", weather: str = "cl
 
 @dataclass
 class EpisodeResult:
+    """How a case ended. terminal is one of standstill_after_aeb (stopped,
+    then held for post_stop_grace), collision (contact_window after the first
+    overlap), timeout (t_max reached) or fault (status failed)."""
     case_id: str
     status: str           # done | failed
-    terminal: str         # standstill_after_aeb | standstill_after_collision | timeout | fault
+    terminal: str         # standstill_after_aeb | collision | timeout | fault
     steps: int
     duration: float
     log: TelemetryLog | None
@@ -113,6 +114,9 @@ class EpisodeResult:
 
 
 class Episode:
+    """One case, stepped at sim.dt until a terminal: standstill_after_aeb,
+    collision, timeout, or fault when the plant or a terrain query fails."""
+
     def __init__(self, bundle: dict, collect_telemetry: bool = True, full_scans: bool = False):
         self.case_id = bundle["case_id"]
         self.collect_telemetry = collect_telemetry
@@ -179,32 +183,12 @@ class Episode:
     def _raycaster(self):
         return functools.partial(env_raycast, self.scenario.terrain, self.scenario.obstacles)
 
-    def _handle_collision(self, state, ego_xy_yaw) -> bool:
-        """Overlap test; push dynamic obstacles ahead and bleed ego momentum."""
+    def _overlaps(self, ego_xy_yaw) -> bool:
+        """Whether the ego footprint overlaps any obstacle."""
         ex, ey, eyaw = ego_xy_yaw
         fp = self.vcfg.footprint
         ego = footprint_corners(ex, ey, eyaw, fp.length, fp.width, fp.center_x)
-        hit = False
-        for obs in self.scenario.obstacles:
-            if not rectangles_overlap(ego, obs.corners_2d()):
-                continue
-            hit = True
-            if obs.dynamic:
-                hx, hy = math.cos(eyaw), math.sin(eyaw)
-                front_s = ex * hx + ey * hy + self.front_offset
-                obs_depth = max(obs.extents[0], obs.extents[1])
-                target_s = front_s + PUSH_CLEARANCE + obs_depth / 2.0
-                obs_s = obs.position[0] * hx + obs.position[1] * hy
-                shift = target_s - obs_s
-                obs.position[0] += hx * shift
-                obs.position[1] += hy * shift
-                gz = self.scenario.terrain.height_or_none(obs.position[0], obs.position[1])
-                if gz is not None:
-                    obs.position[2] = gz + obs.extents[2] / 2.0
-                knock = self.vcfg.total_mass / (self.vcfg.total_mass + OBSTACLE_MASS)
-                state.vel[0] *= knock
-                state.vel[1] *= knock
-        return hit
+        return any(rectangles_overlap(ego, obs.corners_2d()) for obs in self.scenario.obstacles)
 
     # -- main loop ---------------------------------------------------------------
 
@@ -216,10 +200,9 @@ class Episode:
 
         detections: list = []
         dtc_estimate = None
-        collision_count = 0
-        was_overlapping = False
+        collision_count = 0  # 1 from the first overlap on
+        contact_end = math.inf  # the step that ends the trace after contact
         hold_elapsed = 0.0
-        collision_still = 0.0
         scan_lines: list[str] = []
         terminal = "timeout"
         error = None
@@ -230,6 +213,7 @@ class Episode:
         cruise_speed = self.scenario.cruise_speed
         cruise_kp = self.autonomy.control.cruise_kp
         perception_period = self.autonomy.perception_period_steps
+        contact_steps = int(round(self.sim.contact_window / dt))
 
         try:
             for i in range(max_steps):
@@ -252,10 +236,9 @@ class Episode:
                 pose = self.vehicle.origin_pose(state)
                 rot, origin = pose
                 ego_xy_yaw = (origin[0], origin[1], math.atan2(rot[3], rot[0]))
-                overlapping = self._handle_collision(state, ego_xy_yaw)
-                if overlapping and not was_overlapping:
-                    collision_count += 1
-                was_overlapping = overlapping
+                if not collision_count and self._overlaps(ego_xy_yaw):
+                    collision_count = 1
+                    contact_end = steps + contact_steps
 
                 dtc = compute_dtc(ego_xy_yaw[0], ego_xy_yaw[1], ego_xy_yaw[2],
                                   self.front_offset, self.scenario.obstacles)
@@ -267,19 +250,14 @@ class Episode:
                 if self.full_scans and steps % 50 == 0:
                     self._dump_scan(state, t, scan_lines)
 
-                speed = state.speed
                 if self.planner.finished:
                     hold_elapsed += dt
                     if hold_elapsed >= self.sim.post_stop_grace:
                         terminal = "standstill_after_aeb"
                         break
-                if collision_count > 0 and speed < STANDSTILL_SPEED and not self.planner.braking:
-                    collision_still += dt
-                    if collision_still >= self.sim.collision_still_grace:
-                        terminal = "standstill_after_collision"
-                        break
-                elif speed >= STANDSTILL_SPEED:
-                    collision_still = 0.0
+                if steps >= contact_end:
+                    terminal = "collision"
+                    break
         except (SimulationFault, TerrainQueryError) as exc:
             status = "failed"
             terminal = "fault"

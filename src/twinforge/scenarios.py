@@ -36,7 +36,7 @@ def builtin_scenario_doc(name: str) -> dict:
             "origin_x": -100.0, "seed": 7,
         }, obstacles=[{
             "id": "moose0", "class": "moose", "extents": [0.8, 2.4, 1.8],
-            "ahead": 75.0, "lateral": 0.0, "dynamic": True,
+            "ahead": 75.0, "lateral": 0.0,
         }])
     if name == "slope":
         return dict(common, name="moose_upslope", terrain={
@@ -44,7 +44,7 @@ def builtin_scenario_doc(name: str) -> dict:
             "origin_x": -100.0, "grade": 0.07, "ramp_start_ahead": 32.0,
         }, obstacles=[{
             "id": "moose0", "class": "moose", "extents": [0.8, 2.4, 1.8],
-            "ahead": 120.0, "lateral": 0.0, "dynamic": True,
+            "ahead": 120.0, "lateral": 0.0,
         }])
     if name == "flat":
         return dict(common, name="flat_corridor", terrain={
@@ -161,9 +161,8 @@ def build_scenario(doc: dict, front_offset: float) -> BuiltScenario:
             obstacle_id=str(entry["id"]),
             cls=str(entry["class"]),
             extents=tuple(float(v) for v in entry["extents"]),
-            position=[ox, oy, gz + ez / 2.0],
+            position=(ox, oy, gz + ez / 2.0),
             yaw=float(entry.get("yaw", 0.0)),
-            dynamic=bool(entry.get("dynamic", False)),
         ))
     return BuiltScenario(
         terrain=terrain,

@@ -101,16 +101,15 @@ def camera_matrices(camera_to_world: np.ndarray) -> np.ndarray:
     return v
 
 
-def project_box(corners_world: np.ndarray, view: np.ndarray, proj: np.ndarray,
+def project_box(corners_homo: np.ndarray, view: np.ndarray, proj: np.ndarray,
                 resolution: tuple[int, int]) -> float | None:
     """Area in px^2 of the clipped image-space bounding box of a world-space
-    box (8 corners).
+    box, given as its homogeneous corners (4, 8) (`Obstacle.corners_3d`).
 
     Returns None when every corner is behind the camera or the clipped box is
     empty.
     """
-    homo = np.hstack([corners_world, np.ones((len(corners_world), 1))])
-    clip = (proj @ view @ homo.T).T
+    clip = (proj @ view @ corners_homo).T
     front = clip[:, 3] > 1e-12
     if not np.any(front):
         return None

@@ -140,7 +140,7 @@ def test_default_bundle_section_round_trips(section, kind):
 def test_default_bundle_digest():
     text = json.dumps(default_bundle(), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == \
-        "bd6c33494f7b95f9cb5afc80a5b49178595015b21ea3d24c7b6cbf1ffb8826ef"
+        "91099d0b40e92d641733436eaf7dd176f35da536f0ea098360eeeb2e3ffc20d3"
 
 
 def test_driving_off_the_map_is_a_failed_result():
