@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .documents import ConfigurationError, from_doc, to_doc
+from .se3 import clamp
 
 AUTONOMY_SCHEMA_VERSION = 1
 
@@ -206,8 +207,7 @@ def longitudinal_control(decision: str, speed: float, cruise_speed: float,
     """(throttle, brake) for the current planner decision."""
     if decision == "brake":
         return 0.0, 1.0
-    throttle = min(1.0, max(0.0, kp * (cruise_speed - speed)))
-    return throttle, 0.0
+    return clamp(kp * (cruise_speed - speed), 0.0, 1.0), 0.0
 
 
 def headlight_control(ambient_light: float, fog_density: float) -> str:

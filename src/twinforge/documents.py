@@ -13,13 +13,18 @@ dataclass that `to_doc` writes and `from_doc` reads back. The rule:
 The field type hints drive the reading: a dataclass recurses, `dict` keys are
 cast to the key type, lists and tuples (fixed or `tuple[T, ...]`) are
 rebuilt, and a non-dataclass type with `to_dict`/`from_dict` (such as
-`FrictionSpline`) serialises itself.
+`FrictionSpline`) serialises itself. A `float`, `int`, `str` or `bool` leaf
+must have that type (an `int` passes as a `float`, as in JSON; a `bool` never
+passes as a number), else `ConfigurationError` names its `Class.field`.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import MISSING, fields, is_dataclass
 from typing import get_args, get_origin, get_type_hints
+
+_type_hints = functools.cache(get_type_hints)  # each call compiles every string annotation
 
 
 class ConfigurationError(ValueError):
@@ -39,25 +44,31 @@ def to_doc(value):
     return value
 
 
-def from_doc(kind, doc):
-    """Inverse of `to_doc`, driven by the type hints of `kind`."""
+def from_doc(kind, doc, where: str = ""):
+    """Inverse of `to_doc`, driven by the type hints of `kind`; `where` names
+    the field being read, for the error on a scalar of the wrong type."""
     if is_dataclass(kind):
         missing = [f.name for f in fields(kind) if f.init and f.name not in doc
                    and f.default is MISSING and f.default_factory is MISSING]
         if missing:
             raise ConfigurationError(f"{kind.__name__} document lacks {', '.join(missing)}")
-        hints = get_type_hints(kind)
-        return kind(**{f.name: from_doc(hints[f.name], doc[f.name])
+        hints = _type_hints(kind)
+        return kind(**{f.name: from_doc(hints[f.name], doc[f.name], f"{kind.__name__}.{f.name}")
                        for f in fields(kind) if f.init and f.name in doc})
     if hasattr(kind, "from_dict"):
         return kind.from_dict(doc)
+    if kind in (float, int, str, bool):
+        if isinstance(doc, bool) is not (kind is bool) or not isinstance(
+                doc, (int, float) if kind is float else kind):
+            raise ConfigurationError(f"{where or kind.__name__} must be {kind.__name__}, got {doc!r}")
+        return doc
     origin, args = get_origin(kind), get_args(kind)
     if origin is dict:
-        return {args[0](k): from_doc(args[1], v) for k, v in doc.items()}
+        return {args[0](k): from_doc(args[1], v, where) for k, v in doc.items()}
     if origin is list:
-        return [from_doc(args[0], v) for v in doc]
+        return [from_doc(args[0], v, where) for v in doc]
     if origin is tuple and args[-1] is Ellipsis:
-        return tuple(from_doc(args[0], v) for v in doc)
+        return tuple(from_doc(args[0], v, where) for v in doc)
     if origin is tuple:
-        return tuple(from_doc(a, v) for a, v in zip(args, doc, strict=True))
+        return tuple(from_doc(a, v, where) for a, v in zip(args, doc, strict=True))
     return doc

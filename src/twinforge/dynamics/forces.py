@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+from ..se3 import clamp
 from .config import GRAVITY, GEAR_REVERSE
 
 
@@ -97,7 +98,7 @@ def steering_step(
 
     Returns (angle, left_angle, right_angle) under Ackermann geometry.
     """
-    target = max(-1.0, min(1.0, steer_cmd)) * limit
+    target = clamp(steer_cmd, -1.0, 1.0) * limit
     rate = sensitivity + speed_factor * abs(speed) / top_speed
     max_step = rate * dt
     delta = target - current_angle
@@ -105,13 +106,14 @@ def steering_step(
         delta = max_step
     elif delta < -max_step:
         delta = -max_step
-    angle = current_angle + delta
-    angle = max(-limit, min(limit, angle))
+    angle = clamp(current_angle + delta, -limit, limit)
     left, right = ackermann_angles(angle, wheelbase, track)
     return angle, left, right
 
 
 def ackermann_angles(angle: float, wheelbase: float, track: float) -> tuple[float, float]:
+    if angle == 0.0:
+        return angle, angle  # what the formula gives for either zero
     t = math.tan(angle)
     two_l = 2.0 * wheelbase
     num = two_l * t
@@ -137,7 +139,11 @@ def wheel_brake_torques(
     wheels; the handbrake acts on the rear axle only.
     """
     two_d = 2.0 * braking_distance
-    fl, fr, rl, rr = [m * speed * speed / two_d * disk_radius for m in corner_masses]
+    m_fl, m_fr, m_rl, m_rr = corner_masses
+    fl = m_fl * speed * speed / two_d * disk_radius
+    fr = m_fr * speed * speed / two_d * disk_radius
+    rl = m_rl * speed * speed / two_d * disk_radius
+    rr = m_rr * speed * speed / two_d * disk_radius
     return (pedal * fl, pedal * fr, pedal * rl + handbrake * rl, pedal * rr + handbrake * rr)
 
 
@@ -159,18 +165,22 @@ def tire_forces(
     zero the contact's relative velocity within one step (keeps the stiff
     wheel-slip coupling stable under explicit integration).
     """
-    denom = abs(v_x)
-    if denom < eps_v:
-        denom = eps_v
-    rel = wheel_radius * wheel_omega - v_x
-    s_x = rel / denom
-    s_y = v_y / denom
-    taper_x = min(1.0, max(abs(v_x), abs(wheel_radius * wheel_omega)) / eps_v)
-    taper_y = min(1.0, max(abs(v_x), abs(v_y)) / eps_v)
-    f_x = math.copysign(spline(abs(s_x)), rel) * normal_load * taper_x if rel != 0.0 else 0.0
-    if abs(f_x) > lon_force_cap:
-        f_x = math.copysign(lon_force_cap, f_x)
-    f_y = -math.copysign(spline(abs(s_y)), v_y) * normal_load * taper_y if v_y != 0.0 else 0.0
+    # Comparisons and clamp stand in for the max and min builtins (the tapers
+    # are >= 0): the same results for finite inputs, at a fraction of the cost.
+    speed_x = abs(v_x)
+    denom = speed_x if speed_x >= eps_v else eps_v
+    roll = wheel_radius * wheel_omega
+    rel = roll - v_x
+    f_x = f_y = 0.0
+    if rel != 0.0:
+        taper = abs(roll) if abs(roll) > speed_x else speed_x
+        f_x = math.copysign(spline(abs(rel / denom)), rel) * normal_load * clamp(
+            taper / eps_v, 0.0, 1.0)
+        f_x = clamp(f_x, -lon_force_cap, lon_force_cap)
+    if v_y != 0.0:
+        taper = abs(v_y) if abs(v_y) > speed_x else speed_x
+        f_y = -math.copysign(spline(abs(v_y / denom)), v_y) * normal_load * clamp(
+            taper / eps_v, 0.0, 1.0)
     return f_x, f_y
 
 
@@ -204,7 +214,7 @@ def aero_forces(
     speed = math.sqrt(vx * vx + vy * vy + vz * vz)
     magnitude = aero_drag(speed, tau_out, gear, wheel_rpm, params)
     if speed > 1e-12:
-        scale = magnitude * min(1.0, speed / eps_v) / speed
+        scale = magnitude * clamp(speed / eps_v, 0.0, 1.0) / speed
         drag = (-vx * scale, -vy * scale, -vz * scale)
     else:
         drag = (0.0, 0.0, 0.0)

@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from ..se3 import clamp
 from .config import GEAR_NEUTRAL, GEAR_PARK, GEAR_REVERSE, PowertrainParams
 
 METERS_PER_INCH = 0.0254
@@ -119,6 +120,6 @@ def torque_split(
     """
     neg = -steer_angle if steer_angle < 0.0 else 0.0
     pos = steer_angle if steer_angle > 0.0 else 0.0
-    drop_left = min(0.9, max(0.0, torque_drop * neg))
-    drop_right = min(0.9, max(0.0, torque_drop * pos))
+    drop_left = clamp(torque_drop * neg, 0.0, 0.9)
+    drop_right = clamp(torque_drop * pos, 0.0, 0.9)
     return tau_out * (1.0 - drop_left), tau_out * (1.0 - drop_right)

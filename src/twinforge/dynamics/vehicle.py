@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 
-from ..se3 import Mat3, Vec3, quat_from_euler_zyx, quat_integrate, quat_to_matrix, rotate, rotate_t
+from ..se3 import Mat3, Vec3, clamp, quat_from_euler_zyx, quat_integrate, quat_to_matrix, rotate
 from .config import GEAR_PARK, GRAVITY, VehicleConfig
 from .forces import (
     aero_forces,
@@ -56,9 +56,9 @@ class VehicleState:
         self.cmd_handbrake = 0.0
 
     def set_commands(self, throttle: float, steer: float, brake: float, handbrake: float) -> None:
-        self.cmd_throttle = min(1.0, max(0.0, throttle))
-        self.cmd_steer = min(1.0, max(-1.0, steer))
-        self.cmd_brake = min(1.0, max(0.0, brake))
+        self.cmd_throttle = clamp(throttle, 0.0, 1.0)
+        self.cmd_steer = clamp(steer, -1.0, 1.0)
+        self.cmd_brake = clamp(brake, 0.0, 1.0)
         self.cmd_handbrake = 1.0 if handbrake >= 0.5 else 0.0
 
     @property
@@ -83,6 +83,9 @@ class Vehicle:
         # Which share of torque_split drives each wheel: 0 left, 1 right, -1 none.
         self.drive_shares = tuple((0 if w.side > 0 else 1) if w.driven else -1
                                   for w in config.wheels)
+        st = config.steering
+        self.steering_geometry = (st.limit, st.sensitivity, st.speed_factor, st.top_speed,
+                                  st.wheelbase, st.track)
 
     # -- construction ------------------------------------------------------
 
@@ -151,11 +154,12 @@ class Vehicle:
 
         # steering
         angle, d_left, d_right = steering_step(
-            state.cmd_steer, state.steer_angle, vx,
-            cfg.steering.limit, cfg.steering.sensitivity, cfg.steering.speed_factor,
-            cfg.steering.top_speed, cfg.steering.wheelbase, cfg.steering.track, dt)
+            state.cmd_steer, state.steer_angle, vx, *self.steering_geometry, dt)
         state.steer_angle = angle
-        wheel_steer = (d_left, d_right, 0.0, 0.0)
+        # (cos, sin) of each wheel's steer angle; cos(±0) = 1 and sin(±0) = ±0.
+        wheel_trig = ((math.cos(d_left), math.sin(d_left)) if d_left else (1.0, d_left),
+                      (math.cos(d_right), math.sin(d_right)) if d_right else (1.0, d_right),
+                      (1.0, 0.0), (1.0, 0.0))
 
         # powertrain: one wheel's share of the total, then the differential
         driven = self.driven
@@ -212,7 +216,7 @@ class Vehicle:
         loads = [0.0] * 4
         for i, ((rx, ry, _), _, _, _, _, rz, _) in enumerate(consts):
             f = vertical[i]
-            loads[i] = max(0.0, f) if grounded[i] else 0.0
+            loads[i] = f if grounded[i] and f > 0.0 else 0.0
             if f == 0.0:
                 continue
             nx, ny, nz = normals[i]
@@ -237,8 +241,7 @@ class Vehicle:
             rz = contact_z[i] - com_z
             cvx = vx + oy * rz - oz * ry
             cvy = vy + oz * rx - ox * rz
-            sa = wheel_steer[i]
-            cs, sn = math.cos(sa), math.sin(sa)
+            cs, sn = wheel_trig[i]
             wvx = cs * cvx + sn * cvy
             wvy = -sn * cvx + cs * cvy
             spin = wheel_omega[i]
@@ -265,11 +268,11 @@ class Vehicle:
         ty_sum += ang_drag[1]
         tz_sum += ang_drag[2]
 
-        # gravity (body frame)
-        gb = rotate_t(m, (0.0, 0.0, -mass * GRAVITY))
-        fx_sum += gb[0]
-        fy_sum += gb[1]
-        fz_sum += gb[2]
+        # gravity (body frame): R^T (0, 0, g)
+        g = -mass * GRAVITY
+        fx_sum += m0 * 0.0 + m3 * 0.0 + m6 * g
+        fy_sum += m1 * 0.0 + m4 * 0.0 + m7 * g
+        fz_sum += m2 * 0.0 + m5 * 0.0 + m8 * g
 
         # low-speed brake hold: kills the quadratic brake law's creep tail
         if state.cmd_brake > 0.05 or state.cmd_handbrake >= 0.5:

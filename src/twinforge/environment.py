@@ -234,11 +234,9 @@ class Obstacle:
         c, s = math.cos(self.yaw), math.sin(self.yaw)
         pts = [(px + c * lx - s * ly, py + s * lx + c * ly, pz + lz)
                for lx in (-hx, hx) for ly in (-hy, hy) for lz in (-hz, hz)]
-        # (4, 8): the transpose of the (8, 4) rows [x, y, z, 1].
-        homo = np.hstack([np.array(pts), np.ones((8, 1))]).T
-        homo.flags.writeable = False
+        homo = np.hstack([np.array(pts), np.ones((8, 1))]).T  # (4, 8): columns [x, y, z, 1]
         position_array = np.array(position)
-        position_array.flags.writeable = False
+        homo.flags.writeable = position_array.flags.writeable = False
         init = functools.partial(object.__setattr__, self)
         init("position", position)
         init("position_array", position_array)
@@ -302,25 +300,14 @@ def rectangles_overlap(corners_a, corners_b) -> bool:
     Each quad's four edge normals are candidate axes; both quads' corners are
     projected onto each axis as c_x * axis_x + c_y * axis_y.
     """
-    (a0x, a0y), (a1x, a1y), (a2x, a2y), (a3x, a3y) = corners_a
-    (b0x, b0y), (b1x, b1y), (b2x, b2y), (b3x, b3y) = corners_b
-    for x1, y1, x2, y2 in ((a0x, a0y, a1x, a1y), (a1x, a1y, a2x, a2y),
-                           (a2x, a2y, a3x, a3y), (a3x, a3y, a0x, a0y),
-                           (b0x, b0y, b1x, b1y), (b1x, b1y, b2x, b2y),
-                           (b2x, b2y, b3x, b3y), (b3x, b3y, b0x, b0y)):
-        ux = y1 - y2
-        uy = x2 - x1
-        pa0 = a0x * ux + a0y * uy
-        pa1 = a1x * ux + a1y * uy
-        pa2 = a2x * ux + a2y * uy
-        pa3 = a3x * ux + a3y * uy
-        pb0 = b0x * ux + b0y * uy
-        pb1 = b1x * ux + b1y * uy
-        pb2 = b2x * ux + b2y * uy
-        pb3 = b3x * ux + b3y * uy
-        if (max(pa0, pa1, pa2, pa3) < min(pb0, pb1, pb2, pb3)
-                or max(pb0, pb1, pb2, pb3) < min(pa0, pa1, pa2, pa3)):
-            return False
+    for quad in (corners_a, corners_b):
+        for (x1, y1), (x2, y2) in zip(quad, [*quad[1:], quad[0]]):
+            ux = y1 - y2
+            uy = x2 - x1
+            pa = [cx * ux + cy * uy for cx, cy in corners_a]
+            pb = [cx * ux + cy * uy for cx, cy in corners_b]
+            if max(pa) < min(pb) or max(pb) < min(pa):
+                return False
     return True
 
 

@@ -64,7 +64,8 @@ class SimParams:
     def __post_init__(self):
         if not 0.0 < self.dt <= self.t_max < math.inf:
             raise ValueError(f"need 0 < dt <= t_max < inf, got dt={self.dt}, t_max={self.t_max}")
-
+        if not self.contact_window >= 0.0:
+            raise ValueError(f"need contact_window >= 0, got {self.contact_window}")
 
 
 def default_bundle(case_id: str = "adhoc", model: str = "v3", weather: str = "clear",
@@ -98,20 +99,6 @@ class EpisodeResult:
     error: str | None
     scan_dump: str | None
 
-    def summary(self) -> dict:
-        out = {
-            "case_id": self.case_id,
-            "status": self.status,
-            "terminal": self.terminal,
-            "steps": self.steps,
-            "duration": round(self.duration, 6),
-        }
-        if self.verdict is not None:
-            out["verdict"] = self.verdict.to_dict()
-        if self.error:
-            out["error"] = self.error
-        return out
-
 
 class Episode:
     """One case, stepped at sim.dt until a terminal: standstill_after_aeb,
@@ -127,12 +114,19 @@ class Episode:
         vehicle_doc = bundle.get("vehicle")
         self.vcfg = VehicleConfig.from_dict(vehicle_doc) if vehicle_doc else default_vehicle_config()
         self.vehicle = Vehicle(self.vcfg)
-        self.front_offset = self.vcfg.footprint.center_x + self.vcfg.footprint.length / 2.0
+        fp = self.vcfg.footprint
+        self.front_offset = fp.center_x + fp.length / 2.0
 
         scenario_doc = bundle["scenario"]
         if isinstance(scenario_doc, str):
             scenario_doc = load_scenario_doc(scenario_doc)
         self.scenario = build_scenario(scenario_doc, self.front_offset)
+        # Broad phase: the footprint lies within ego_radius of the body origin
+        # and each obstacle within its half diagonal of its centre, so centres
+        # further apart than the sum (plus 1e-6 m for rounding) cannot overlap.
+        ego_radius = math.hypot(abs(fp.center_x) + fp.length / 2.0, fp.width / 2.0)
+        self._reach = [(obs, (ego_radius + math.hypot(*obs.extents[:2]) / 2.0 + 1e-6) ** 2)
+                       for obs in self.scenario.obstacles]
         self.condition = condition_derive(bundle["weather"], bundle["time_of_day"])
         self.lights = headlight_control(self.condition.ambient_light, self.condition.fog_density)
 
@@ -167,7 +161,8 @@ class Episode:
             area = project_box(obs.corners_3d(), view, self._proj, self.camera.resolution)
             if area is None:
                 continue
-            d = float(np.linalg.norm(np.asarray(obs.position) - cam_pos))
+            gap = obs.position_array - cam_pos
+            d = math.sqrt(gap.dot(gap))  # np.linalg.norm's arithmetic
             views.append(ObstacleView(obs.cls, area, d))
         detections = self.detector.detect(views, self.lights)
         dtc_estimate = None
@@ -183,12 +178,19 @@ class Episode:
     def _raycaster(self):
         return functools.partial(env_raycast, self.scenario.terrain, self.scenario.obstacles)
 
-    def _overlaps(self, ego_xy_yaw) -> bool:
-        """Whether the ego footprint overlaps any obstacle."""
-        ex, ey, eyaw = ego_xy_yaw
+    def _overlaps(self, ex: float, ey: float, eyaw: float) -> bool:
+        """Whether the ego footprint overlaps any obstacle; the separating-axis
+        test runs only past the broad phase (see `__init__`)."""
         fp = self.vcfg.footprint
-        ego = footprint_corners(ex, ey, eyaw, fp.length, fp.width, fp.center_x)
-        return any(rectangles_overlap(ego, obs.corners_2d()) for obs in self.scenario.obstacles)
+        ego = None
+        for obs, reach2 in self._reach:
+            dx = obs.position[0] - ex
+            dy = obs.position[1] - ey
+            if dx * dx + dy * dy <= reach2:
+                ego = ego or footprint_corners(ex, ey, eyaw, fp.length, fp.width, fp.center_x)
+                if rectangles_overlap(ego, obs.corners_2d()):
+                    return True
+        return False
 
     # -- main loop ---------------------------------------------------------------
 
@@ -220,28 +222,25 @@ class Episode:
                 if i % perception_period == 0:
                     detections, dtc_estimate = self._perceive(state)
                     self.planner.plan(detections, dtc_estimate, state.forward_speed)
-                if self.planner.braking:
-                    throttle, brake = longitudinal_control("brake", state.forward_speed,
-                                                           cruise_speed, cruise_kp)
-                elif self.planner.finished:
+                if self.planner.finished and not self.planner.braking:
                     throttle, brake = 0.0, 0.0  # mission over, coast
                 else:
-                    throttle, brake = longitudinal_control("cruise", state.forward_speed,
-                                                           cruise_speed, cruise_kp)
+                    throttle, brake = longitudinal_control(
+                        "brake" if self.planner.braking else "cruise", state.forward_speed,
+                        cruise_speed, cruise_kp)
                 state.set_commands(throttle, 0.0, brake, 0.0)
                 self.vehicle.step(state, self.scenario.terrain, dt)
                 steps += 1
                 t = steps * dt
 
                 pose = self.vehicle.origin_pose(state)
-                rot, origin = pose
-                ego_xy_yaw = (origin[0], origin[1], math.atan2(rot[3], rot[0]))
-                if not collision_count and self._overlaps(ego_xy_yaw):
+                rot, (ex, ey, _) = pose
+                eyaw = math.atan2(rot[3], rot[0])
+                if not collision_count and self._overlaps(ex, ey, eyaw):
                     collision_count = 1
                     contact_end = steps + contact_steps
 
-                dtc = compute_dtc(ego_xy_yaw[0], ego_xy_yaw[1], ego_xy_yaw[2],
-                                  self.front_offset, self.scenario.obstacles)
+                dtc = compute_dtc(ex, ey, eyaw, self.front_offset, self.scenario.obstacles)
 
                 if log is not None:
                     log.append(self._make_record(state, pose, t, detections, dtc,
@@ -282,17 +281,12 @@ class Episode:
     def _make_record(self, state, pose, t: float, detections, dtc: float,
                      collision_count: int) -> TelemetryRecord:
         position, euler = self.ins.read(pose)
-        throttle, steer, brk, hand = state.cmd_throttle, state.cmd_steer, state.cmd_brake, state.cmd_handbrake
-        best_conf = 0.0
-        best_area = 0.0
-        if detections:
-            best = max(detections, key=lambda d: d.confidence)
-            best_conf = best.confidence
-            best_area = best.area
+        best = max(detections, key=lambda d: d.confidence) if detections else None
         return TelemetryRecord(
             t, position[0], position[1], position[2], euler[0], euler[1], euler[2],
-            state.forward_speed, throttle, steer, brk, hand,
-            state.pt.gear, state.pt.engine_rpm, len(detections), best_conf, best_area,
+            state.forward_speed, state.cmd_throttle, state.cmd_steer, state.cmd_brake,
+            state.cmd_handbrake, state.pt.gear, state.pt.engine_rpm, len(detections),
+            best.confidence if best else 0.0, best.area if best else 0.0,
             1 if self.planner.braking else 0, dtc, collision_count, self.lights)
 
     def _dump_scan(self, state, t: float, lines: list[str]) -> None:

@@ -109,12 +109,11 @@ def compute_dtc(ego_x: float, ego_y: float, ego_yaw: float, front_offset: float,
     hx, hy = math.cos(ego_yaw), math.sin(ego_yaw)
     front_s = ego_x * hx + ego_y * hy + front_offset
     for obs in obstacles:
-        (c0x, c0y), (c1x, c1y), (c2x, c2y), (c3x, c3y) = obs.corners_2d()
-        near = min(c0x * hx + c0y * hy, c1x * hx + c1y * hy,
-                   c2x * hx + c2y * hy, c3x * hx + c3y * hy)
-        gap = near - front_s
-        if gap < best:
-            best = gap
+        # Rounding is monotonic, so the least gap is the near edge's gap.
+        for cx, cy in obs.corners_2d():
+            gap = cx * hx + cy * hy - front_s
+            if gap < best:
+                best = gap
     return best
 
 

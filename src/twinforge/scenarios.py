@@ -85,6 +85,10 @@ def validate_scenario_doc(doc: dict) -> None:
         for key in ("id", "class", "extents", "ahead"):
             if key not in entry:
                 raise ScenarioError(f"scenario obstacle missing field {key!r}")
+        ext = entry["extents"]
+        if not (isinstance(ext, (list, tuple)) and len(ext) == 3 and all(
+                type(e) in (int, float) and e > 0 for e in ext)):
+            raise ScenarioError(f"obstacle {entry['id']} extents must be three positive numbers")
 
 
 def build_terrain(spec: dict, spawn_x: float) -> TerrainHeightmap:

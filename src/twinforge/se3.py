@@ -57,21 +57,18 @@ def rotate(m: Mat3, v: Vec3) -> Vec3:
     )
 
 
-def rotate_t(m: Mat3, v: Vec3) -> Vec3:
-    """R^T * v (world -> body when m is the body orientation)."""
-    x, y, z = v
-    return (
-        m[0] * x + m[3] * y + m[6] * z,
-        m[1] * x + m[4] * y + m[7] * z,
-        m[2] * x + m[5] * y + m[8] * z,
-    )
+def clamp(x: float, lo: float, hi: float) -> float:
+    """min(hi, max(lo, x)) as two comparisons, without the builtin calls:
+    the same result for every input, and the same as max(lo, min(hi, x))
+    for every input but NaN."""
+    x = x if x > lo else lo
+    return x if x < hi else hi
 
 
 def euler_zyx_from_matrix(m: Mat3) -> Vec3:
     """(roll, pitch, yaw) for R = Rz(yaw) @ Ry(pitch) @ Rx(roll)."""
     m00, _, _, m10, _, _, m20, m21, m22 = m[0], m[1], m[2], m[3], m[4], m[5], m[6], m[7], m[8]
-    sp = -m20
-    sp = max(-1.0, min(1.0, sp))
+    sp = clamp(-m20, -1.0, 1.0)
     pitch = math.asin(sp)
     if abs(sp) < 1.0 - 1e-12:
         roll = math.atan2(m21, m22)
@@ -97,9 +94,6 @@ def quat_from_euler_zyx(roll: float, pitch: float, yaw: float) -> Quat:
 
 def pose_matrix(m: Mat3, pos: Vec3) -> np.ndarray:
     """Homogeneous 4x4 world-from-body transform as a numpy array."""
-    out = np.eye(4)
-    out[0, :3] = m[0:3]
-    out[1, :3] = m[3:6]
-    out[2, :3] = m[6:9]
-    out[:3, 3] = pos
-    return out
+    m0, m1, m2, m3, m4, m5, m6, m7, m8 = m
+    x, y, z = pos
+    return np.array(((m0, m1, m2, x), (m3, m4, m5, y), (m6, m7, m8, z), (0.0, 0.0, 0.0, 1.0)))

@@ -4,6 +4,7 @@ spatial LIDAR. All of them are noise-free and deterministic.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -109,17 +110,18 @@ def project_box(corners_homo: np.ndarray, view: np.ndarray, proj: np.ndarray,
     Returns None when every corner is behind the camera or the clipped box is
     empty.
     """
-    clip = (proj @ view @ corners_homo).T
-    front = clip[:, 3] > 1e-12
-    if not np.any(front):
+    xs, ys, _, ws = (proj @ view @ corners_homo).tolist()
+    front = [(x / w, y / w) for x, y, w in zip(xs, ys, ws) if w > 1e-12]
+    if not front:
         return None
-    ndc = clip[front, :2] / clip[front, 3:4]
-    us = (ndc[:, 0] + 1.0) * 0.5 * resolution[0]
-    vs = (1.0 - ndc[:, 1]) * 0.5 * resolution[1]
-    u_min = max(0.0, float(us.min()))
-    v_min = max(0.0, float(vs.min()))
-    u_max = min(float(resolution[0]), float(us.max()))
-    v_max = min(float(resolution[1]), float(vs.max()))
+    # The pixel maps are monotonic, also in rounding, so the extreme pixels
+    # are the maps of the extreme NDC coordinates.
+    nx, ny = zip(*front)
+    w, h = resolution
+    u_min = max(0.0, (min(nx) + 1.0) * 0.5 * w)
+    v_min = max(0.0, (1.0 - max(ny)) * 0.5 * h)
+    u_max = min(float(w), (max(nx) + 1.0) * 0.5 * w)
+    v_max = min(float(h), (1.0 - min(ny)) * 0.5 * h)
     if u_max <= u_min or v_max <= v_min:
         return None
     return (u_max - u_min) * (v_max - v_min)
@@ -127,7 +129,7 @@ def project_box(corners_homo: np.ndarray, view: np.ndarray, proj: np.ndarray,
 
 # -- LIDAR -------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class LidarConfig:
     r_min: float = 0.5
     r_max: float = 80.0
@@ -156,12 +158,26 @@ def angle_grid(lo: float, hi: float, res: float) -> np.ndarray:
     return lo + np.arange(n) * res
 
 
+@functools.cache
+def _unit_rays(config: LidarConfig, phis: tuple[float, ...] | None) -> np.ndarray:
+    """Sensor-frame unit rays (n, 3) of the config's azimuth grid, planar when
+    phis is None, else at each elevation in phis (channel, then azimuth).
+    Built once per grid; read-only."""
+    thetas = angle_grid(config.theta_min, config.theta_max, config.theta_res)
+    local = np.array([(math.cos(t), math.sin(t), 0.0) for t in thetas] if phis is None else
+                     [(math.cos(t) * math.cos(p), math.sin(t) * math.cos(p), -math.sin(p))
+                      for p in phis for t in thetas])
+    local.flags.writeable = False
+    return local
+
+
 def _cast(config: LidarConfig, lidar_to_world: np.ndarray, local: np.ndarray,
           raycaster) -> np.ndarray:
     """Distances along the sensor-frame unit rays local (n, 3), all cast in
     one raycaster call; NaN where nothing is hit inside [r_min, r_max]."""
-    r = lidar_to_world[:3, :3]
-    dirs = np.array([r @ v for v in local]).reshape(-1, 3)
+    # One matrix-vector product per row, as `r @ v` computes it; `local @ r.T`
+    # sums in another order and differs in the last bit.
+    dirs = np.matmul(lidar_to_world[:3, :3], local[:, :, None])[:, :, 0]
     dist = raycaster(lidar_to_world[:3, 3], dirs, config.r_max)
     return np.where((config.r_min <= dist) & (dist <= config.r_max), dist, np.nan)
 
@@ -173,8 +189,7 @@ def lidar_scan_2d(config: LidarConfig, lidar_to_world: np.ndarray, raycaster) ->
 
     raycaster(origin, directions (n, 3), r_max) -> (n,) distances, inf for a miss.
     """
-    thetas = angle_grid(config.theta_min, config.theta_max, config.theta_res)
-    local = np.array([(math.cos(theta), math.sin(theta), 0.0) for theta in thetas])
+    local = _unit_rays(config, None)
     dist = _cast(config, lidar_to_world, local, raycaster)
     return np.where(np.isnan(dist), np.inf, dist)
 
@@ -185,11 +200,9 @@ def lidar_scan_3d(config: LidarConfig, phis: np.ndarray, lidar_to_world: np.ndar
     as one batch (see `lidar_scan_2d`). Sensor-frame hit points
     (channels, rays, 3), row-major channel-then-azimuth, with NaN triplets
     for misses."""
-    thetas = angle_grid(config.theta_min, config.theta_max, config.theta_res)
-    local = np.array([(math.cos(theta) * math.cos(phi), math.sin(theta) * math.cos(phi),
-                       -math.sin(phi)) for phi in phis for theta in thetas])
+    local = _unit_rays(config, tuple(np.asarray(phis).tolist()))
     dist = _cast(config, lidar_to_world, local, raycaster)
-    return (local * dist[:, None]).reshape(len(phis), len(thetas), 3)
+    return (local * dist[:, None]).reshape(len(phis), -1, 3)
 
 
 def point_cloud_ascii(points: np.ndarray) -> str:

@@ -1,4 +1,5 @@
-"""LIDAR sweeps over flat ground, where every range has a closed form."""
+"""LIDAR sweeps over flat ground, where every range has a closed form, and
+the batched ray rotation against the per-row product it replaced."""
 
 import functools
 import math
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from twinforge.environment import TerrainHeightmap, env_raycast
+from twinforge.se3 import quat_to_matrix
 from twinforge.sensors import LidarConfig, angle_grid, lidar_scan_2d, lidar_scan_3d
 
 HEIGHT = 1.6
@@ -74,3 +76,45 @@ def test_scan_3d_has_nan_triplets_exactly_at_the_misses():
 def test_lidar_config_rejects_a_bad_range(r_min, r_max):
     with pytest.raises(ValueError, match="r_min < r_max < inf"):
         LidarConfig(r_min=r_min, r_max=r_max)
+
+
+def _random_pose(rng) -> np.ndarray:
+    q = rng.normal(size=4)
+    t = np.eye(4)
+    t[:3, :3] = np.reshape(quat_to_matrix(tuple((q / np.linalg.norm(q)).tolist())), (3, 3))
+    t[:3, 3] = rng.uniform(-50.0, 50.0, 3)
+    return t
+
+
+def _directions_cast(scan, *args) -> np.ndarray:
+    """The directions a scan hands its raycaster."""
+    seen = []
+
+    def raycaster(origin, directions, r_max):
+        seen.append(directions.copy())
+        return np.full(len(directions), np.inf)
+
+    scan(*args, raycaster)
+    return seen[0]
+
+
+@pytest.mark.parametrize("planar", [True, False], ids=["2d", "3d"])
+def test_batched_rotation_equals_the_per_row_product(planar):
+    """Every direction equals `r @ v` for its unit ray v, bit for bit."""
+    config = LidarConfig() if planar else LidarConfig(theta_min=-0.6, theta_max=0.6, theta_res=0.05)
+    thetas = angle_grid(config.theta_min, config.theta_max, config.theta_res)
+    phis = angle_grid(-0.3, 0.3, 0.05)
+    if planar:
+        local = np.array([(math.cos(t), math.sin(t), 0.0) for t in thetas])
+    else:
+        local = np.array([(math.cos(t) * math.cos(p), math.sin(t) * math.cos(p), -math.sin(p))
+                          for p in phis for t in thetas])
+    rng = np.random.default_rng(5)
+    for _ in range(300 if planar else 100):
+        pose = _random_pose(rng)
+        if planar:
+            dirs = _directions_cast(lidar_scan_2d, config, pose)
+        else:
+            dirs = _directions_cast(lidar_scan_3d, config, phis, pose)
+        r = pose[:3, :3]
+        assert np.array_equal(dirs, np.array([r @ v for v in local]))
