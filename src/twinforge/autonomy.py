@@ -4,9 +4,9 @@ cruise controller, and the headlight controller.
 
 The surrogate detector replaces neural-network inference with a closed-form
 per-frame detection probability driven by visibility, ambient light and
-range. Preset parameters are calibration constants, not measured model
-behavior; they are chosen so the four presets rank the way small/large
-detector variants rank in day versus night conditions.
+range. Preset parameters are placeholder constants, not measured model
+behavior, and they do not yet rank the presets: at seed 1 the 32 cases of
+each preset in the full matrix pass v2 3, v3 2, v3_tiny 0 and v2_tiny 0.
 """
 
 from __future__ import annotations

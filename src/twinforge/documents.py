@@ -1,7 +1,8 @@
 """Config documents: one walk between dataclasses and JSON-able dicts.
 
-Every section of a case bundle (vehicle, autonomy, sensors, sim) is a
-dataclass that `to_doc` writes and `from_doc` reads back. The rule:
+Every section of a case bundle (vehicle, autonomy, sensors, sim), down to
+the tire spline, is a dataclass that `to_doc` writes and `from_doc` reads
+back. The rule:
 
 - only init fields are written and read; derived fields are rebuilt;
 - a field with a default may be absent, and then takes the default, so the
@@ -11,11 +12,10 @@ dataclass that `to_doc` writes and `from_doc` reads back. The rule:
   naming the dataclass and the fields.
 
 The field type hints drive the reading: a dataclass recurses, `dict` keys are
-cast to the key type, lists and tuples (fixed or `tuple[T, ...]`) are
-rebuilt, and a non-dataclass type with `to_dict`/`from_dict` (such as
-`FrictionSpline`) serialises itself. A `float`, `int`, `str` or `bool` leaf
-must have that type (an `int` passes as a `float`, as in JSON; a `bool` never
-passes as a number), else `ConfigurationError` names its `Class.field`.
+cast to the key type, and lists and tuples (fixed or `tuple[T, ...]`) are
+rebuilt. A `float`, `int`, `str` or `bool` leaf must have that type (an `int`
+passes as a `float`, as in JSON; a `bool` never passes as a number), else
+`ConfigurationError` names its `Class.field`.
 """
 
 from __future__ import annotations
@@ -35,8 +35,6 @@ def to_doc(value):
     """JSON-able document of a config value; only init fields are written."""
     if is_dataclass(value):
         return {f.name: to_doc(getattr(value, f.name)) for f in fields(value) if f.init}
-    if hasattr(value, "to_dict"):
-        return value.to_dict()
     if isinstance(value, dict):
         return {str(k): to_doc(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -55,8 +53,6 @@ def from_doc(kind, doc, where: str = ""):
         hints = _type_hints(kind)
         return kind(**{f.name: from_doc(hints[f.name], doc[f.name], f"{kind.__name__}.{f.name}")
                        for f in fields(kind) if f.init and f.name in doc})
-    if hasattr(kind, "from_dict"):
-        return kind.from_dict(doc)
     if kind in (float, int, str, bool):
         if isinstance(doc, bool) is not (kind is bool) or not isinstance(
                 doc, (int, float) if kind is float else kind):

@@ -1,6 +1,8 @@
 """Vehicle parameter set: sprung masses, suspension, powertrain, steering,
 brakes, tires and aerodynamics, plus the derived per-corner quantities used
-by the integrator.
+by the integrator. Each quantity is stored once: wheelbase and track come from
+the wheel mounts, the tire radius is the suspension's wheel radius and the
+top speed is the aero section's.
 
 All units SI (m, kg, s, N, rad) except where the transmission map needs
 MPH/inches internally; that conversion lives in powertrain.py.
@@ -16,7 +18,7 @@ from .spline import FrictionSpline
 
 GRAVITY = 9.81
 
-CONFIG_VERSION = 1
+VEHICLE_SCHEMA_VERSION = 2
 
 WHEEL_NAMES = ("FL", "FR", "RL", "RR")
 
@@ -81,7 +83,7 @@ class SuspensionParams:
     wheel_mass: float
     wheel_radius: float
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.natural_frequency <= 0:
             raise ConfigurationError("suspension natural_frequency must be > 0")
         if self.damping_ratio < 0:
@@ -107,9 +109,8 @@ class PowertrainParams:
     shift_down_rpm: float
     shift_time: float
     rpm_smoothing_tau: float
-    tire_radius: float                       # m (converted to inches in the map)
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.final_drive <= 0:
             raise ConfigurationError("final_drive must be > 0")
         if any(t < 0 for _, t in self.torque_curve):
@@ -149,15 +150,10 @@ class SteeringParams:
     limit: float        # rad
     sensitivity: float  # rad/s
     speed_factor: float # rad/s
-    wheelbase: float
-    track: float
-    top_speed: float
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.limit <= 0:
             raise ConfigurationError("steering limit must be > 0")
-        if self.wheelbase <= 0 or self.track <= 0:
-            raise ConfigurationError("wheelbase and track must be > 0")
 
 
 @dataclass
@@ -165,7 +161,7 @@ class BrakeParams:
     disk_radius: float
     braking_distance_60mph: float
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.disk_radius <= 0:
             raise ConfigurationError("brake disk_radius must be > 0")
         if self.braking_distance_60mph <= 0:
@@ -182,7 +178,7 @@ class AeroParams:
     angular_drag: float   # N*m*s/rad
     downforce_coeff: float  # N*s/m
 
-    def validate(self) -> None:
+    def __post_init__(self):
         for name in ("drag_max", "drag_idle", "drag_reverse", "angular_drag", "downforce_coeff"):
             if getattr(self, name) < 0:
                 raise ConfigurationError(f"aero {name} must be >= 0")
@@ -197,21 +193,19 @@ class FootprintParams:
     center_x: float  # body-frame x of footprint center
 
 
-@dataclass
+@dataclass(frozen=True)
 class WheelConfig:
-    name: str
+    """One corner, derived from the config when it is built."""
     mount: tuple[float, float, float]  # strut top in body frame
     driven: bool
     side: int   # +1 left, -1 right
-    axle: int   # 0 front, 1 rear
-    # derived at assembly time
-    corner_mass: float = 0.0
-    spring_k: float = 0.0
-    damper_b: float = 0.0
-    static_displacement: float = 0.0  # Zs, dimensionless travel normalizer
-    contact_reduced_mass: float = 0.0 # wheel-vs-body reduced mass at the patch
-    arm: tuple[float, float, float] = (0.0, 0.0, 0.0)  # mount - COM, body frame
-    force_arm_z: float = 0.0          # ZF - COM z, ZF the body-frame z of force application
+    corner_mass: float
+    spring_k: float
+    damper_b: float
+    static_displacement: float   # Zs, dimensionless travel normalizer
+    contact_reduced_mass: float  # wheel-vs-body reduced mass at the patch
+    arm: tuple[float, float, float]  # mount - COM, body frame
+    force_arm_z: float           # ZF - COM z, ZF the body-frame z of force application
 
 
 @dataclass
@@ -228,76 +222,61 @@ class VehicleConfig:
     slip_speed_guard: float = 0.1   # eps_v, m/s
     standstill_brake_decel: float = 7.5  # m/s^2 at full pedal, low-speed hold
     standstill_brake_speed: float = 2.5  # m/s, band where the hold takes over
-    # filled by finalize()
+    # derived in __post_init__
     total_mass: float = field(init=False)
     com: tuple[float, float, float] = field(init=False)
     inertia: tuple[float, float, float] = field(init=False)
-    wheels: list[WheelConfig] = field(init=False)
+    wheelbase: float = field(init=False)  # front-axle mean mount x - rear-axle mean x
+    track: float = field(init=False)      # FL mount y - FR mount y
     wheel_inertia: float = field(init=False)
+    wheels: list[WheelConfig] = field(init=False)
 
     def __post_init__(self):
-        self.finalize()
-
-    def finalize(self) -> None:
-        self.suspension.validate()
-        self.powertrain.validate()
-        self.steering.validate()
-        self.brake.validate()
-        self.aero.validate()
         self.total_mass, self.com, self.inertia = com_properties(self.sprung_masses)
-        if set(self.wheel_mounts) != set(WHEEL_NAMES):
+        mounts = self.wheel_mounts
+        if set(mounts) != set(WHEEL_NAMES):
             raise ConfigurationError(f"wheel_mounts must define exactly {WHEEL_NAMES}")
-        self.wheels = [self._build_wheel(name) for name in WHEEL_NAMES]
-        self._distribute_corner_masses()
-        for w in self.wheels:
-            w.spring_k, w.damper_b = suspension_coefficients(
-                w.corner_mass, self.suspension.natural_frequency, self.suspension.damping_ratio)
-            w.static_displacement = w.corner_mass * GRAVITY / (self.suspension.rest_length * w.spring_k)
-            w.arm = (w.mount[0] - self.com[0], w.mount[1] - self.com[1], w.mount[2] - self.com[2])
-            w.force_arm_z = (self.com[2] - w.mount[2] + self.suspension.wheel_radius
-                             - self.suspension.force_offset) - self.com[2]
+        xr = (mounts["RL"][0] + mounts["RR"][0]) / 2.0
+        self.wheelbase = (mounts["FL"][0] + mounts["FR"][0]) / 2.0 - xr
+        self.track = mounts["FL"][1] - mounts["FR"][1]
+        if not (self.wheelbase > 0 and self.track > 0):
+            raise ConfigurationError("wheel_mounts must give wheelbase and track > 0")
         # solid-disc approximation for wheel spin inertia
         self.wheel_inertia = 0.5 * self.suspension.wheel_mass * self.suspension.wheel_radius ** 2
-        r2 = self.suspension.wheel_radius ** 2
-        for w in self.wheels:
-            w.contact_reduced_mass = 1.0 / (1.0 / w.corner_mass + r2 / self.wheel_inertia)
+        # static load split from the COM position over the wheelbase and track
+        front_share = min(0.9, max(0.1, (self.com[0] - xr) / self.wheelbase))
+        left_share = min(0.9, max(0.1, 0.5 + self.com[1] / self.track))
+        self.wheels = [self._build_wheel(name, front_share, left_share) for name in WHEEL_NAMES]
 
-    def _build_wheel(self, name: str) -> WheelConfig:
-        mount = self.wheel_mounts[name]
-        front = name[0] == "F"
+    def _build_wheel(self, name: str, front_share: float, left_share: float) -> WheelConfig:
+        susp, com, mount = self.suspension, self.com, self.wheel_mounts[name]
+        front, left = name[0] == "F", name[1] == "L"
+        mass = (self.total_mass * (front_share if front else 1.0 - front_share)
+                * (left_share if left else 1.0 - left_share))
+        k, b = suspension_coefficients(mass, susp.natural_frequency, susp.damping_ratio)
         drive = self.powertrain.drive_config
-        driven = drive == "AWD" or (drive == "FWD") == front
         return WheelConfig(
-            name=name,
             mount=mount,
-            driven=driven,
-            side=1 if name[1] == "L" else -1,
-            axle=0 if front else 1,
+            driven=drive == "AWD" or (drive == "FWD") == front,
+            side=1 if left else -1,
+            corner_mass=mass,
+            spring_k=k,
+            damper_b=b,
+            static_displacement=mass * GRAVITY / (susp.rest_length * k),
+            contact_reduced_mass=1.0 / (1.0 / mass + susp.wheel_radius ** 2 / self.wheel_inertia),
+            arm=(mount[0] - com[0], mount[1] - com[1], mount[2] - com[2]),
+            force_arm_z=(com[2] - mount[2] + susp.wheel_radius - susp.force_offset) - com[2],
         )
-
-    def _distribute_corner_masses(self) -> None:
-        """Static load split from COM position over the wheelbase and track."""
-        xf = sum(self.wheel_mounts[n][0] for n in ("FL", "FR")) / 2.0
-        xr = sum(self.wheel_mounts[n][0] for n in ("RL", "RR")) / 2.0
-        front_share = (self.com[0] - xr) / (xf - xr)
-        front_share = min(0.9, max(0.1, front_share))
-        half_track = self.steering.track / 2.0
-        left_share = min(0.9, max(0.1, 0.5 + self.com[1] / (2.0 * half_track)))
-        for w in self.wheels:
-            axle_share = front_share if w.axle == 0 else 1.0 - front_share
-            side_share = left_share if w.side > 0 else 1.0 - left_share
-            w.corner_mass = self.total_mass * axle_share * side_share
 
     # -- serialization ----------------------------------------------------
 
     def to_dict(self) -> dict:
-        return {"config_version": CONFIG_VERSION, **to_doc(self)}
+        return {"schema_version": VEHICLE_SCHEMA_VERSION, **to_doc(self)}
 
     @classmethod
     def from_dict(cls, doc: dict) -> "VehicleConfig":
-        version = doc.get("config_version")
-        if version != CONFIG_VERSION:
-            raise ConfigurationError(f"unsupported config_version {version!r}")
+        if doc.get("schema_version") != VEHICLE_SCHEMA_VERSION:
+            raise ConfigurationError(f"unsupported vehicle schema_version {doc.get('schema_version')!r}")
         return from_doc(cls, doc)
 
 
@@ -337,15 +316,11 @@ def default_vehicle_config() -> VehicleConfig:
             shift_down_rpm=2800.0,
             shift_time=0.3,
             rpm_smoothing_tau=0.25,
-            tire_radius=0.35,
         ),
         steering=SteeringParams(
             limit=0.55,
             sensitivity=0.8,
             speed_factor=0.6,
-            wheelbase=2.9,
-            track=1.56,
-            top_speed=30.0,
         ),
         brake=BrakeParams(
             disk_radius=0.18,

@@ -18,10 +18,10 @@ METERS_PER_MILE = 1609.344
 STANDSTILL_SPEED = 0.1  # m/s
 
 
-def transmission_map_rpm(speed_mps: float, tire_radius_m: float, fdr: float, gear_ratio: float) -> float:
+def transmission_map_rpm(speed_mps: float, wheel_radius_m: float, fdr: float, gear_ratio: float) -> float:
     """Engine RPM implied by vehicle speed through a given gear."""
     v_mph = abs(speed_mps) * 3600.0 / METERS_PER_MILE
-    r_in = tire_radius_m / METERS_PER_INCH
+    r_in = wheel_radius_m / METERS_PER_INCH
     wheel_rpm = v_mph * 5280.0 * 12.0 / (60.0 * 2.0 * math.pi * r_in)
     return wheel_rpm * fdr * abs(gear_ratio)
 
@@ -41,6 +41,7 @@ class PowertrainState:
 
 def powertrain_step(
     params: PowertrainParams,
+    wheel_radius: float,
     pt: PowertrainState,
     throttle: float,
     handbrake: float,
@@ -88,7 +89,7 @@ def powertrain_step(
                     pt.shift_timer = params.shift_time
         elif self_gear >= 1:
             map_rpm = transmission_map_rpm(
-                speed, params.tire_radius, params.final_drive, params.gear_ratios[self_gear])
+                speed, wheel_radius, params.final_drive, params.gear_ratios[self_gear])
             if map_rpm > params.shift_up_rpm and self_gear < params.top_forward_gear:
                 pt.gear = self_gear + 1
                 pt.shift_timer = params.shift_time

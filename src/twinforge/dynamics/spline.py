@@ -4,22 +4,35 @@ The curve runs from a zero knot (s0, f0) up to an extremum (se, fe) and back
 down to an asymptote knot (sa, fa). Segment 0 uses a natural end condition at
 s0 (zero second derivative) and zero slope at the extremum; segment 1 is
 clamped with zero slope at both the extremum and the asymptote. Evaluation
-outside [s0, sa] clamps to the nearest knot value.
+outside [s0, sa] clamps to the nearest knot value. Only the six knots are
+stored in a document; the cubics are fitted from them.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+
 import numpy as np
 
+from ..documents import ConfigurationError
 
+
+@dataclass
 class FrictionSpline:
-    def __init__(self, s0: float, f0: float, se: float, fe: float, sa: float, fa: float):
-        if not (s0 < se < sa):
-            raise ValueError(f"knots must satisfy s0 < se < sa, got {s0}, {se}, {sa}")
-        self.s0, self.f0 = float(s0), float(f0)
-        self.se, self.fe = float(se), float(fe)
-        self.sa, self.fa = float(sa), float(fa)
-        # Python floats: numpy scalars would slow every evaluation.
+    s0: float
+    f0: float
+    se: float
+    fe: float
+    sa: float
+    fa: float
+    # Python floats: numpy scalars would slow every evaluation.
+    _c0: tuple[float, float, float, float] = field(init=False, repr=False)
+    _c1: tuple[float, float, float, float] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        if not (self.s0 < self.se < self.sa):
+            raise ConfigurationError(
+                f"knots must satisfy s0 < se < sa, got {self.s0}, {self.se}, {self.sa}")
         self._c0 = self._fit_segment0()
         self._c1 = self._fit_segment1()
 
@@ -57,27 +70,3 @@ class FrictionSpline:
         else:
             a, b, c, d = self._c1
         return ((a * s + b) * s + c) * s + d
-
-    @property
-    def coefficients(self) -> dict:
-        """Both cubics as {a, b, c, d}, serialized with configs for reproducibility."""
-        keys = ("a", "b", "c", "d")
-        return {
-            "segment0": dict(zip(keys, self._c0)),
-            "segment1": dict(zip(keys, self._c1)),
-        }
-
-    def to_dict(self) -> dict:
-        return {
-            "knots": {
-                "zero": [self.s0, self.f0],
-                "extremum": [self.se, self.fe],
-                "asymptote": [self.sa, self.fa],
-            },
-            "coefficients": self.coefficients,
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "FrictionSpline":
-        k = doc["knots"]
-        return cls(*k["zero"], *k["extremum"], *k["asymptote"])

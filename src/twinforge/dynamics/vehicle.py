@@ -84,8 +84,8 @@ class Vehicle:
         self.drive_shares = tuple((0 if w.side > 0 else 1) if w.driven else -1
                                   for w in config.wheels)
         st = config.steering
-        self.steering_geometry = (st.limit, st.sensitivity, st.speed_factor, st.top_speed,
-                                  st.wheelbase, st.track)
+        self.steering_geometry = (st.limit, st.sensitivity, st.speed_factor, config.aero.top_speed,
+                                  config.wheelbase, config.track)
 
     # -- construction ------------------------------------------------------
 
@@ -165,7 +165,7 @@ class Vehicle:
         driven = self.driven
         wheel_rpm_avg = sum(wheel_omega[i] for i in driven) * RPM_PER_RAD_S / len(driven)
         tau_total = powertrain_step(
-            cfg.powertrain, state.pt, state.cmd_throttle, state.cmd_handbrake,
+            cfg.powertrain, radius, state.pt, state.cmd_throttle, state.cmd_handbrake,
             vx, wheel_rpm_avg, dt)
         tau_out = tau_total / len(driven)
         split = torque_split(tau_out, angle, cfg.powertrain.diff_torque_drop)

@@ -36,8 +36,6 @@ class TerrainQueryError(RuntimeError):
 
 @dataclass
 class EnvironmentCondition:
-    weather: str
-    time_of_day: str
     visibility: float
     ambient_light: float
     fog_density: float
@@ -52,7 +50,7 @@ def condition_derive(weather: str, time_of_day: str) -> EnvironmentCondition:
     light = TIME_LIGHT[time_of_day]
     fog = WEATHER_FOG[weather]
     visibility = min(1.0, max(0.0, light * WEATHER_VISIBILITY[weather]))
-    return EnvironmentCondition(weather, time_of_day, visibility, light, fog)
+    return EnvironmentCondition(visibility, light, fog)
 
 
 class TerrainHeightmap:

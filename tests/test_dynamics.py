@@ -1,21 +1,25 @@
 """Unit tests for the dynamics parameter machinery and force laws."""
 
+import dataclasses
 import hashlib
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from twinforge.dynamics import (
     ConfigurationError,
     FrictionSpline,
     SprungMass,
+    Vehicle,
     VehicleConfig,
     com_properties,
     default_vehicle_config,
     suspension_coefficients,
 )
+from twinforge.documents import from_doc, to_doc
 from twinforge.dynamics.config import GRAVITY, GEAR_NEUTRAL, GEAR_PARK, GEAR_REVERSE
 from twinforge.dynamics.forces import (
     ackermann_angles,
@@ -146,7 +150,7 @@ def test_config_document_is_pinned():
     doc = default_vehicle_config().to_dict()
     text = json.dumps(doc, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == \
-        "92b0701235a5d0af8cb0b72b053a9c9f7606d35342cdde7f3e17f238dceeab8d"
+        "7fcd84acecf2e67b64f487d49a8eeec03988f8f833d5f9e7a2c3b28804b3d2e7"
 
 
 def test_config_document_with_tire_stiffness_loads():
@@ -172,6 +176,74 @@ def test_config_missing_field_names_it(section, field, kind):
     del (doc[section] if section else doc)[field]
     with pytest.raises(ConfigurationError, match=f"{kind} document lacks {field}"):
         VehicleConfig.from_dict(doc)
+
+
+@pytest.mark.parametrize("section, change", [
+    ("suspension", {"natural_frequency": 0.0}),
+    ("suspension", {"wheel_radius": -0.35}),
+    ("powertrain", {"final_drive": 0.0}),
+    ("powertrain", {"shift_down_rpm": 7000.0}),
+    ("steering", {"limit": 0.0}),
+    ("brake", {"disk_radius": 0.0}),
+    ("aero", {"reverse_speed": 31.0}),
+])
+def test_a_section_with_a_bad_value_raises_at_construction(section, change):
+    with pytest.raises(ConfigurationError):
+        dataclasses.replace(getattr(default_vehicle_config(), section), **change)
+
+
+@pytest.mark.parametrize("mounts", [
+    {"FL": (-1.45, 0.78, -0.05), "FR": (-1.45, -0.78, -0.05),
+     "RL": (1.45, 0.78, -0.05), "RR": (1.45, -0.78, -0.05)},   # front axle behind
+    {"FL": (1.45, -0.78, -0.05), "FR": (1.45, 0.78, -0.05),
+     "RL": (-1.45, -0.78, -0.05), "RR": (-1.45, 0.78, -0.05)},  # FL right of FR
+])
+def test_mounts_without_positive_wheelbase_and_track_are_rejected(mounts):
+    with pytest.raises(ConfigurationError, match="wheelbase and track"):
+        dataclasses.replace(default_vehicle_config(), wheel_mounts=mounts)
+
+
+def test_wheelbase_and_track_come_from_the_mounts():
+    cfg = default_vehicle_config()
+    assert (cfg.wheelbase, cfg.track) == (2.9, 1.56)  # bit for bit the old stored values
+    doc = cfg.to_dict()
+    doc["wheel_mounts"]["RL"][0] = doc["wheel_mounts"]["RR"][0] = -1.75
+    longer = VehicleConfig.from_dict(doc)
+    assert longer.wheelbase == pytest.approx(3.2)
+    vehicle = Vehicle(longer)
+    assert vehicle.steering_geometry[3:] == (longer.aero.top_speed, longer.wheelbase, longer.track)
+    angle, left, right = steering_step(1.0, 0.3, 5.0, *vehicle.steering_geometry, 0.01)
+    assert (left, right) == ackermann_angles(angle, longer.wheelbase, longer.track)
+    assert (left, right) != ackermann_angles(angle, cfg.wheelbase, cfg.track)
+
+
+def test_the_document_stores_each_quantity_once():
+    doc = default_vehicle_config().to_dict()
+    assert doc["schema_version"] == 2
+    assert set(doc["steering"]) == {"limit", "sensitivity", "speed_factor"}
+    assert "tire_radius" not in doc["powertrain"]
+    assert doc["tires"] == {"s0": 0.0, "f0": 0.0, "se": 0.2, "fe": 1.0, "sa": 0.8, "fa": 0.6}
+
+
+def _perturbed(doc, data):
+    """`doc` with every float leaf scaled by its own factor in [0.9, 1.1]."""
+    if isinstance(doc, dict):
+        return {k: _perturbed(v, data) for k, v in doc.items()}
+    if isinstance(doc, list):
+        return [_perturbed(v, data) for v in doc]
+    if isinstance(doc, float):
+        return doc * data.draw(st.floats(0.9, 1.1))
+    return doc
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_a_perturbed_document_round_trips(data):
+    doc = _perturbed(to_doc(default_vehicle_config()), data)
+    cfg = from_doc(VehicleConfig, doc)
+    again = from_doc(VehicleConfig, json.loads(json.dumps(to_doc(cfg))))
+    assert again == cfg
+    assert to_doc(again) == doc
 
 
 def test_pedal_and_handbrake_add_on_the_rear_axle():
@@ -350,18 +422,15 @@ def test_spline_requires_ordered_knots():
 
 
 def test_spline_coefficients_are_python_floats():
-    # numpy scalars would slow every tire_forces call; the values, and so the
-    # vehicle document (test_config_document_is_pinned), are unchanged.
+    # numpy scalars would slow every tire_forces call; one evaluation on each
+    # segment shows that segment's cubic is plain floats.
     sp = default_vehicle_config().tires
-    coeffs = sp.coefficients
-    for seg in ("segment0", "segment1"):
-        assert all(type(c) is float for c in coeffs[seg].values())
     assert type(sp(0.05)) is float and type(sp(0.5)) is float
 
 
 def test_spline_serialization_roundtrip():
     sp = FrictionSpline(0.0, 0.0, 0.25, 0.9, 0.7, 0.5)
-    sp2 = FrictionSpline.from_dict(sp.to_dict())
+    sp2 = from_doc(FrictionSpline, json.loads(json.dumps(to_doc(sp))))
     for s in np.linspace(-0.1, 1.0, 50):
         assert sp(float(s)) == sp2(float(s))
 
@@ -465,6 +534,9 @@ def _params():
     return default_vehicle_config().powertrain
 
 
+RADIUS = default_vehicle_config().suspension.wheel_radius
+
+
 def test_transmission_map_hand_value():
     # 60 MPH, 0.4 m tire, combined ratio 4
     v60 = 60.0 * 1609.344 / 3600.0
@@ -479,7 +551,7 @@ def test_standstill_goes_neutral_at_idle():
     params = _params()
     pt = PowertrainState(engine_rpm=params.idle_rpm, gear=1)
     for _ in range(200):
-        tau = powertrain_step(params, pt, 0.0, 0.0, 0.0, 0.0, 0.01)
+        tau = powertrain_step(params, RADIUS, pt, 0.0, 0.0, 0.0, 0.0, 0.01)
     assert pt.gear == GEAR_NEUTRAL
     assert tau == 0.0
     assert pt.engine_rpm == pytest.approx(params.idle_rpm, rel=1e-6)
@@ -488,20 +560,20 @@ def test_standstill_goes_neutral_at_idle():
 def test_zero_throttle_zero_torque():
     params = _params()
     pt = PowertrainState(engine_rpm=4000.0, gear=2)
-    tau = powertrain_step(params, pt, 0.0, 0.0, 15.0, 1500.0, 0.01)
+    tau = powertrain_step(params, RADIUS, pt, 0.0, 0.0, 15.0, 1500.0, 0.01)
     assert tau == 0.0
 
 
 def test_standstill_handbrake_goes_park():
     params = _params()
     pt = PowertrainState(engine_rpm=params.idle_rpm, gear=GEAR_NEUTRAL)
-    powertrain_step(params, pt, 0.0, 1.0, 0.0, 0.0, 0.01)
+    powertrain_step(params, RADIUS, pt, 0.0, 1.0, 0.0, 0.0, 0.01)
     assert pt.gear == GEAR_PARK
     # park persists while the handbrake is held
-    powertrain_step(params, pt, 0.0, 1.0, 0.0, 0.0, 0.01)
+    powertrain_step(params, RADIUS, pt, 0.0, 1.0, 0.0, 0.0, 0.01)
     assert pt.gear == GEAR_PARK
     # release at standstill -> neutral
-    powertrain_step(params, pt, 0.0, 0.0, 0.0, 0.0, 0.01)
+    powertrain_step(params, RADIUS, pt, 0.0, 0.0, 0.0, 0.0, 0.01)
     assert pt.gear == GEAR_NEUTRAL
 
 
@@ -510,19 +582,19 @@ def test_drive_reverse_passes_through_neutral():
     pt = PowertrainState(engine_rpm=params.idle_rpm, gear=GEAR_NEUTRAL)
     gears = [pt.gear]
     # launch forward
-    powertrain_step(params, pt, 0.5, 0.0, 0.0, 0.0, 0.01)
+    powertrain_step(params, RADIUS, pt, 0.5, 0.0, 0.0, 0.0, 0.01)
     gears.append(pt.gear)
     assert pt.gear == 1
     # request reverse while rolling forward: must drop to neutral first
     pt.direction_request = -1
-    powertrain_step(params, pt, 0.2, 0.0, 3.0, 300.0, 0.01)
+    powertrain_step(params, RADIUS, pt, 0.2, 0.0, 3.0, 300.0, 0.01)
     gears.append(pt.gear)
     assert pt.gear == GEAR_NEUTRAL
     # still moving: reverse refused
-    powertrain_step(params, pt, 0.2, 0.0, 3.0, 300.0, 0.01)
+    powertrain_step(params, RADIUS, pt, 0.2, 0.0, 3.0, 300.0, 0.01)
     assert pt.gear == GEAR_NEUTRAL
     # at standstill reverse engages
-    powertrain_step(params, pt, 0.2, 0.0, 0.0, 0.0, 0.01)
+    powertrain_step(params, RADIUS, pt, 0.2, 0.0, 0.0, 0.0, 0.01)
     assert pt.gear == GEAR_REVERSE
     # no adjacent drive<->reverse transition ever appeared
     for a, b in zip(gears, gears[1:]):
@@ -533,16 +605,16 @@ def test_shift_zeroes_torque_for_shift_duration():
     params = _params()
     pt = PowertrainState(engine_rpm=3000.0, gear=1)
     # fast enough that gear 1 maps far above the upshift threshold
-    tau = powertrain_step(params, pt, 1.0, 0.0, 20.0, 1500.0, 0.01)
+    tau = powertrain_step(params, RADIUS, pt, 1.0, 0.0, 20.0, 1500.0, 0.01)
     assert pt.gear == 2
     assert tau == 0.0
     steps_zero = 1
     while pt.shift_timer > 0.0:
-        tau = powertrain_step(params, pt, 1.0, 0.0, 20.0, 1500.0, 0.01)
+        tau = powertrain_step(params, RADIUS, pt, 1.0, 0.0, 20.0, 1500.0, 0.01)
         if tau == 0.0:
             steps_zero += 1
     assert steps_zero >= int(params.shift_time / 0.01)
-    tau = powertrain_step(params, pt, 1.0, 0.0, 20.0, 1500.0, 0.01)
+    tau = powertrain_step(params, RADIUS, pt, 1.0, 0.0, 20.0, 1500.0, 0.01)
     assert tau > 0.0
 
 
@@ -552,9 +624,9 @@ def test_rpm_tracks_wheel_speed_target():
     ratio = params.gear_ratios[2]
     # speed/wheel RPM consistent with rolling at 20 m/s: inside gear 2's band
     speed = 20.0
-    wheel_rpm = speed / params.tire_radius * 60.0 / (2.0 * math.pi)
+    wheel_rpm = speed / RADIUS * 60.0 / (2.0 * math.pi)
     for _ in range(2000):
-        powertrain_step(params, pt, 0.5, 0.0, speed, wheel_rpm, 0.01)
+        powertrain_step(params, RADIUS, pt, 0.5, 0.0, speed, wheel_rpm, 0.01)
     assert pt.gear == 2
     target = params.idle_rpm + wheel_rpm * params.final_drive * ratio
     assert pt.engine_rpm == pytest.approx(target, rel=1e-3)

@@ -99,6 +99,18 @@ def _bad_scenario_kind(bundle):
     bundle["scenario"]["terrain"]["kind"] = "lunar"
 
 
+def _version_1_vehicle_doc():
+    """Version 1 stored wheelbase, track, tire_radius and a second top_speed,
+    and the spline as named knots."""
+    doc = default_vehicle_config().to_dict()
+    del doc["schema_version"]
+    doc["config_version"] = 1
+    doc["steering"].update(wheelbase=2.9, track=1.56, top_speed=30.0)
+    doc["powertrain"]["tire_radius"] = 0.35
+    doc["tires"] = {"knots": {"zero": [0.0, 0.0], "extremum": [0.2, 1.0], "asymptote": [0.8, 0.6]}}
+    return doc
+
+
 @pytest.mark.parametrize("edit, error", [
     (_drop_preset_field,
      "ConfigurationError: PerceptionModelPreset document lacks min_pixel_area"),
@@ -128,10 +140,15 @@ def _bad_scenario_kind(bundle):
      "ScenarioError: obstacle moose0 extents must be three positive numbers"),
     (lambda b: b["sim"].update(contact_window=-1.0),
      "ValueError: need contact_window >= 0, got -1.0"),
+    (lambda b: b.update(vehicle=_version_1_vehicle_doc()),
+     "ConfigurationError: unsupported vehicle schema_version None"),
+    (lambda b: b.update(vehicle={**_version_1_vehicle_doc(), "schema_version": 2}),
+     "ConfigurationError: FrictionSpline document lacks s0, f0, se, fe, sa, fa"),
 ], ids=["preset-missing-field", "model-without-preset", "bad-scenario-kind", "zero-t-max",
         "negative-dt", "zero-dt", "zero-max-decel", "zero-perception-period", "zero-cell",
         "obstacle-without-ahead", "obstacle-without-extents", "spawn-without-x", "string-dt",
-        "bool-dt", "fractional-perception-period", "two-extents", "negative-contact-window"])
+        "bool-dt", "fractional-perception-period", "two-extents", "negative-contact-window",
+        "vehicle-version-1", "vehicle-spline-as-knots"])
 def test_rejected_bundle_is_a_failed_result(edit, error):
     bundle = _bundle("default")
     edit(bundle)

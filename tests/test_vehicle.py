@@ -3,12 +3,14 @@
 import hashlib
 import math
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from twinforge.dynamics import SimulationFault, Vehicle, default_vehicle_config
 from twinforge.dynamics.config import GEAR_PARK, GRAVITY
+from twinforge.dynamics.powertrain import transmission_map_rpm
 from twinforge.environment import TerrainHeightmap
 from twinforge.se3 import quat_to_matrix
 
@@ -103,6 +105,23 @@ def test_full_throttle_accelerates_and_shifts(vehicle, flat_terrain):
         gears.add(st.pt.gear)
     assert st.forward_speed > 15.0
     assert {1, 2} <= gears
+
+
+def test_upshift_follows_the_suspension_wheel_radius(flat_terrain):
+    cfg = default_vehicle_config()
+    cfg = replace(cfg, suspension=replace(cfg.suspension, wheel_radius=0.40))
+    pt = cfg.powertrain
+    vehicle = Vehicle(cfg)
+    st = vehicle.spawn_state(flat_terrain, 0.0, 0.0, 0.0)
+    speeds = []  # forward speed at the start of each step spent in gear 1
+    while st.pt.gear != 2:
+        assert len(speeds) < 3000
+        if st.pt.gear == 1 and st.pt.shift_timer == 0.0:
+            speeds.append(st.forward_speed)
+        st.set_commands(1.0, 0.0, 0.0, 0.0)
+        vehicle.step(st, flat_terrain, DT)
+    rpm = [transmission_map_rpm(v, 0.40, pt.final_drive, pt.gear_ratios[1]) for v in speeds[-2:]]
+    assert rpm[0] <= pt.shift_up_rpm < rpm[1]
 
 
 def test_braking_stops_near_planner_model(vehicle, flat_terrain):
@@ -270,8 +289,7 @@ def test_plant_trajectory_digest(drive, digest):
     heights = np.random.default_rng(3).normal(0.0, 0.15, (101, 301))
     terrain = TerrainHeightmap(heights, 2.0, (-100.0, -100.0))
     cfg = default_vehicle_config()
-    cfg.powertrain.drive_config = drive
-    cfg.finalize()
+    cfg = replace(cfg, powertrain=replace(cfg.powertrain, drive_config=drive))
     vehicle = Vehicle(cfg)
     st = vehicle.spawn_state(terrain, 0.0, 0.0, 0.0)
     h = hashlib.sha256()
