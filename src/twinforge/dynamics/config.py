@@ -4,6 +4,10 @@ by the integrator. Each quantity is stored once: wheelbase and track come from
 the wheel mounts, the tire radius is the suspension's wheel radius and the
 top speed is the aero section's.
 
+The plant drives forward only, in neutral or gears 1..top. A version-2 document
+with park or reverse gear ratios or the two reverse aero keys drives the same
+plant: those gears are never looked up and keys that name no field are ignored.
+
 All units SI (m, kg, s, N, rad) except where the transmission map needs
 MPH/inches internally; that conversion lives in powertrain.py.
 """
@@ -22,9 +26,7 @@ VEHICLE_SCHEMA_VERSION = 2
 
 WHEEL_NAMES = ("FL", "FR", "RL", "RR")
 
-# Gear codes used throughout the powertrain state machine.
-GEAR_PARK = -2
-GEAR_REVERSE = -1
+# Gear code of neutral; forward gears are 1..top.
 GEAR_NEUTRAL = 0
 
 
@@ -100,7 +102,7 @@ class SuspensionParams:
 class PowertrainParams:
     torque_curve: list[tuple[float, float]]  # (rpm, N*m), piecewise linear
     idle_rpm: float
-    gear_ratios: dict[int, float]            # gear code -> ratio (reverse negative)
+    gear_ratios: dict[int, float]            # gear code -> ratio
     final_drive: float
     drive_config: str                        # FWD | RWD | AWD
     diff_torque_drop: float                  # 1/rad
@@ -113,23 +115,23 @@ class PowertrainParams:
     def __post_init__(self):
         if self.final_drive <= 0:
             raise ConfigurationError("final_drive must be > 0")
+        rpms = [r for r, _ in self.torque_curve]
+        if not rpms or not all(a < b for a, b in zip(rpms, rpms[1:])):
+            raise ConfigurationError("engine torque curve needs strictly increasing rpm knots")
         if any(t < 0 for _, t in self.torque_curve):
             raise ConfigurationError("engine torque curve must be nonnegative")
         if not self.shift_down_rpm < self.shift_up_rpm:
             raise ConfigurationError("shift_down_rpm must be below shift_up_rpm")
         if self.drive_config not in ("FWD", "RWD", "AWD"):
             raise ConfigurationError(f"unknown drive_config {self.drive_config!r}")
-        for g in (GEAR_PARK, GEAR_REVERSE, GEAR_NEUTRAL, 1):
-            if g not in self.gear_ratios:
-                raise ConfigurationError(f"gear_ratios missing gear {g}")
-        # shifts step one gear at a time, so forward gears must be 1..top
-        for g in range(2, self.top_forward_gear):
+        # launch from neutral into gear 1, then shift one gear at a time
+        for g in range(GEAR_NEUTRAL, self.top_forward_gear + 1):
             if g not in self.gear_ratios:
                 raise ConfigurationError(f"gear_ratios missing gear {g}")
 
     @property
     def top_forward_gear(self) -> int:
-        return max(g for g in self.gear_ratios if g >= 1)
+        return max((g for g in self.gear_ratios if g >= 1), default=1)
 
     def engine_torque(self, rpm: float) -> float:
         """Piecewise-linear lookup, clamped to the curve ends."""
@@ -171,19 +173,15 @@ class BrakeParams:
 @dataclass
 class AeroParams:
     drag_max: float       # N, at/above top speed
-    drag_idle: float      # N, coasting / nominal
-    drag_reverse: float   # N, reverse overspeed
+    drag_idle: float      # N, below top speed
     top_speed: float      # m/s
-    reverse_speed: float  # m/s
     angular_drag: float   # N*m*s/rad
     downforce_coeff: float  # N*s/m
 
     def __post_init__(self):
-        for name in ("drag_max", "drag_idle", "drag_reverse", "angular_drag", "downforce_coeff"):
+        for name in ("drag_max", "drag_idle", "angular_drag", "downforce_coeff"):
             if getattr(self, name) < 0:
                 raise ConfigurationError(f"aero {name} must be >= 0")
-        if self.reverse_speed > self.top_speed:
-            raise ConfigurationError("reverse_speed must not exceed top_speed")
 
 
 @dataclass
@@ -306,8 +304,7 @@ def default_vehicle_config() -> VehicleConfig:
             torque_curve=[(800.0, 90.0), (2000.0, 110.0), (3500.0, 130.0),
                           (5000.0, 145.0), (7000.0, 150.0), (8500.0, 120.0)],
             idle_rpm=1100.0,
-            gear_ratios={GEAR_PARK: 0.0, GEAR_REVERSE: -2.9, GEAR_NEUTRAL: 0.0,
-                         1: 2.9, 2: 1.8, 3: 1.2, 4: 0.9},
+            gear_ratios={GEAR_NEUTRAL: 0.0, 1: 2.9, 2: 1.8, 3: 1.2, 4: 0.9},
             final_drive=4.5,
             drive_config="AWD",
             diff_torque_drop=0.5,
@@ -329,9 +326,7 @@ def default_vehicle_config() -> VehicleConfig:
         aero=AeroParams(
             drag_max=2600.0,
             drag_idle=220.0,
-            drag_reverse=1200.0,
             top_speed=30.0,
-            reverse_speed=8.0,
             angular_drag=120.0,
             downforce_coeff=8.0,
         ),

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 
 from ..se3 import clamp
-from .config import GRAVITY, GEAR_REVERSE
+from .config import GRAVITY
 
 
 def suspension_step(
@@ -130,13 +130,11 @@ def wheel_brake_torques(
     disk_radius: float,
     braking_distance: float,
     pedal: float,
-    handbrake: float,
 ) -> tuple[float, float, float, float]:
     """Per-wheel brake torques in (FL, FR, RL, RR) order.
 
-    Each wheel's torque magnitude is m·v²/(2·d)·r for its corner mass m at
-    speed v, braking distance d and disk radius r. The pedal brakes all
-    wheels; the handbrake acts on the rear axle only.
+    Each wheel's torque magnitude is pedal·m·v²/(2·d)·r for its corner mass m
+    at speed v, braking distance d and disk radius r.
     """
     two_d = 2.0 * braking_distance
     m_fl, m_fr, m_rl, m_rr = corner_masses
@@ -144,7 +142,7 @@ def wheel_brake_torques(
     fr = m_fr * speed * speed / two_d * disk_radius
     rl = m_rl * speed * speed / two_d * disk_radius
     rr = m_rr * speed * speed / two_d * disk_radius
-    return (pedal * fl, pedal * fr, pedal * rl + handbrake * rl, pedal * rr + handbrake * rr)
+    return (pedal * fl, pedal * fr, pedal * rl, pedal * rr)
 
 
 def tire_forces(
@@ -184,35 +182,21 @@ def tire_forces(
     return f_x, f_y
 
 
-def aero_drag(speed: float, tau_out: float, gear: int, wheel_rpm: float, params) -> float:
-    """Air drag magnitude from the first matching row of the operating-condition
-    table: top speed, coasting, reverse overspeed, nominal."""
-    if speed >= params.top_speed:
-        return params.drag_max
-    if tau_out == 0.0:
-        return params.drag_idle
-    if speed >= params.reverse_speed and gear == GEAR_REVERSE and wheel_rpm < 0.0:
-        return params.drag_reverse
-    return params.drag_idle
-
-
 def aero_forces(
     velocity_body: tuple[float, float, float],
     omega_body: tuple[float, float, float],
-    tau_out: float,
-    gear: int,
-    wheel_rpm: float,
     params,
     eps_v: float = 0.1,
 ) -> tuple[tuple[float, float, float], tuple[float, float, float], float]:
     """Drag force opposing motion, angular drag torque, downforce magnitude.
 
-    The drag direction is undefined at rest, so its magnitude tapers to zero
-    below eps_v.
+    The drag magnitude is drag_max at or above top speed, else drag_idle. Its
+    direction is undefined at rest, so the magnitude tapers to zero below
+    eps_v.
     """
     vx, vy, vz = velocity_body
     speed = math.sqrt(vx * vx + vy * vy + vz * vz)
-    magnitude = aero_drag(speed, tau_out, gear, wheel_rpm, params)
+    magnitude = params.drag_max if speed >= params.top_speed else params.drag_idle
     if speed > 1e-12:
         scale = magnitude * clamp(speed / eps_v, 0.0, 1.0) / speed
         drag = (-vx * scale, -vy * scale, -vz * scale)

@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass
 
 from ..se3 import clamp
-from .config import GEAR_NEUTRAL, GEAR_PARK, GEAR_REVERSE, PowertrainParams
+from .config import GEAR_NEUTRAL, PowertrainParams
 
 METERS_PER_INCH = 0.0254
 METERS_PER_MILE = 1609.344
@@ -36,7 +36,6 @@ class PowertrainState:
     engine_rpm: float
     gear: int = GEAR_NEUTRAL
     shift_timer: float = 0.0
-    direction_request: int = 1  # +1 forward, -1 reverse
 
 
 def powertrain_step(
@@ -44,57 +43,38 @@ def powertrain_step(
     wheel_radius: float,
     pt: PowertrainState,
     throttle: float,
-    handbrake: float,
     speed: float,
     wheel_rpm_avg: float,
     dt: float,
 ) -> float:
     """Advance gear/RPM state, return total drivetrain torque.
 
-    Gear policy: neutral at standstill, park at standstill with the
-    handbrake, drive<->reverse only through neutral, zero torque while a
-    shift is in progress, and up/down shifts decided against the
-    transmission map thresholds.
+    Gear policy, forward only: neutral at standstill without throttle, gear 1
+    from neutral on throttle, zero torque while a shift is in progress, and
+    up/down shifts one gear at a time, decided against the transmission map
+    thresholds. The gear therefore stays in {neutral, 1..top}.
     """
-    # a direction-change request drops to neutral immediately, cancelling any
-    # shift in progress; drive<->reverse never happens directly
-    if pt.gear >= 1 and pt.direction_request < 0:
-        pt.gear = GEAR_NEUTRAL
-        pt.shift_timer = 0.0
-    elif pt.gear == GEAR_REVERSE and pt.direction_request > 0:
-        pt.gear = GEAR_NEUTRAL
-        pt.shift_timer = 0.0
-
     shifting = pt.shift_timer > 0.0
     if shifting:
         pt.shift_timer = max(0.0, pt.shift_timer - dt)
 
     standstill = abs(speed) < STANDSTILL_SPEED and abs(wheel_rpm_avg) < 30.0
     if not shifting:
-        self_gear = pt.gear
-        if standstill and handbrake >= 0.5:
-            pt.gear = GEAR_PARK
-        elif standstill and throttle <= 1e-3:
+        gear = pt.gear
+        if standstill and throttle <= 1e-3:
             pt.gear = GEAR_NEUTRAL
-        elif self_gear == GEAR_PARK:
-            if handbrake < 0.5 and standstill:
-                pt.gear = GEAR_NEUTRAL
-        elif self_gear == GEAR_NEUTRAL:
+        elif gear == GEAR_NEUTRAL:
             if throttle > 1e-3:
-                if pt.direction_request >= 0:
-                    pt.gear = 1
-                    pt.shift_timer = params.shift_time
-                elif standstill:
-                    pt.gear = GEAR_REVERSE
-                    pt.shift_timer = params.shift_time
-        elif self_gear >= 1:
-            map_rpm = transmission_map_rpm(
-                speed, wheel_radius, params.final_drive, params.gear_ratios[self_gear])
-            if map_rpm > params.shift_up_rpm and self_gear < params.top_forward_gear:
-                pt.gear = self_gear + 1
+                pt.gear = 1
                 pt.shift_timer = params.shift_time
-            elif map_rpm < params.shift_down_rpm and self_gear > 1:
-                pt.gear = self_gear - 1
+        else:
+            map_rpm = transmission_map_rpm(
+                speed, wheel_radius, params.final_drive, params.gear_ratios[gear])
+            if map_rpm > params.shift_up_rpm and gear < params.top_forward_gear:
+                pt.gear = gear + 1
+                pt.shift_timer = params.shift_time
+            elif map_rpm < params.shift_down_rpm and gear > 1:
+                pt.gear = gear - 1
                 pt.shift_timer = params.shift_time
 
     ratio = params.gear_ratios[pt.gear]

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 
 from ..se3 import Mat3, Vec3, clamp, quat_from_euler_zyx, quat_integrate, quat_to_matrix, rotate
-from .config import GEAR_PARK, GRAVITY, VehicleConfig
+from .config import GRAVITY, VehicleConfig
 from .forces import (
     aero_forces,
     antiroll_forces,
@@ -35,7 +35,7 @@ class VehicleState:
         "pos", "quat", "vel", "omega",
         "wheel_z", "wheel_zdot", "wheel_omega", "wheel_compression", "wheel_grounded",
         "pt", "steer_angle",
-        "cmd_throttle", "cmd_steer", "cmd_brake", "cmd_handbrake",
+        "cmd_throttle", "cmd_steer", "cmd_brake",
     )
 
     def __init__(self):
@@ -53,13 +53,11 @@ class VehicleState:
         self.cmd_throttle = 0.0
         self.cmd_steer = 0.0
         self.cmd_brake = 0.0
-        self.cmd_handbrake = 0.0
 
-    def set_commands(self, throttle: float, steer: float, brake: float, handbrake: float) -> None:
+    def set_commands(self, throttle: float, steer: float, brake: float) -> None:
         self.cmd_throttle = clamp(throttle, 0.0, 1.0)
         self.cmd_steer = clamp(steer, -1.0, 1.0)
         self.cmd_brake = clamp(brake, 0.0, 1.0)
-        self.cmd_handbrake = 1.0 if handbrake >= 0.5 else 0.0
 
     @property
     def speed(self) -> float:
@@ -165,13 +163,11 @@ class Vehicle:
         driven = self.driven
         wheel_rpm_avg = sum(wheel_omega[i] for i in driven) * RPM_PER_RAD_S / len(driven)
         tau_total = powertrain_step(
-            cfg.powertrain, radius, state.pt, state.cmd_throttle, state.cmd_handbrake,
-            vx, wheel_rpm_avg, dt)
+            cfg.powertrain, radius, state.pt, state.cmd_throttle, vx, wheel_rpm_avg, dt)
         tau_out = tau_total / len(driven)
         split = torque_split(tau_out, angle, cfg.powertrain.diff_torque_drop)
         brake = wheel_brake_torques(self.corner_masses, vx, cfg.brake.disk_radius,
-                                    cfg.brake.braking_distance_60mph,
-                                    state.cmd_brake, state.cmd_handbrake)
+                                    cfg.brake.braking_distance_60mph, state.cmd_brake)
 
         fx_sum = fy_sum = fz_sum = 0.0
         tx_sum = ty_sum = tz_sum = 0.0
@@ -258,9 +254,7 @@ class Vehicle:
             tz_sum += rx * bfy - ry * bfx
 
         # aerodynamics
-        drag, ang_drag, downforce = aero_forces(
-            (vx, vy, vz), (ox, oy, oz), tau_out, state.pt.gear, wheel_rpm_avg,
-            cfg.aero, eps_v)
+        drag, ang_drag, downforce = aero_forces((vx, vy, vz), (ox, oy, oz), cfg.aero, eps_v)
         fx_sum += drag[0]
         fy_sum += drag[1]
         fz_sum += drag[2] - downforce
@@ -275,10 +269,10 @@ class Vehicle:
         fz_sum += m2 * 0.0 + m5 * 0.0 + m8 * g
 
         # low-speed brake hold: kills the quadratic brake law's creep tail
-        if state.cmd_brake > 0.05 or state.cmd_handbrake >= 0.5:
+        if state.cmd_brake > 0.05:
             sp = math.sqrt(vx * vx + vy * vy + vz * vz)
             if 0.0 < sp < cfg.standstill_brake_speed:
-                cap = cfg.standstill_brake_decel * max(state.cmd_brake, state.cmd_handbrake)
+                cap = cfg.standstill_brake_decel * state.cmd_brake
                 a_hold = min(sp / dt, cap) * mass / sp
                 fx_sum -= vx * a_hold
                 fy_sum -= vy * a_hold
@@ -311,20 +305,17 @@ class Vehicle:
 
         # wheel spin (brake torque pulls toward zero but cannot cross it)
         i_w = cfg.wheel_inertia
-        if state.pt.gear == GEAR_PARK:
-            wheel_omega[:] = [0.0] * len(wheel_omega)
-        else:
-            for i, share in enumerate(self.drive_shares):
-                drive = split[share] if share >= 0 else 0.0
-                w_spin = wheel_omega[i] + dt * (drive - radius * tire_fx[i]) / i_w
-                cap = dt * brake[i] / i_w
-                if w_spin > cap:
-                    w_spin -= cap
-                elif w_spin < -cap:
-                    w_spin += cap
-                else:
-                    w_spin = 0.0
-                wheel_omega[i] = w_spin
+        for i, share in enumerate(self.drive_shares):
+            drive = split[share] if share >= 0 else 0.0
+            w_spin = wheel_omega[i] + dt * (drive - radius * tire_fx[i]) / i_w
+            cap = dt * brake[i] / i_w
+            if w_spin > cap:
+                w_spin -= cap
+            elif w_spin < -cap:
+                w_spin += cap
+            else:
+                w_spin = 0.0
+            wheel_omega[i] = w_spin
 
         total = (npx + npy + npz
                  + nvx + nvy + nvz + nox + noy + noz

@@ -228,7 +228,7 @@ class Episode:
                     throttle, brake = longitudinal_control(
                         "brake" if self.planner.braking else "cruise", state.forward_speed,
                         cruise_speed, cruise_kp)
-                state.set_commands(throttle, 0.0, brake, 0.0)
+                state.set_commands(throttle, 0.0, brake)
                 self.vehicle.step(state, self.scenario.terrain, dt)
                 steps += 1
                 t = steps * dt
@@ -285,7 +285,7 @@ class Episode:
         return TelemetryRecord(
             t, position[0], position[1], position[2], euler[0], euler[1], euler[2],
             state.forward_speed, state.cmd_throttle, state.cmd_steer, state.cmd_brake,
-            state.cmd_handbrake, state.pt.gear, state.pt.engine_rpm, len(detections),
+            0.0, state.pt.gear, state.pt.engine_rpm, len(detections),  # 0.0: handbrake_cmd
             best.confidence if best else 0.0, best.area if best else 0.0,
             1 if self.planner.braking else 0, dtc, collision_count, self.lights)
 
