@@ -14,6 +14,7 @@ MPH/inches internally; that conversion lives in powertrain.py.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -129,7 +130,7 @@ class PowertrainParams:
             if g not in self.gear_ratios:
                 raise ConfigurationError(f"gear_ratios missing gear {g}")
 
-    @property
+    @functools.cached_property  # first read in __post_init__, then an attribute
     def top_forward_gear(self) -> int:
         return max((g for g in self.gear_ratios if g >= 1), default=1)
 

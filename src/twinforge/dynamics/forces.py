@@ -163,22 +163,23 @@ def tire_forces(
     zero the contact's relative velocity within one step (keeps the stiff
     wheel-slip coupling stable under explicit integration).
     """
-    # Comparisons and clamp stand in for the max and min builtins (the tapers
-    # are >= 0): the same results for finite inputs, at a fraction of the cost.
+    # Comparisons stand in for the max and min builtins (the tapers are >= 0) and
+    # for `clamp`: the same results for finite inputs, at a fraction of the cost.
     speed_x = abs(v_x)
     denom = speed_x if speed_x >= eps_v else eps_v
     roll = wheel_radius * wheel_omega
     rel = roll - v_x
     f_x = f_y = 0.0
     if rel != 0.0:
-        taper = abs(roll) if abs(roll) > speed_x else speed_x
-        f_x = math.copysign(spline(abs(rel / denom)), rel) * normal_load * clamp(
-            taper / eps_v, 0.0, 1.0)
-        f_x = clamp(f_x, -lon_force_cap, lon_force_cap)
+        taper = (abs(roll) if abs(roll) > speed_x else speed_x) / eps_v
+        f_x = math.copysign(spline(abs(rel / denom)), rel) * normal_load * (
+            (taper if taper < 1.0 else 1.0) if taper > 0.0 else 0.0)
+        f_x = f_x if f_x > -lon_force_cap else -lon_force_cap
+        f_x = f_x if f_x < lon_force_cap else lon_force_cap
     if v_y != 0.0:
-        taper = abs(v_y) if abs(v_y) > speed_x else speed_x
-        f_y = -math.copysign(spline(abs(v_y / denom)), v_y) * normal_load * clamp(
-            taper / eps_v, 0.0, 1.0)
+        taper = (abs(v_y) if abs(v_y) > speed_x else speed_x) / eps_v
+        f_y = -math.copysign(spline(abs(v_y / denom)), v_y) * normal_load * (
+            (taper if taper < 1.0 else 1.0) if taper > 0.0 else 0.0)
     return f_x, f_y
 
 

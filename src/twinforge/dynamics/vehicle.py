@@ -31,8 +31,11 @@ class SimulationFault(RuntimeError):
 
 
 class VehicleState:
+    """The plant's state. `rot` is `quat_to_matrix(quat)`, set with `quat` by
+    `spawn_state` and `Vehicle.step` and read by the step and `origin_pose`."""
+
     __slots__ = (
-        "pos", "quat", "vel", "omega",
+        "pos", "quat", "rot", "vel", "omega",
         "wheel_z", "wheel_zdot", "wheel_omega", "wheel_compression", "wheel_grounded",
         "pt", "steer_angle",
         "cmd_throttle", "cmd_steer", "cmd_brake",
@@ -41,6 +44,7 @@ class VehicleState:
     def __init__(self):
         self.pos = [0.0, 0.0, 0.0]        # world COM position
         self.quat = (1.0, 0.0, 0.0, 0.0)  # world-from-body
+        self.rot = quat_to_matrix(self.quat)
         self.vel = [0.0, 0.0, 0.0]        # body-frame COM velocity
         self.omega = [0.0, 0.0, 0.0]      # body-frame angular velocity
         self.wheel_z = [0.0] * 4          # hub heights, world frame (FL FR RL RR)
@@ -104,7 +108,7 @@ class Vehicle:
         strut = cfg.suspension.wheel_radius + cfg.suspension.rest_length - static_comp
         origin_z = ground + strut * math.cos(pitch) * math.cos(roll) - mount_z_body
         com = cfg.com
-        m = quat_to_matrix(st.quat)
+        m = st.rot = quat_to_matrix(st.quat)
         com_w = rotate(m, com)
         st.pos = [x + com_w[0], y + com_w[1], origin_z + com_w[2]]
         for i, w in enumerate(cfg.wheels):
@@ -117,8 +121,8 @@ class Vehicle:
         return st
 
     def origin_pose(self, state: VehicleState) -> tuple[Mat3, Vec3]:
-        """World-from-body rotation and the world position of the config origin."""
-        m = quat_to_matrix(state.quat)
+        """The state's world-from-body matrix and the world position of the config origin."""
+        m = state.rot
         shift = rotate(m, self.cfg.com)
         px, py, pz = state.pos
         return m, (px - shift[0], py - shift[1], pz - shift[2])
@@ -141,8 +145,7 @@ class Vehicle:
         susp = cfg.suspension
         consts = self.wheel_consts
         mass = cfg.total_mass
-        m = quat_to_matrix(state.quat)
-        m0, m1, m2, m3, m4, m5, m6, m7, m8 = m
+        m0, m1, m2, m3, m4, m5, m6, m7, m8 = state.rot
         px, py, pz = state.pos
         vx, vy, vz = state.vel
         ox, oy, oz = state.omega
@@ -150,24 +153,32 @@ class Vehicle:
         wheel_omega = state.wheel_omega
         radius = susp.wheel_radius
 
-        # steering
-        angle, d_left, d_right = steering_step(
-            state.cmd_steer, state.steer_angle, vx, *self.steering_geometry, dt)
-        state.steer_angle = angle
+        # steering; steering_step gives 0.0 for all three angles at a zero command and angle
+        if state.cmd_steer == 0.0 and state.steer_angle == 0.0:
+            angle = d_left = d_right = state.steer_angle = 0.0
+        else:
+            angle, d_left, d_right = steering_step(
+                state.cmd_steer, state.steer_angle, vx, *self.steering_geometry, dt)
+            state.steer_angle = angle
         # (cos, sin) of each wheel's steer angle; cos(±0) = 1 and sin(±0) = ±0.
         wheel_trig = ((math.cos(d_left), math.sin(d_left)) if d_left else (1.0, d_left),
                       (math.cos(d_right), math.sin(d_right)) if d_right else (1.0, d_right),
                       (1.0, 0.0), (1.0, 0.0))
 
-        # powertrain: one wheel's share of the total, then the differential
+        # powertrain: one wheel's share of the total, then the differential (a no-op at 0 rad)
         driven = self.driven
-        wheel_rpm_avg = sum(wheel_omega[i] for i in driven) * RPM_PER_RAD_S / len(driven)
+        spin_sum = 0.0
+        for i in driven:
+            spin_sum += wheel_omega[i]
+        wheel_rpm_avg = spin_sum * RPM_PER_RAD_S / len(driven)
         tau_total = powertrain_step(
             cfg.powertrain, radius, state.pt, state.cmd_throttle, vx, wheel_rpm_avg, dt)
         tau_out = tau_total / len(driven)
-        split = torque_split(tau_out, angle, cfg.powertrain.diff_torque_drop)
-        brake = wheel_brake_torques(self.corner_masses, vx, cfg.brake.disk_radius,
-                                    cfg.brake.braking_distance_60mph, state.cmd_brake)
+        split = (torque_split(tau_out, angle, cfg.powertrain.diff_torque_drop) if angle
+                 else (tau_out, tau_out))
+        brake = (wheel_brake_torques(self.corner_masses, vx, cfg.brake.disk_radius,
+                                     cfg.brake.braking_distance_60mph, state.cmd_brake)
+                 if state.cmd_brake else (0.0, 0.0, 0.0, 0.0))  # what a zero pedal gives
 
         fx_sum = fy_sum = fz_sum = 0.0
         tx_sum = ty_sum = tz_sum = 0.0
@@ -302,6 +313,7 @@ class Vehicle:
         state.vel = [nvx, nvy, nvz]
         state.omega = [nox, noy, noz]
         q = state.quat = quat_integrate(state.quat, (nox, noy, noz), dt)
+        state.rot = quat_to_matrix(q)
 
         # wheel spin (brake torque pulls toward zero but cannot cross it)
         i_w = cfg.wheel_inertia

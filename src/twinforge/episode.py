@@ -64,8 +64,12 @@ class SimParams:
     def __post_init__(self):
         if not 0.0 < self.dt <= self.t_max < math.inf:
             raise ValueError(f"need 0 < dt <= t_max < inf, got dt={self.dt}, t_max={self.t_max}")
-        if not self.contact_window >= 0.0:
-            raise ValueError(f"need contact_window >= 0, got {self.contact_window}")
+        for name in ("post_stop_grace", "contact_window"):
+            value = getattr(self, name)
+            if not value >= 0.0:
+                raise ValueError(f"need {name} >= 0, got {value}")
+            if value == math.inf:
+                raise ValueError(f"need a finite {name}, got {value}")
 
 
 def default_bundle(case_id: str = "adhoc", model: str = "v3", weather: str = "clear",
@@ -152,8 +156,8 @@ class Episode:
 
     # -- helpers ---------------------------------------------------------------
 
-    def _perceive(self, state):
-        cam_world = pose_matrix(*self.vehicle.origin_pose(state)) @ self.camera_mount
+    def _perceive(self, pose):
+        cam_world = pose_matrix(*pose) @ self.camera_mount
         view = camera_matrices(cam_world)
         cam_pos = cam_world[:3, 3]
         views = []
@@ -198,6 +202,7 @@ class Episode:
         dt = self.sim.dt
         sx, sy, syaw = self.scenario.spawn
         state = self.vehicle.spawn_state(self.scenario.terrain, sx, sy, syaw)
+        pose = self.vehicle.origin_pose(state)  # the state's pose, updated after each step
         log = TelemetryLog() if self.collect_telemetry else None
 
         detections: list = []
@@ -220,7 +225,7 @@ class Episode:
         try:
             for i in range(max_steps):
                 if i % perception_period == 0:
-                    detections, dtc_estimate = self._perceive(state)
+                    detections, dtc_estimate = self._perceive(pose)
                     self.planner.plan(detections, dtc_estimate, state.forward_speed)
                 if self.planner.finished and not self.planner.braking:
                     throttle, brake = 0.0, 0.0  # mission over, coast
@@ -247,7 +252,7 @@ class Episode:
                                                  collision_count))
 
                 if self.full_scans and steps % 50 == 0:
-                    self._dump_scan(state, t, scan_lines)
+                    self._dump_scan(pose, t, scan_lines)
 
                 if self.planner.finished:
                     hold_elapsed += dt
@@ -268,7 +273,7 @@ class Episode:
             points = lidar_scan_3d(
                 replace(self.lidar, theta_min=-0.6, theta_max=0.6, theta_res=0.05),
                 angle_grid(-0.3, 0.3, 0.05),
-                pose_matrix(*self.vehicle.origin_pose(state)) @ self.lidar_mount,
+                pose_matrix(*pose) @ self.lidar_mount,
                 self._raycaster())
             scan_dump += "\n# spatial scan (sensor frame)\n" + point_cloud_ascii(points)
 
@@ -289,9 +294,9 @@ class Episode:
             best.confidence if best else 0.0, best.area if best else 0.0,
             1 if self.planner.braking else 0, dtc, collision_count, self.lights)
 
-    def _dump_scan(self, state, t: float, lines: list[str]) -> None:
-        pose = pose_matrix(*self.vehicle.origin_pose(state)) @ self.lidar_mount
-        ranges = lidar_scan_2d(self.lidar, pose, self._raycaster())
+    def _dump_scan(self, pose, t: float, lines: list[str]) -> None:
+        lidar_world = pose_matrix(*pose) @ self.lidar_mount
+        ranges = lidar_scan_2d(self.lidar, lidar_world, self._raycaster())
         head = " ".join(f"{r:.4f}" if math.isfinite(r) else "inf" for r in ranges)
         lines.append(f"t={t:.2f} {head}")
 

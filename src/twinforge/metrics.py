@@ -9,17 +9,16 @@ from __future__ import annotations
 
 import hashlib
 import math
-import operator
-from dataclasses import dataclass, fields
-from typing import get_type_hints
+from dataclasses import dataclass
+from typing import NamedTuple, get_type_hints
 
 
 class TelemetryError(RuntimeError):
     pass
 
 
-@dataclass
-class TelemetryRecord:
+class TelemetryRecord(NamedTuple):
+    """One row per physics step; `to_csv` formats the tuple as it stands."""
     t: float
     pos_x: float
     pos_y: float
@@ -45,13 +44,12 @@ class TelemetryRecord:
 
 # The record's fields are the CSV schema: its names are the columns, in
 # order, and each annotation is the type that `parse_csv` converts back to.
-TELEMETRY_COLUMNS = tuple(f.name for f in fields(TelemetryRecord))
+TELEMETRY_COLUMNS = TelemetryRecord._fields
 _COLUMN_TYPES = tuple(map(get_type_hints(TelemetryRecord).__getitem__, TELEMETRY_COLUMNS))
 
-# One %-template per row: "%.6f" writes inf, -inf and nan as "inf", "-inf"
-# and "nan"; "%d" truncates like int().
+# One %-template per row, applied to the record itself: "%.6f" writes inf,
+# -inf and nan as "inf", "-inf" and "nan"; "%d" truncates like int().
 _ROW_TEMPLATE = ",".join({float: "%.6f", int: "%d", str: "%s"}[kind] for kind in _COLUMN_TYPES)
-_row_values = operator.attrgetter(*TELEMETRY_COLUMNS)
 
 
 class TelemetryLog:
@@ -68,7 +66,7 @@ class TelemetryLog:
         self.records.append(record)
 
     def to_csv(self) -> str:
-        rows = [_ROW_TEMPLATE % _row_values(rec) for rec in self.records]
+        rows = [_ROW_TEMPLATE % rec for rec in self.records]
         # One join, with "" for the final newline: no second copy of the text.
         return "\n".join([",".join(TELEMETRY_COLUMNS), *rows, ""])
 

@@ -74,6 +74,9 @@ def validate_scenario_doc(doc: dict) -> None:
     for key in ("name", "terrain", "spawn", "obstacles", "cruise_speed"):
         if key not in doc:
             raise ScenarioError(f"scenario missing field {key!r}")
+    speed = doc["cruise_speed"]
+    if not (type(speed) in (int, float) and 0.0 < speed < math.inf):
+        raise ScenarioError(f"cruise_speed must be a finite number > 0, got {speed!r}")
     if doc["terrain"].get("kind") not in ("rolling", "upslope", "flat"):
         raise ScenarioError(f"unknown terrain kind {doc['terrain'].get('kind')!r}")
     if "cell" in doc["terrain"] and not float(doc["terrain"]["cell"]) > 0.0:

@@ -4,6 +4,8 @@ Everything here works on plain floats and tuples so that the per-step
 integration loop never touches numpy (array construction overhead dominates
 at 3-vector sizes); only pose_matrix builds a numpy 4x4, for the camera and
 LIDAR. Quaternions are (w, x, y, z); rotation matrices are row-major 9-tuples.
+The plant builds one matrix per step and keeps it on the vehicle state beside
+its quaternion, for the step, the pose and the sensors to share.
 """
 
 from __future__ import annotations

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -659,6 +660,27 @@ def test_split_straight_ahead_equal():
     assert left == right == 100.0
     left, right = torque_split(400.0 / 2, 0.0, 0.5)  # FWD or RWD
     assert left == right == 200.0
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+# Vehicle.step skips these three calls at a zero steer command and angle, a
+# zero angle and a zero pedal; what it uses instead must be their results bit
+# for bit. The brake torques hold while the unbraked torque m·v²/(2·d)·r is
+# finite, since 0·inf is nan.
+@settings(deadline=None)
+@given(_FINITE, _FINITE, _FINITE, st.tuples(*[st.floats(1e-3, 1e4)] * 4),
+       st.floats(-1e3, 1e3), st.floats(1e-3, 1.0), st.floats(1e-3, 1e3))
+def test_the_calls_the_step_skips_return_what_it_uses(tau, drop, speed, masses, v,
+                                                      disk_radius, distance):
+    def bits(values):
+        return struct.pack(f"<{len(values)}d", *values)
+
+    assert bits(torque_split(tau, 0.0, drop)) == bits((tau, tau))
+    assert bits(wheel_brake_torques(masses, v, disk_radius, distance, 0.0)) == bits((0.0,) * 4)
+    geometry = Vehicle(default_vehicle_config()).steering_geometry
+    assert bits(steering_step(0.0, 0.0, speed, *geometry, 0.01)) == bits((0.0,) * 3)
 
 
 def test_split_drop_clamped_at_09():

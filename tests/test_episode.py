@@ -41,6 +41,21 @@ def test_pinned_episode_digest(scenario, steps, digest):
     assert res.log.digest() == digest
 
 
+@pytest.mark.parametrize("model, weather, lights, digest", [
+    ("v2_tiny", "heavy_snow", "low_beam",
+     "d58afc35b0628156730e1e45bc4964ae7daeb21691bd3140839bdd4c634e4b6f"),
+    ("v3", "thick_fog", "high_beam_plus_fog",
+     "833cb034ae5afb13dff9745c416bd1b53c5a346fb5c7f22fd0b53437a0e9cc23"),
+])
+def test_pinned_collision_digest(model, weather, lights, digest):
+    res = run_case(default_bundle(f"default/{model}/{weather}/00:00", model, weather, "00:00",
+                                  seed=1))
+    assert (res.status, res.terminal, res.steps) == ("done", "collision", 1031)
+    assert not res.verdict.passed
+    assert {r.lights for r in res.log.records} == {lights}
+    assert res.log.digest() == digest
+
+
 def test_pinned_scan_digest():
     bundle = _bundle("default")
     bundle["sim"]["t_max"] = 5.0
@@ -140,6 +155,16 @@ def _version_1_vehicle_doc():
      "ScenarioError: obstacle moose0 extents must be three positive numbers"),
     (lambda b: b["sim"].update(contact_window=-1.0),
      "ValueError: need contact_window >= 0, got -1.0"),
+    (lambda b: b["sim"].update(contact_window=math.inf),
+     "ValueError: need a finite contact_window, got inf"),
+    (lambda b: b["sim"].update(post_stop_grace=math.nan),
+     "ValueError: need post_stop_grace >= 0, got nan"),
+    (lambda b: b["sim"].update(post_stop_grace=-1.0),
+     "ValueError: need post_stop_grace >= 0, got -1.0"),
+    (lambda b: b["sim"].update(post_stop_grace=math.inf),
+     "ValueError: need a finite post_stop_grace, got inf"),
+    (lambda b: b["scenario"].update(cruise_speed=math.nan),
+     "ScenarioError: cruise_speed must be a finite number > 0, got nan"),
     (lambda b: b.update(vehicle=_version_1_vehicle_doc()),
      "ConfigurationError: unsupported vehicle schema_version None"),
     (lambda b: b.update(vehicle={**_version_1_vehicle_doc(), "schema_version": 2}),
@@ -148,7 +173,9 @@ def _version_1_vehicle_doc():
         "negative-dt", "zero-dt", "zero-max-decel", "zero-perception-period", "zero-cell",
         "obstacle-without-ahead", "obstacle-without-extents", "spawn-without-x", "string-dt",
         "bool-dt", "fractional-perception-period", "two-extents", "negative-contact-window",
-        "vehicle-version-1", "vehicle-spline-as-knots"])
+        "infinite-contact-window", "nan-post-stop-grace", "negative-post-stop-grace",
+        "infinite-post-stop-grace", "nan-cruise-speed", "vehicle-version-1",
+        "vehicle-spline-as-knots"])
 def test_rejected_bundle_is_a_failed_result(edit, error):
     bundle = _bundle("default")
     edit(bundle)
@@ -271,3 +298,4 @@ def test_timeout_duration_does_not_drift():
     res = run_case(bundle)
     assert (res.terminal, res.steps) == ("timeout", 2031)
     assert res.duration == 20.31
+    assert res.log.digest() == "1c52d49e16a94c2aa4beab05d8ce5893ec0c6f0d2c7438ab2df3dc4dbac45aa8"

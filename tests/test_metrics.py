@@ -184,16 +184,15 @@ def test_evaluate_verdict_on_a_hand_built_log():
     rng = np.random.default_rng(25)
     rows = []
     for t, dtc, aeb, collisions in ((0.01, 12.0, 0, 0), (0.02, 4.5, 1, 0), (0.03, 0.75, 1, 0)):
-        rec = _record(t, rng)
-        rec.dtc, rec.aeb_active, rec.collision_count = dtc, aeb, collisions
-        rows.append(rec)
+        rows.append(_record(t, rng)._replace(dtc=dtc, aeb_active=aeb,
+                                             collision_count=collisions))
     v = evaluate_verdict(rows, "case-a")
     assert (v.case_id, v.passed, v.collision_count, v.aeb_triggered) == ("case-a", True, 0, True)
     assert (v.min_dtc, v.stop_margin, v.duration) == (0.75, 0.75, 0.03)
 
     # A collision on the last row: failed, and the margin is the worst penetration.
-    rows[1].dtc = -0.5
-    rows[2].collision_count = 1
+    rows[1] = rows[1]._replace(dtc=-0.5)
+    rows[2] = rows[2]._replace(collision_count=1)
     v = evaluate_verdict(rows, "case-b")
     assert (v.passed, v.collision_count, v.min_dtc, v.stop_margin) == (False, 1, -0.5, -0.5)
 

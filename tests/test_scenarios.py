@@ -1,6 +1,7 @@
 """Scenario documents: the built-ins, obstacle placement and rejection."""
 
 import json
+import math
 
 import pytest
 
@@ -61,7 +62,12 @@ def _doc(edit):
     (lambda d: d.update(schema_version=2), "unsupported scenario schema_version 2"),
     (lambda d: d["terrain"].update(kind="lunar"), "unknown terrain kind 'lunar'"),
     (lambda d: d["obstacles"][0].update(ahead=5000.0), "obstacle moose0 placed off-terrain"),
-], ids=["bad-version", "bad-kind", "off-terrain-obstacle"])
+    *[(lambda d, v=v: d.update(cruise_speed=v),
+       rf"cruise_speed must be a finite number > 0, got {v!r}")
+      for v in (math.nan, math.inf, 0.0, -11.1, "11.1", True)],
+], ids=["bad-version", "bad-kind", "off-terrain-obstacle", "nan-cruise-speed",
+        "infinite-cruise-speed", "zero-cruise-speed", "negative-cruise-speed",
+        "string-cruise-speed", "bool-cruise-speed"])
 def test_bad_document_raises_scenario_error(edit, message):
     with pytest.raises(ScenarioError, match=message):
         build_scenario(_doc(edit), FRONT)

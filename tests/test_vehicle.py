@@ -12,6 +12,7 @@ from twinforge.dynamics import SimulationFault, Vehicle, default_vehicle_config
 from twinforge.dynamics.config import GEAR_NEUTRAL, GRAVITY
 from twinforge.dynamics.powertrain import transmission_map_rpm
 from twinforge.environment import TerrainHeightmap
+from twinforge.scenarios import build_terrain
 from twinforge.se3 import quat_to_matrix
 
 DT = 0.01
@@ -301,3 +302,22 @@ def test_plant_trajectory_digest(drive, digest):
         h.update(_plant_blob(st))
     assert st.pt.gear == GEAR_NEUTRAL
     assert h.hexdigest() == digest
+
+
+def test_the_state_carries_the_matrix_of_its_quaternion(vehicle):
+    # the step and origin_pose read state.rot in place of quat_to_matrix(state.quat)
+    terrain = build_terrain({"kind": "rolling"}, 0.0)
+    st = vehicle.spawn_state(terrain, 0.0, 0.0, 0.1)
+
+    def bits(m):
+        return struct.pack("<9d", *m)
+
+    assert bits(st.rot) == bits(quat_to_matrix(st.quat))
+    braked = 0
+    for k in range(1500):
+        st.set_commands(0.7 if k < 900 else 0.0, 0.0, 0.0 if k < 900 else 1.0)
+        vehicle.step(st, terrain, DT)
+        assert bits(st.rot) == bits(quat_to_matrix(st.quat)), k
+        assert vehicle.origin_pose(st)[0] is st.rot
+        braked += st.cmd_brake > 0.0 and st.speed > 0.1
+    assert braked > 100 and st.speed < 0.1
