@@ -13,10 +13,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Annotated
 
 import numpy as np
 
-from .documents import ConfigurationError, from_doc, to_doc
+from .documents import (ConfigurationError, Count, Finite, Fraction, NonNegative, Positive, Range,
+                        Section, from_doc, to_doc)
 from .se3 import clamp
 
 AUTONOMY_SCHEMA_VERSION = 1
@@ -40,19 +42,13 @@ STANDSTILL_SPEED = 0.05  # m/s, releases the AEB latch
 
 
 @dataclass(frozen=True)
-class PerceptionModelPreset:
-    base_detect_rate: float
-    range_halflife: float      # m
-    low_light_penalty: float   # in [0, 1]
-    confidence_mean: float
-    confidence_spread: float
-    min_pixel_area: float      # px^2
-
-    def __post_init__(self):
-        for name in ("base_detect_rate", "low_light_penalty", "confidence_mean", "confidence_spread"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {v}")
+class PerceptionModelPreset(Section):
+    base_detect_rate: Fraction
+    range_halflife: Positive   # m
+    low_light_penalty: Fraction
+    confidence_mean: Fraction
+    confidence_spread: Fraction
+    min_pixel_area: NonNegative  # px^2
 
 
 @dataclass
@@ -63,31 +59,23 @@ class Detection:
 
 
 @dataclass
-class AebConfig:
+class AebConfig(Section):
     threat_classes: tuple[str, ...] = ("moose",)
-    min_confidence: float = 0.5
-    min_area: float = 400.0
-    persistence_frames: int = 3
-    fos: float = 1.5
-    max_decel: float = 6.0         # planner's stopping-distance model, m/s^2
-    range_to_dtc_offset: float = 1.5  # camera-range minus front-face DTC, m
-
-    def __post_init__(self):
-        if self.persistence_frames < 1:
-            raise ValueError("persistence_frames must be >= 1")
-        if self.fos < 1.0:
-            raise ValueError("fos must be >= 1")
-        if not self.max_decel > 0.0:
-            raise ValueError("max_decel must be > 0")
+    min_confidence: Fraction = 0.5
+    min_area: NonNegative = 400.0
+    persistence_frames: Count = 3
+    fos: Annotated[float, Range(ge=1.0)] = 1.5
+    max_decel: Positive = 6.0          # planner's stopping-distance model, m/s^2
+    range_to_dtc_offset: Finite = 1.5  # camera-range minus front-face DTC, m
 
 
 @dataclass
-class ControlParams:
-    cruise_kp: float = 0.2  # throttle per m/s of cruise-speed error
+class ControlParams(Section):
+    cruise_kp: Positive = 0.2  # throttle per m/s of cruise-speed error
 
 
 @dataclass
-class AutonomyConfig:
+class AutonomyConfig(Section):
     """The autonomy section of a case bundle."""
     presets: dict[str, PerceptionModelPreset] = field(default_factory=lambda: {
         "v3": PerceptionModelPreset(0.95, 60.0, 0.25, 0.85, 0.12, 350.0),
@@ -97,13 +85,9 @@ class AutonomyConfig:
     })
     aeb: AebConfig = field(default_factory=AebConfig)
     control: ControlParams = field(default_factory=ControlParams)
-    perception_period_steps: int = 10   # plant steps per perception frame
-    assumed_frontal_area: float = 4.3   # m^2, for the pinhole range estimate
-    false_positive_rate: float = 0.008  # per frame, well under the 1% budget
-
-    def __post_init__(self):
-        if self.perception_period_steps < 1:
-            raise ValueError("perception_period_steps must be >= 1")
+    perception_period_steps: Count = 10  # plant steps per perception frame
+    assumed_frontal_area: Positive = 4.3  # m^2, for the pinhole range estimate
+    false_positive_rate: Fraction = 0.008  # per frame, well under the 1% budget
 
 
 def effective_visibility(condition, lights: str) -> float:

@@ -1,4 +1,5 @@
-"""Config documents: one walk between dataclasses and JSON-able dicts.
+"""Config documents: one walk between dataclasses and JSON-able dicts, and one
+rule for the range of every number in them.
 
 Every section of a case bundle (vehicle, autonomy, sensors, sim), down to
 the tire spline, is a dataclass that `to_doc` writes and `from_doc` reads
@@ -14,21 +15,84 @@ back. The rule:
 The field type hints drive the reading: a dataclass recurses, `dict` keys are
 cast to the key type, and lists and tuples (fixed or `tuple[T, ...]`) are
 rebuilt. A `float`, `int`, `str` or `bool` leaf must have that type (an `int`
-passes as a `float`, as in JSON; a `bool` never passes as a number), else
-`ConfigurationError` names its `Class.field`.
+passes as a `float`, as in JSON, and is stored as one; a `bool` never passes as
+a number), else `ConfigurationError` names its `Class.field`.
+
+Each number of a section declares its range on its type, as
+`Annotated[float, Range(...)]` or an alias below, on a field or on the items of
+a tuple, list or dict field. It must be finite and inside its range: NaN, ±inf
+and an int beyond the float range never pass. `Section.__post_init__` checks
+every declared range, of a value read from a document or built in code alike,
+and raises `ConfigurationError` naming `Class.field`.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import MISSING, fields, is_dataclass
-from typing import get_args, get_origin, get_type_hints
+import math
+import sys
+from dataclasses import MISSING, dataclass, fields, is_dataclass
+from typing import Annotated, get_args, get_origin, get_type_hints
 
-_type_hints = functools.cache(get_type_hints)  # each call compiles every string annotation
+_FLOAT_MAX = sys.float_info.max
 
 
 class ConfigurationError(ValueError):
     """Raised when a configuration document or value violates its invariants."""
+
+
+@dataclass(frozen=True)
+class Range:
+    """gt < x and ge <= x <= le; the defaults admit every finite number."""
+    gt: float = -math.inf
+    ge: float = -_FLOAT_MAX
+    le: float = _FLOAT_MAX
+
+    def admits(self, x) -> bool:  # int-float comparisons are exact, so no int overflows
+        return (isinstance(x, (int, float)) and not isinstance(x, bool)
+                and self.gt < x and self.ge <= x <= self.le)
+
+    def __str__(self) -> str:
+        bounds = [f"{op} {b:g}" for op, b, free in ((">", self.gt, -math.inf),
+                  (">=", self.ge, -_FLOAT_MAX), ("<=", self.le, _FLOAT_MAX)) if b != free]
+        return " ".join(["a finite number", " and ".join(bounds)]).rstrip()
+
+
+Finite = Annotated[float, Range()]
+Positive = Annotated[float, Range(gt=0.0)]
+NonNegative = Annotated[float, Range(ge=0.0)]
+Fraction = Annotated[float, Range(ge=0.0, le=1.0)]
+Count = Annotated[int, Range(ge=1)]
+
+
+def _check(hint, value, where: str) -> None:
+    """Raise unless each number in `value` is inside the range `hint` declares for it."""
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is Annotated:
+        if not args[1].admits(value):
+            raise ConfigurationError(f"{where} must be {args[1]}, got {value!r}")
+    elif origin is dict:
+        for v in value.values():
+            _check(args[1], v, where)
+    elif origin in (list, tuple):
+        each = origin is list or args[-1] is Ellipsis  # else one hint per item
+        for a, v in zip(args[:1] * len(value) if each else args, value):
+            _check(a, v, where)
+
+
+@functools.cache
+def _init_fields(cls) -> tuple:
+    """(name, hint with its ranges, "Class.name") of each init field of `cls`."""
+    hints = get_type_hints(cls, include_extras=True)
+    return tuple((f.name, hints[f.name], f"{cls.__name__}.{f.name}") for f in fields(cls) if f.init)
+
+
+class Section:
+    """Base of the config dataclasses: construction checks every declared range."""
+
+    def __post_init__(self):
+        for name, hint, where in _init_fields(type(self)):
+            _check(hint, getattr(self, name), where)
 
 
 def to_doc(value):
@@ -45,26 +109,27 @@ def to_doc(value):
 def from_doc(kind, doc, where: str = ""):
     """Inverse of `to_doc`, driven by the type hints of `kind`; `where` names
     the field being read, for the error on a scalar of the wrong type."""
+    if get_origin(kind) is Annotated:
+        kind = get_args(kind)[0]
     if is_dataclass(kind):
         missing = [f.name for f in fields(kind) if f.init and f.name not in doc
                    and f.default is MISSING and f.default_factory is MISSING]
         if missing:
             raise ConfigurationError(f"{kind.__name__} document lacks {', '.join(missing)}")
-        hints = _type_hints(kind)
-        return kind(**{f.name: from_doc(hints[f.name], doc[f.name], f"{kind.__name__}.{f.name}")
-                       for f in fields(kind) if f.init and f.name in doc})
+        return kind(**{name: from_doc(hint, doc[name], at)
+                       for name, hint, at in _init_fields(kind) if name in doc})
     if kind in (float, int, str, bool):
         if isinstance(doc, bool) is not (kind is bool) or not isinstance(
                 doc, (int, float) if kind is float else kind):
             raise ConfigurationError(f"{where or kind.__name__} must be {kind.__name__}, got {doc!r}")
-        return doc
+        # an int beyond the float range stays an int and fails its field's range
+        return float(doc) if kind is float and -_FLOAT_MAX <= doc <= _FLOAT_MAX else doc
     origin, args = get_origin(kind), get_args(kind)
     if origin is dict:
         return {args[0](k): from_doc(args[1], v, where) for k, v in doc.items()}
-    if origin is list:
-        return [from_doc(args[0], v, where) for v in doc]
-    if origin is tuple and args[-1] is Ellipsis:
-        return tuple(from_doc(args[0], v, where) for v in doc)
-    if origin is tuple:
-        return tuple(from_doc(a, v, where) for a, v in zip(args, doc, strict=True))
+    if origin in (list, tuple):
+        each = origin is list or args[-1] is Ellipsis
+        items = [from_doc(a, v, where)
+                 for a, v in zip(args[:1] * len(doc) if each else args, doc, strict=True)]
+        return items if origin is list else tuple(items)
     return doc

@@ -1,4 +1,4 @@
-"""Fixed-timestep 6-DOF vehicle dynamics."""
+"""Fixed-timestep 6-DOF vehicle dynamics; the names below are the package's API."""
 
 from ..documents import ConfigurationError
 from .config import (
@@ -17,21 +17,3 @@ from .config import (
 from .spline import FrictionSpline
 from .vehicle import SimulationFault, Vehicle, VehicleState
 
-__all__ = [
-    "AeroParams",
-    "BrakeParams",
-    "ConfigurationError",
-    "FootprintParams",
-    "FrictionSpline",
-    "PowertrainParams",
-    "SimulationFault",
-    "SprungMass",
-    "SteeringParams",
-    "SuspensionParams",
-    "Vehicle",
-    "VehicleConfig",
-    "VehicleState",
-    "com_properties",
-    "default_vehicle_config",
-    "suspension_coefficients",
-]

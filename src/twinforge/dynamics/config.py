@@ -18,7 +18,7 @@ import functools
 import math
 from dataclasses import dataclass, field
 
-from ..documents import ConfigurationError, from_doc, to_doc
+from ..documents import ConfigurationError, Finite, NonNegative, Positive, Section, from_doc, to_doc
 from .spline import FrictionSpline
 
 GRAVITY = 9.81
@@ -32,9 +32,9 @@ GEAR_NEUTRAL = 0
 
 
 @dataclass(frozen=True)
-class SprungMass:
-    mass: float
-    position: tuple[float, float, float]
+class SprungMass(Section):
+    mass: Positive
+    position: tuple[Finite, Finite, Finite]
 
 
 def com_properties(entries: list[SprungMass]) -> tuple[float, tuple, tuple]:
@@ -45,9 +45,6 @@ def com_properties(entries: list[SprungMass]) -> tuple[float, tuple, tuple]:
     """
     if not entries:
         raise ConfigurationError("sprung mass set is empty")
-    for e in entries:
-        if e.mass <= 0.0:
-            raise ConfigurationError(f"nonpositive sprung mass {e.mass}")
     total = sum(e.mass for e in entries)
     cx = sum(e.mass * e.position[0] for e in entries) / total
     cy = sum(e.mass * e.position[1] for e in entries) / total
@@ -77,50 +74,35 @@ def suspension_coefficients(mass: float, natural_frequency: float, damping_ratio
 
 
 @dataclass
-class SuspensionParams:
-    natural_frequency: float  # rad/s
-    damping_ratio: float
-    rest_length: float        # equilibrium point Z0, m
-    force_offset: float       # Zf, m
-    antiroll_stiffness: float
-    wheel_mass: float
-    wheel_radius: float
-
-    def __post_init__(self):
-        if self.natural_frequency <= 0:
-            raise ConfigurationError("suspension natural_frequency must be > 0")
-        if self.damping_ratio < 0:
-            raise ConfigurationError("suspension damping_ratio must be >= 0")
-        if self.wheel_radius <= 0:
-            raise ConfigurationError("wheel_radius must be > 0")
-        if self.antiroll_stiffness < 0:
-            raise ConfigurationError("antiroll_stiffness must be >= 0")
-        if self.rest_length <= 0:
-            raise ConfigurationError("rest_length must be > 0")
+class SuspensionParams(Section):
+    natural_frequency: Positive  # rad/s
+    damping_ratio: NonNegative
+    rest_length: Positive        # equilibrium point Z0, m
+    force_offset: Finite         # Zf, m
+    antiroll_stiffness: NonNegative
+    wheel_mass: Positive
+    wheel_radius: Positive
 
 
 @dataclass
-class PowertrainParams:
-    torque_curve: list[tuple[float, float]]  # (rpm, N*m), piecewise linear
-    idle_rpm: float
-    gear_ratios: dict[int, float]            # gear code -> ratio
-    final_drive: float
-    drive_config: str                        # FWD | RWD | AWD
-    diff_torque_drop: float                  # 1/rad
-    throttle_smoothing_gain: float
-    shift_up_rpm: float
-    shift_down_rpm: float
-    shift_time: float
-    rpm_smoothing_tau: float
+class PowertrainParams(Section):
+    torque_curve: list[tuple[Finite, NonNegative]]  # (rpm, N*m), piecewise linear
+    idle_rpm: Positive
+    gear_ratios: dict[int, Finite]  # gear code -> ratio
+    final_drive: Positive
+    drive_config: str               # FWD | RWD | AWD
+    diff_torque_drop: NonNegative   # 1/rad
+    throttle_smoothing_gain: NonNegative
+    shift_up_rpm: Positive
+    shift_down_rpm: Positive
+    shift_time: NonNegative
+    rpm_smoothing_tau: Positive
 
     def __post_init__(self):
-        if self.final_drive <= 0:
-            raise ConfigurationError("final_drive must be > 0")
+        super().__post_init__()
         rpms = [r for r, _ in self.torque_curve]
         if not rpms or not all(a < b for a, b in zip(rpms, rpms[1:])):
             raise ConfigurationError("engine torque curve needs strictly increasing rpm knots")
-        if any(t < 0 for _, t in self.torque_curve):
-            raise ConfigurationError("engine torque curve must be nonnegative")
         if not self.shift_down_rpm < self.shift_up_rpm:
             raise ConfigurationError("shift_down_rpm must be below shift_up_rpm")
         if self.drive_config not in ("FWD", "RWD", "AWD"):
@@ -149,47 +131,32 @@ class PowertrainParams:
 
 
 @dataclass
-class SteeringParams:
-    limit: float        # rad
-    sensitivity: float  # rad/s
-    speed_factor: float # rad/s
-
-    def __post_init__(self):
-        if self.limit <= 0:
-            raise ConfigurationError("steering limit must be > 0")
+class SteeringParams(Section):
+    limit: Positive            # rad
+    sensitivity: NonNegative   # rad/s
+    speed_factor: NonNegative  # rad/s
 
 
 @dataclass
-class BrakeParams:
-    disk_radius: float
-    braking_distance_60mph: float
-
-    def __post_init__(self):
-        if self.disk_radius <= 0:
-            raise ConfigurationError("brake disk_radius must be > 0")
-        if self.braking_distance_60mph <= 0:
-            raise ConfigurationError("braking_distance_60mph must be > 0")
+class BrakeParams(Section):
+    disk_radius: Positive
+    braking_distance_60mph: Positive
 
 
 @dataclass
-class AeroParams:
-    drag_max: float       # N, at/above top speed
-    drag_idle: float      # N, below top speed
-    top_speed: float      # m/s
-    angular_drag: float   # N*m*s/rad
-    downforce_coeff: float  # N*s/m
-
-    def __post_init__(self):
-        for name in ("drag_max", "drag_idle", "angular_drag", "downforce_coeff"):
-            if getattr(self, name) < 0:
-                raise ConfigurationError(f"aero {name} must be >= 0")
+class AeroParams(Section):
+    drag_max: NonNegative       # N, at/above top speed
+    drag_idle: NonNegative      # N, below top speed
+    top_speed: Positive         # m/s
+    angular_drag: NonNegative   # N*m*s/rad
+    downforce_coeff: NonNegative  # N*s/m
 
 
 @dataclass
-class FootprintParams:
-    length: float
-    width: float
-    center_x: float  # body-frame x of footprint center
+class FootprintParams(Section):
+    length: Positive
+    width: Positive
+    center_x: Finite  # body-frame x of footprint center
 
 
 @dataclass(frozen=True)
@@ -208,7 +175,7 @@ class WheelConfig:
 
 
 @dataclass
-class VehicleConfig:
+class VehicleConfig(Section):
     sprung_masses: list[SprungMass]
     suspension: SuspensionParams
     powertrain: PowertrainParams
@@ -216,11 +183,11 @@ class VehicleConfig:
     brake: BrakeParams
     aero: AeroParams
     tires: FrictionSpline
-    wheel_mounts: dict[str, tuple[float, float, float]]
+    wheel_mounts: dict[str, tuple[Finite, Finite, Finite]]
     footprint: FootprintParams
-    slip_speed_guard: float = 0.1   # eps_v, m/s
-    standstill_brake_decel: float = 7.5  # m/s^2 at full pedal, low-speed hold
-    standstill_brake_speed: float = 2.5  # m/s, band where the hold takes over
+    slip_speed_guard: Positive = 0.1   # eps_v, m/s
+    standstill_brake_decel: NonNegative = 7.5  # m/s^2 at full pedal, low-speed hold
+    standstill_brake_speed: NonNegative = 2.5  # m/s, band where the hold takes over
     # derived in __post_init__
     total_mass: float = field(init=False)
     com: tuple[float, float, float] = field(init=False)
@@ -231,6 +198,7 @@ class VehicleConfig:
     wheels: list[WheelConfig] = field(init=False)
 
     def __post_init__(self):
+        super().__post_init__()
         self.total_mass, self.com, self.inertia = com_properties(self.sprung_masses)
         mounts = self.wheel_mounts
         if set(mounts) != set(WHEEL_NAMES):

@@ -14,22 +14,23 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..documents import ConfigurationError
+from ..documents import ConfigurationError, Finite, Section
 
 
 @dataclass
-class FrictionSpline:
-    s0: float
-    f0: float
-    se: float
-    fe: float
-    sa: float
-    fa: float
+class FrictionSpline(Section):
+    s0: Finite
+    f0: Finite
+    se: Finite
+    fe: Finite
+    sa: Finite
+    fa: Finite
     # Python floats: numpy scalars would slow every evaluation.
     _c0: tuple[float, float, float, float] = field(init=False, repr=False)
     _c1: tuple[float, float, float, float] = field(init=False, repr=False)
 
     def __post_init__(self):
+        super().__post_init__()
         if not (self.s0 < self.se < self.sa):
             raise ConfigurationError(
                 f"knots must satisfy s0 < se < sa, got {self.s0}, {self.se}, {self.sa}")

@@ -27,7 +27,7 @@ from .autonomy import (
     parse_autonomy_doc,
     default_autonomy_doc,
 )
-from .documents import from_doc, to_doc
+from .documents import ConfigurationError, NonNegative, Positive, Section, from_doc, to_doc
 from .dynamics import SimulationFault, Vehicle, VehicleConfig, default_vehicle_config
 from .environment import (
     TerrainQueryError,
@@ -54,22 +54,17 @@ from .sensors import (
 )
 
 @dataclass
-class SimParams:
+class SimParams(Section):
     """The sim section of a case bundle."""
-    dt: float = 0.01
-    t_max: float = 120.0
-    post_stop_grace: float = 10.0
-    contact_window: float = 1.0  # s traced after the first overlap
+    dt: Positive = 0.01
+    t_max: Positive = 120.0
+    post_stop_grace: NonNegative = 10.0
+    contact_window: NonNegative = 1.0  # s traced after the first overlap
 
     def __post_init__(self):
-        if not 0.0 < self.dt <= self.t_max < math.inf:
-            raise ValueError(f"need 0 < dt <= t_max < inf, got dt={self.dt}, t_max={self.t_max}")
-        for name in ("post_stop_grace", "contact_window"):
-            value = getattr(self, name)
-            if not value >= 0.0:
-                raise ValueError(f"need {name} >= 0, got {value}")
-            if value == math.inf:
-                raise ValueError(f"need a finite {name}, got {value}")
+        super().__post_init__()
+        if not self.dt <= self.t_max:
+            raise ConfigurationError(f"need dt <= t_max, got dt={self.dt}, t_max={self.t_max}")
 
 
 def default_bundle(case_id: str = "adhoc", model: str = "v3", weather: str = "clear",
@@ -305,7 +300,7 @@ def run_case(bundle: dict, collect_telemetry: bool = True, full_scans: bool = Fa
     """Run one case; a bundle that `Episode` rejects is a `failed` result."""
     try:
         episode = Episode(bundle, collect_telemetry, full_scans)
-    except ValueError as exc:  # ConfigurationError, ScenarioError, DegenerateFrustumError
+    except ValueError as exc:  # ConfigurationError, ScenarioError, or a model without a preset
         return EpisodeResult(bundle["case_id"], "failed", "fault", 0, 0.0, None, None,
                              f"{type(exc).__name__}: {exc}", None)
     return episode.run()

@@ -245,10 +245,10 @@ def aggregate_report(verdicts: dict[str, "Verdict | None"], batch_plan) -> Sweep
 
 
 def render_report_text(report: SweepReport) -> str:
-    lines = [f"{'Batch ID':<10}{'Unit Under Test':<18}{'Test Cases Passed':<20}{'Total Test Cases':<18}"]
+    lines = [f"{'Batch ID':<11}{'Unit Under Test':<18}{'Test Cases Passed':<20}{'Total Test Cases':<18}"]
     for b in report.batches:
-        lines.append(f"{b.batch_id:<10}{b.unit_under_test:<18}{b.passed:<20}{b.total:<18}")
-    lines.append(f"{'Cumulative':<10}{'N/A':<18}{report.cumulative_passed:<20}{report.cumulative_total:<18}")
+        lines.append(f"{b.batch_id:<11}{b.unit_under_test:<18}{b.passed:<20}{b.total:<18}")
+    lines.append(f"{'Cumulative':<11}{'N/A':<18}{report.cumulative_passed:<20}{report.cumulative_total:<18}")
     lines.append("")
     lines.append("Per-model success rates:")
     for model in sorted(report.per_model):

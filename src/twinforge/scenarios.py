@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .documents import Range
 from .environment import Obstacle, TerrainHeightmap
 
 SCENARIO_SCHEMA_VERSION = 1
@@ -68,30 +69,43 @@ def load_scenario_doc(path_or_name: str) -> dict:
     return doc
 
 
+def _require_finite(entry: dict, keys: tuple[str, ...], what: str) -> None:
+    for key in keys:
+        if key in entry and not Range().admits(entry[key]):
+            raise ScenarioError(f"{what} {key} must be {Range()}, got {entry[key]!r}")
+
+
 def validate_scenario_doc(doc: dict) -> None:
-    if doc.get("schema_version") != SCENARIO_SCHEMA_VERSION:
-        raise ScenarioError(f"unsupported scenario schema_version {doc.get('schema_version')!r}")
+    version = doc.get("schema_version") if isinstance(doc, dict) else None
+    if version != SCENARIO_SCHEMA_VERSION:
+        raise ScenarioError(f"unsupported scenario schema_version {version!r}")
     for key in ("name", "terrain", "spawn", "obstacles", "cruise_speed"):
         if key not in doc:
             raise ScenarioError(f"scenario missing field {key!r}")
     speed = doc["cruise_speed"]
-    if not (type(speed) in (int, float) and 0.0 < speed < math.inf):
-        raise ScenarioError(f"cruise_speed must be a finite number > 0, got {speed!r}")
+    if not Range(gt=0.0).admits(speed):
+        raise ScenarioError(f"cruise_speed must be {Range(gt=0.0)}, got {speed!r}")
+    if not (isinstance(doc["terrain"], dict) and isinstance(doc["spawn"], dict)
+            and isinstance(doc["obstacles"], list)
+            and all(isinstance(entry, dict) for entry in doc["obstacles"])):
+        raise ScenarioError("scenario terrain and spawn must be objects, obstacles a list of objects")
     if doc["terrain"].get("kind") not in ("rolling", "upslope", "flat"):
         raise ScenarioError(f"unknown terrain kind {doc['terrain'].get('kind')!r}")
-    if "cell" in doc["terrain"] and not float(doc["terrain"]["cell"]) > 0.0:
+    if "cell" in doc["terrain"] and not Range(gt=0.0).admits(doc["terrain"]["cell"]):
         raise ScenarioError("terrain cell must be > 0")
     for key in ("x", "y"):
         if key not in doc["spawn"]:
             raise ScenarioError(f"scenario spawn missing field {key!r}")
+    _require_finite(doc["spawn"], ("x", "y", "yaw"), "scenario spawn")
     for entry in doc["obstacles"]:
         for key in ("id", "class", "extents", "ahead"):
             if key not in entry:
                 raise ScenarioError(f"scenario obstacle missing field {key!r}")
         ext = entry["extents"]
-        if not (isinstance(ext, (list, tuple)) and len(ext) == 3 and all(
-                type(e) in (int, float) and e > 0 for e in ext)):
+        if not (isinstance(ext, (list, tuple)) and len(ext) == 3
+                and all(map(Range(gt=0.0).admits, ext))):
             raise ScenarioError(f"obstacle {entry['id']} extents must be three positive numbers")
+        _require_finite(entry, ("ahead", "lateral", "yaw"), f"obstacle {entry['id']}")
 
 
 def build_terrain(spec: dict, spawn_x: float) -> TerrainHeightmap:

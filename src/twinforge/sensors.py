@@ -10,11 +10,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .documents import ConfigurationError, Count, Finite, NonNegative, Positive, Section
 from .se3 import Mat3, Vec3, euler_zyx_from_matrix
-
-
-class DegenerateFrustumError(ValueError):
-    pass
 
 
 # -- inertial navigation -----------------------------------------------------
@@ -30,31 +27,11 @@ class InsSensor:
 # -- camera ------------------------------------------------------------------
 
 @dataclass
-class CameraConfig:
-    focal_length: float = 1.732  # dimensionless: 2N/(R-L) of the projection
-    sensor_size: tuple[float, float] = (36.0, 27.0)  # (s_x, s_y); aspect a = s_y / s_x
-    resolution: tuple[int, int] = (640, 480)         # (W_px, H_px)
-    near: float = 0.1
-    far: float = 300.0
-    position: tuple[float, float, float] = (1.2, 0.0, 1.4)  # body frame
-
-    def __post_init__(self):
-        if not (0.0 < self.near < self.far):
-            raise DegenerateFrustumError(f"need 0 < near < far, got {self.near}, {self.far}")
-        if min(self.resolution) < 1:
-            raise DegenerateFrustumError("resolution must be >= 1 px")
-        if self.focal_length <= 0 or min(self.sensor_size) <= 0:
-            raise DegenerateFrustumError("focal length and sensor size must be > 0")
-
-    @property
-    def aspect(self) -> float:
-        return self.sensor_size[1] / self.sensor_size[0]
-
-    def frustum_offsets(self) -> tuple[float, float, float, float]:
-        """(L, R, T, B) of a symmetric frustum from focal length and aspect."""
-        half_w = self.near / self.focal_length
-        half_h = half_w * self.aspect
-        return (-half_w, half_w, half_h, -half_h)
+class CameraConfig(Section):
+    focal_length: Positive = 1.732  # cot of half the horizontal field of view
+    sensor_size: tuple[Positive, Positive] = (36.0, 27.0)  # (s_x, s_y); aspect a = s_y / s_x
+    resolution: tuple[Count, Count] = (640, 480)           # (W_px, H_px)
+    position: tuple[Finite, Finite, Finite] = (1.2, 0.0, 1.4)  # body frame
 
 
 def forward_camera_mount(position: Vec3) -> np.ndarray:
@@ -78,17 +55,12 @@ def forward_lidar_mount(position: Vec3) -> np.ndarray:
 
 
 def projection_matrix(config: CameraConfig) -> np.ndarray:
-    left, right, top, bottom = config.frustum_offsets()
-    n, f = config.near, config.far
-    if right == left or top == bottom:
-        raise DegenerateFrustumError("degenerate frustum")
+    """Perspective projection of a symmetric frustum. `project_box` reads only
+    the x, y and w rows of its image, so the depth row (near and far planes)
+    stays zero."""
     p = np.zeros((4, 4))
-    p[0, 0] = 2.0 * n / (right - left)
-    p[0, 2] = (right + left) / (right - left)
-    p[1, 1] = 2.0 * n / (top - bottom)
-    p[1, 2] = (top + bottom) / (top - bottom)
-    p[2, 2] = -(f + n) / (f - n)
-    p[2, 3] = -2.0 * f * n / (f - n)
+    p[0, 0] = config.focal_length
+    p[1, 1] = config.focal_length / (config.sensor_size[1] / config.sensor_size[0])
     p[3, 2] = -1.0
     return p
 
@@ -130,19 +102,18 @@ def project_box(corners_homo: np.ndarray, view: np.ndarray, proj: np.ndarray,
 # -- LIDAR -------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class LidarConfig:
-    r_min: float = 0.5
-    r_max: float = 80.0
-    theta_min: float = -1.5707963267948966
-    theta_max: float = 1.5707963267948966
-    theta_res: float = 0.01745329251994
-    position: tuple[float, float, float] = (1.3, 0.0, 1.6)  # body frame
+class LidarConfig(Section):
+    r_min: NonNegative = 0.5
+    r_max: Positive = 80.0
+    theta_min: Finite = -1.5707963267948966
+    theta_max: Finite = 1.5707963267948966
+    theta_res: Positive = 0.01745329251994
+    position: tuple[Finite, Finite, Finite] = (1.3, 0.0, 1.6)  # body frame
 
     def __post_init__(self):
-        if not (0.0 <= self.r_min < self.r_max < math.inf):
-            raise ValueError("need 0 <= r_min < r_max < inf")
-        if self.theta_res <= 0 or self.theta_max < self.theta_min:
-            raise ValueError("bad horizontal angular range")
+        super().__post_init__()
+        if not (self.r_min < self.r_max and self.theta_min <= self.theta_max):
+            raise ConfigurationError(f"need r_min < r_max and theta_min <= theta_max, got {self}")
 
 
 @dataclass

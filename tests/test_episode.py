@@ -6,12 +6,15 @@ behaviour change and must say so.
 """
 
 import dataclasses
+import functools
 import hashlib
 import json
 import math
+import operator
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from twinforge.autonomy import AutonomyConfig
 from twinforge.documents import ConfigurationError, from_doc, to_doc
@@ -76,10 +79,10 @@ def test_autonomy_document_without_perception_period_uses_the_default():
 
 def test_bundles_do_not_share_the_default_sensors():
     bundle = _bundle("default")
-    bundle["sensors"]["camera"]["near"] = 5.0
-    assert CameraConfig().near == 0.1
-    assert _bundle("default")["sensors"]["camera"]["near"] == 0.1
-    assert Episode(_bundle("default")).camera.near == 0.1
+    bundle["sensors"]["camera"]["focal_length"] = 5.0
+    assert CameraConfig().focal_length == 1.732
+    assert _bundle("default")["sensors"]["camera"]["focal_length"] == 1.732
+    assert Episode(_bundle("default")).camera.focal_length == 1.732
 
 
 def _drop_aeb_fos(bundle):
@@ -87,7 +90,7 @@ def _drop_aeb_fos(bundle):
 
 
 @pytest.mark.parametrize("edit", [
-    lambda b: b.update(sensors={"camera": {"near": 0.1}}),
+    lambda b: b.update(sensors={"camera": {"focal_length": 1.732}}),
     _drop_aeb_fos,
     lambda b: b.update(sim={}),
 ], ids=["partial-sensors-camera", "partial-autonomy-aeb", "empty-sim"])
@@ -126,20 +129,37 @@ def _version_1_vehicle_doc():
     return doc
 
 
+def _set(*path_and_value):
+    """An edit that sets the field at `path` of the bundle; a path into
+    "vehicle" first puts the default vehicle in as a document."""
+    *path, key, value = path_and_value
+
+    def edit(bundle):
+        if path[0] == "vehicle":
+            bundle["vehicle"] = default_vehicle_config().to_dict()
+        functools.reduce(operator.getitem, path, bundle)[key] = value
+    return edit
+
+
+HUGE = 10 ** 400  # beyond the float range
+NOT_OBJECTS = "ScenarioError: scenario terrain and spawn must be objects, obstacles a list of objects"
+
+
 @pytest.mark.parametrize("edit, error", [
     (_drop_preset_field,
      "ConfigurationError: PerceptionModelPreset document lacks min_pixel_area"),
     (lambda b: b.update(model="v9"), "ValueError: no perception preset for model 'v9'"),
     (_bad_scenario_kind, "ScenarioError: unknown terrain kind 'lunar'"),
     (lambda b: b["sim"].update(t_max=0),
-     "ValueError: need 0 < dt <= t_max < inf, got dt=0.01, t_max=0"),
+     "ConfigurationError: SimParams.t_max must be a finite number > 0, got 0.0"),
     (lambda b: b["sim"].update(dt=-0.01),
-     "ValueError: need 0 < dt <= t_max < inf, got dt=-0.01, t_max=120.0"),
+     "ConfigurationError: SimParams.dt must be a finite number > 0, got -0.01"),
     (lambda b: b["sim"].update(dt=0),
-     "ValueError: need 0 < dt <= t_max < inf, got dt=0, t_max=120.0"),
-    (lambda b: b["autonomy"]["aeb"].update(max_decel=0), "ValueError: max_decel must be > 0"),
+     "ConfigurationError: SimParams.dt must be a finite number > 0, got 0.0"),
+    (lambda b: b["autonomy"]["aeb"].update(max_decel=0),
+     "ConfigurationError: AebConfig.max_decel must be a finite number > 0, got 0.0"),
     (lambda b: b["autonomy"].update(perception_period_steps=0),
-     "ValueError: perception_period_steps must be >= 1"),
+     "ConfigurationError: AutonomyConfig.perception_period_steps must be a finite number >= 1, got 0"),
     (lambda b: b["scenario"]["terrain"].update(cell=0), "ScenarioError: terrain cell must be > 0"),
     (lambda b: b["scenario"]["obstacles"][0].pop("ahead"),
      "ScenarioError: scenario obstacle missing field 'ahead'"),
@@ -154,28 +174,90 @@ def _version_1_vehicle_doc():
     (lambda b: b["scenario"]["obstacles"][0].update(extents=[0.8, 2.4]),
      "ScenarioError: obstacle moose0 extents must be three positive numbers"),
     (lambda b: b["sim"].update(contact_window=-1.0),
-     "ValueError: need contact_window >= 0, got -1.0"),
+     "ConfigurationError: SimParams.contact_window must be a finite number >= 0, got -1.0"),
     (lambda b: b["sim"].update(contact_window=math.inf),
-     "ValueError: need a finite contact_window, got inf"),
+     "ConfigurationError: SimParams.contact_window must be a finite number >= 0, got inf"),
     (lambda b: b["sim"].update(post_stop_grace=math.nan),
-     "ValueError: need post_stop_grace >= 0, got nan"),
+     "ConfigurationError: SimParams.post_stop_grace must be a finite number >= 0, got nan"),
     (lambda b: b["sim"].update(post_stop_grace=-1.0),
-     "ValueError: need post_stop_grace >= 0, got -1.0"),
+     "ConfigurationError: SimParams.post_stop_grace must be a finite number >= 0, got -1.0"),
     (lambda b: b["sim"].update(post_stop_grace=math.inf),
-     "ValueError: need a finite post_stop_grace, got inf"),
+     "ConfigurationError: SimParams.post_stop_grace must be a finite number >= 0, got inf"),
     (lambda b: b["scenario"].update(cruise_speed=math.nan),
      "ScenarioError: cruise_speed must be a finite number > 0, got nan"),
     (lambda b: b.update(vehicle=_version_1_vehicle_doc()),
      "ConfigurationError: unsupported vehicle schema_version None"),
     (lambda b: b.update(vehicle={**_version_1_vehicle_doc(), "schema_version": 2}),
      "ConfigurationError: FrictionSpline document lacks s0, f0, se, fe, sa, fa"),
+    (_set("autonomy", "presets", "v3", "range_halflife", 0),
+     "ConfigurationError: PerceptionModelPreset.range_halflife must be a finite number > 0, got 0.0"),
+    (_set("autonomy", "presets", "v3", "range_halflife", -0.001),
+     "ConfigurationError: PerceptionModelPreset.range_halflife must be a finite number > 0, "
+     "got -0.001"),
+    (_set("autonomy", "assumed_frontal_area", -4.3),
+     "ConfigurationError: AutonomyConfig.assumed_frontal_area must be a finite number > 0, got -4.3"),
+    (_set("vehicle", "powertrain", "rpm_smoothing_tau", 0),
+     "ConfigurationError: PowertrainParams.rpm_smoothing_tau must be a finite number > 0, got 0.0"),
+    (_set("vehicle", "slip_speed_guard", 0),
+     "ConfigurationError: VehicleConfig.slip_speed_guard must be a finite number > 0, got 0.0"),
+    (_set("vehicle", "suspension", "wheel_mass", 0),
+     "ConfigurationError: SuspensionParams.wheel_mass must be a finite number > 0, got 0.0"),
+    (_set("vehicle", "suspension", "natural_frequency", math.inf),
+     "ConfigurationError: SuspensionParams.natural_frequency must be a finite number > 0, got inf"),
+    (_set("vehicle", "wheel_mounts", "RL", 1, math.nan),
+     "ConfigurationError: VehicleConfig.wheel_mounts must be a finite number, got nan"),
+    (_set("vehicle", "wheel_mounts", "FL", 0, -math.inf),
+     "ConfigurationError: VehicleConfig.wheel_mounts must be a finite number, got -inf"),
+    (_set("sim", "t_max", HUGE),
+     f"ConfigurationError: SimParams.t_max must be a finite number > 0, got {HUGE}"),
+    (_set("sensors", "camera", "focal_length", HUGE),
+     f"ConfigurationError: CameraConfig.focal_length must be a finite number > 0, got {HUGE}"),
+    (_set("autonomy", "perception_period_steps", HUGE),
+     "ConfigurationError: AutonomyConfig.perception_period_steps must be a finite number >= 1, "
+     f"got {HUGE}"),
+    (_set("sensors", "camera", "focal_length", math.nan),
+     "ConfigurationError: CameraConfig.focal_length must be a finite number > 0, got nan"),
+    (_set("autonomy", "control", "cruise_kp", math.nan),
+     "ConfigurationError: ControlParams.cruise_kp must be a finite number > 0, got nan"),
+    (_set("vehicle", "footprint", "length", 0),
+     "ConfigurationError: FootprintParams.length must be a finite number > 0, got 0.0"),
+    (_set("autonomy", "false_positive_rate", 2),
+     "ConfigurationError: AutonomyConfig.false_positive_rate must be a finite number >= 0 and <= 1, "
+     "got 2.0"),
+    (_set("sensors", "camera", "resolution", [640, 0]),
+     "ConfigurationError: CameraConfig.resolution must be a finite number >= 1, got 0"),
+    (lambda b: b["sim"].update(dt=1.0, t_max=0.5),
+     "ConfigurationError: need dt <= t_max, got dt=1.0, t_max=0.5"),
+    (_set("scenario", "obstacles", 5), NOT_OBJECTS),
+    (_set("scenario", "obstacles", [5]), NOT_OBJECTS),
+    (_set("scenario", "terrain", "flat"), NOT_OBJECTS),
+    (_set("scenario", "spawn", [400.0, 0.0]),
+     NOT_OBJECTS),
+    (_set("scenario", "spawn", "y", math.inf),
+     "ScenarioError: scenario spawn y must be a finite number, got inf"),
+    (_set("scenario", "spawn", "yaw", "0"),
+     "ScenarioError: scenario spawn yaw must be a finite number, got '0'"),
+    (_set("scenario", "obstacles", 0, "yaw", math.nan),
+     "ScenarioError: obstacle moose0 yaw must be a finite number, got nan"),
+    (_set("scenario", "obstacles", 0, "lateral", -math.inf),
+     "ScenarioError: obstacle moose0 lateral must be a finite number, got -inf"),
+    (_set("scenario", "cruise_speed", HUGE),
+     f"ScenarioError: cruise_speed must be a finite number > 0, got {HUGE}"),
 ], ids=["preset-missing-field", "model-without-preset", "bad-scenario-kind", "zero-t-max",
         "negative-dt", "zero-dt", "zero-max-decel", "zero-perception-period", "zero-cell",
         "obstacle-without-ahead", "obstacle-without-extents", "spawn-without-x", "string-dt",
         "bool-dt", "fractional-perception-period", "two-extents", "negative-contact-window",
         "infinite-contact-window", "nan-post-stop-grace", "negative-post-stop-grace",
         "infinite-post-stop-grace", "nan-cruise-speed", "vehicle-version-1",
-        "vehicle-spline-as-knots"])
+        "vehicle-spline-as-knots", "zero-range-halflife", "negative-range-halflife",
+        "negative-frontal-area", "zero-rpm-smoothing-tau", "zero-slip-speed-guard",
+        "zero-wheel-mass", "infinite-natural-frequency", "nan-wheel-mount",
+        "infinite-wheel-mount", "huge-int-t-max", "huge-int-focal-length",
+        "huge-int-perception-period", "nan-focal-length", "nan-cruise-kp",
+        "zero-footprint-length", "false-positive-rate-above-1", "zero-px-resolution",
+        "dt-above-t-max", "number-obstacles", "number-obstacle-entry", "string-terrain",
+        "list-spawn", "infinite-spawn-y", "string-spawn-yaw", "nan-obstacle-yaw",
+        "infinite-obstacle-lateral", "huge-int-cruise-speed"])
 def test_rejected_bundle_is_a_failed_result(edit, error):
     bundle = _bundle("default")
     edit(bundle)
@@ -198,11 +280,52 @@ def test_default_bundle_section_round_trips(section, kind):
 def test_default_bundle_digest():
     text = json.dumps(default_bundle(), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == \
-        "91099d0b40e92d641733436eaf7dd176f35da536f0ea098360eeeb2e3ffc20d3"
+        "fa5eb092ded1cba084c3f104124766c040c03f2bcefd6a609b40c4405f5122ae"
 
 
 def test_an_int_passes_where_a_float_is_hinted():
     assert from_doc(SimParams, {"t_max": 100}).t_max == 100
+
+
+# -- run_case raises nothing ------------------------------------------------------
+
+def _sweep_bundle() -> dict:
+    bundle = _bundle("default")
+    bundle["sim"]["t_max"] = 5.0  # the first threat-sized box appears at t = 4.01 s
+    bundle["vehicle"] = default_vehicle_config().to_dict()
+    return bundle
+
+
+def _number_paths(doc, path=()) -> list:
+    """The path of each int or float leaf of a document, schema_version aside."""
+    if isinstance(doc, (dict, list)):
+        items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+        return [p for k, v in items if k != "schema_version" for p in _number_paths(v, path + (k,))]
+    return [path] if type(doc) in (int, float) else []
+
+
+NUMBER_PATHS = _number_paths({k: _sweep_bundle()[k]
+                              for k in ("sim", "sensors", "autonomy", "vehicle")})
+EDITS = {"nan": lambda d: math.nan, "inf": lambda d: math.inf, "-inf": lambda d: -math.inf,
+         "zero": lambda d: 0, "negated": lambda d: -d, "tenth": lambda d: d * 0.1,
+         "tenfold": lambda d: d * 10, "huge-int": lambda d: HUGE}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(NUMBER_PATHS), st.sampled_from(sorted(EDITS)))
+def test_run_case_returns_a_result_for_any_one_number_edited(path, edit):
+    """No value of one number of the sim, sensors, autonomy or vehicle section
+    makes `run_case` raise: the case is done or failed."""
+    bundle = _sweep_bundle()
+    *parents, key = path
+    node = functools.reduce(operator.getitem, parents, bundle)
+    node[key] = EDITS[edit](node[key])
+    dt, t_max = bundle["sim"]["dt"], bundle["sim"]["t_max"]
+    # at most 1,000 steps; a non-finite or huge-int t_max is rejected before it runs
+    assume(not (type(t_max) is float and t_max < math.inf and 0 < dt < t_max / 1000))
+    res = run_case(bundle)
+    assert res.status in ("done", "failed")
+    assert (res.error is None) == (res.status == "done")
 
 
 # -- contact ---------------------------------------------------------------------

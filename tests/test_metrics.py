@@ -6,6 +6,7 @@ here.
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,12 +15,17 @@ from hypothesis import given, settings, strategies as st
 from twinforge.environment import Obstacle
 from twinforge.metrics import (
     TELEMETRY_COLUMNS,
+    BatchRow,
     TelemetryError,
     TelemetryLog,
     TelemetryRecord,
+    Verdict,
+    aggregate_report,
     compute_dtc,
     evaluate_verdict,
     parse_csv,
+    render_report_text,
+    success_rate,
 )
 
 COLUMNS = (
@@ -200,3 +206,66 @@ def test_evaluate_verdict_on_a_hand_built_log():
     assert evaluate_verdict(parse_csv(_log(rows).to_csv()), "case-b") == v
     with pytest.raises(TelemetryError):
         evaluate_verdict([])
+
+
+# -- sweep report ------------------------------------------------------------------
+
+def _verdict(case_id: str, passed: bool) -> Verdict:
+    return Verdict(case_id, passed, 0 if passed else 1, 5.0, passed, 1.0, 10.0)
+
+
+def _plan(*batches):
+    """A batch plan: each batch a list of (case_id, model)."""
+    return SimpleNamespace(batches=[[SimpleNamespace(case_id=c, model=m) for c, m in batch]
+                                    for batch in batches])
+
+
+def _mixed_report():
+    plan = _plan([("a1", "v3"), ("a2", "v3")], [("b1", "v2"), ("b2", "v2_tiny"), ("b3", "v2")])
+    verdicts = {"a1": _verdict("a1", True), "a2": _verdict("a2", False), "b1": None,
+                "b2": _verdict("b2", False), "b3": _verdict("b3", True)}
+    return aggregate_report(verdicts, plan)
+
+
+def test_report_counts_per_batch_and_per_model():
+    report = _mixed_report()
+    assert report.batches == [BatchRow(1, "v3", 1, 2), BatchRow(2, "mixed", 1, 3)]
+    assert report.per_model == {
+        "v3": {"passed": 1, "total": 2, "success_rate_pct": "50.00"},
+        "v2": {"passed": 1, "total": 2, "success_rate_pct": "50.00"},
+        "v2_tiny": {"passed": 0, "total": 1, "success_rate_pct": "0.00"},
+    }
+    assert (report.cumulative_passed, report.cumulative_total) == (2, 5)
+
+
+def test_a_case_without_a_verdict_is_an_infrastructure_failure():
+    report = aggregate_report({"a1": None}, _plan([("a1", "v3"), ("a2", "v3")]))
+    assert report.infra_failed == ["a1", "a2"]  # a2 has no entry at all
+    assert report.batches == [BatchRow(1, "v3", 0, 2)]
+    assert report.per_model["v3"]["passed"] == 0
+
+
+def test_success_rate_of_an_empty_model_is_zero():
+    assert success_rate(0, 0) == "0.00"
+    assert success_rate(1, 3) == "33.33"
+    report = aggregate_report({}, _plan())
+    assert (report.batches, report.per_model, report.cumulative_total) == ([], {}, 0)
+
+
+def test_rendered_report_table():
+    lines = render_report_text(_mixed_report()).split("\n")
+    assert [line.rstrip() for line in lines] == [
+        "Batch ID   Unit Under Test   Test Cases Passed   Total Test Cases",
+        "1          v3                1                   2",
+        "2          mixed             1                   3",
+        "Cumulative N/A               2                   5",
+        "",
+        "Per-model success rates:",
+        "  v2           1 / 2   (50.00%)",
+        "  v2_tiny      0 / 1   (0.00%)",
+        "  v3           1 / 2   (50.00%)",
+        "",
+        "Infrastructure failures (1): b1",
+        "",
+    ]
+    assert {len(line) for line in lines[:4]} == {67}  # columns padded to fixed widths

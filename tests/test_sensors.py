@@ -3,10 +3,12 @@ the batched ray rotation against the per-row product it replaced."""
 
 import functools
 import math
+import re
 
 import numpy as np
 import pytest
 
+from twinforge.documents import ConfigurationError
 from twinforge.environment import TerrainHeightmap, env_raycast
 from twinforge.se3 import quat_to_matrix
 from twinforge.sensors import LidarConfig, angle_grid, lidar_scan_2d, lidar_scan_3d
@@ -72,9 +74,14 @@ def test_scan_3d_has_nan_triplets_exactly_at_the_misses():
     assert np.all(np.abs(points[expected_hit][:, 2] + HEIGHT) <= 1e-6)
 
 
-@pytest.mark.parametrize("r_min, r_max", [(0.5, math.inf), (0.5, 0.5), (-0.1, 80.0)])
-def test_lidar_config_rejects_a_bad_range(r_min, r_max):
-    with pytest.raises(ValueError, match="r_min < r_max < inf"):
+@pytest.mark.parametrize("r_min, r_max, error", [
+    (0.5, math.inf, "LidarConfig.r_max must be a finite number > 0, got inf"),
+    (0.5, 0.5,
+     "need r_min < r_max and theta_min <= theta_max, got LidarConfig(r_min=0.5, r_max=0.5,"),
+    (-0.1, 80.0, "LidarConfig.r_min must be a finite number >= 0, got -0.1"),
+], ids=["0.5-inf", "0.5-0.5", "-0.1-80.0"])
+def test_lidar_config_rejects_a_bad_range(r_min, r_max, error):
+    with pytest.raises(ConfigurationError, match=re.escape(error)):
         LidarConfig(r_min=r_min, r_max=r_max)
 
 
