@@ -17,11 +17,9 @@ from typing import Annotated
 
 import numpy as np
 
-from .documents import (ConfigurationError, Count, Finite, Fraction, NonNegative, Positive, Range,
-                        Section, from_doc, to_doc)
+from .documents import (Count, Finite, Fraction, NonNegative, Positive, Range, Section, from_doc,
+                        to_doc)
 from .se3 import clamp
-
-AUTONOMY_SCHEMA_VERSION = 1
 
 # Exponent applied to visibility in low ambient light grows with the preset's
 # low_light_penalty: exponent = 1 + NIGHT_EXPONENT_SCALE * penalty.
@@ -77,6 +75,7 @@ class ControlParams(Section):
 @dataclass
 class AutonomyConfig(Section):
     """The autonomy section of a case bundle."""
+    SCHEMA_VERSION = 1
     presets: dict[str, PerceptionModelPreset] = field(default_factory=lambda: {
         "v3": PerceptionModelPreset(0.95, 60.0, 0.25, 0.85, 0.12, 350.0),
         "v2": PerceptionModelPreset(0.88, 45.0, 0.45, 0.78, 0.15, 400.0),
@@ -213,10 +212,8 @@ def estimate_range_px(area_px: float, fx_px: float, fy_px: float,
 # -- autonomy document --------------------------------------------------------
 
 def default_autonomy_doc() -> dict:
-    return {"schema_version": AUTONOMY_SCHEMA_VERSION, **to_doc(AutonomyConfig())}
+    return to_doc(AutonomyConfig())
 
 
 def parse_autonomy_doc(doc: dict) -> AutonomyConfig:
-    if doc.get("schema_version") != AUTONOMY_SCHEMA_VERSION:
-        raise ConfigurationError(f"unsupported autonomy schema_version {doc.get('schema_version')!r}")
     return from_doc(AutonomyConfig, doc)

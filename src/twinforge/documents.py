@@ -1,11 +1,12 @@
 """Config documents: one walk between dataclasses and JSON-able dicts, and one
 rule for the range of every number in them.
 
-Every section of a case bundle (vehicle, autonomy, sensors, sim), down to
-the tire spline, is a dataclass that `to_doc` writes and `from_doc` reads
-back. The rule:
+A case bundle and each of its sections, down to the tire spline, is a
+dataclass that `to_doc` writes and `from_doc` reads back. The rule:
 
 - only init fields are written and read; derived fields are rebuilt;
+- a field whose name ends in `_` (`class_`) is stored under the key without it;
+- a class attribute `SCHEMA_VERSION` is written as `schema_version` and required on read;
 - a field with a default may be absent, and then takes the default, so the
   dataclass field default is the only place a default lives;
 - keys that name no field are ignored;
@@ -14,9 +15,11 @@ back. The rule:
 
 The field type hints drive the reading: a dataclass recurses, `dict` keys are
 cast to the key type, and lists and tuples (fixed or `tuple[T, ...]`) are
-rebuilt. A `float`, `int`, `str` or `bool` leaf must have that type (an `int`
-passes as a `float`, as in JSON, and is stored as one; a `bool` never passes as
-a number), else `ConfigurationError` names its `Class.field`.
+rebuilt. A dataclass or dict reads only a JSON object and a list or tuple only
+a JSON array, a fixed tuple only one of its length. A `float`, `int`, `str` or
+`bool` leaf must have that type (an `int` passes as a `float`, as in JSON, and
+is stored as one; a `bool` never passes as a number). Any other value raises
+`ConfigurationError` naming its `Class.field`.
 
 Each number of a section declares its range on its type, as
 `Annotated[float, Range(...)]` or an alias below, on a field or on the items of
@@ -63,6 +66,7 @@ Positive = Annotated[float, Range(gt=0.0)]
 NonNegative = Annotated[float, Range(ge=0.0)]
 Fraction = Annotated[float, Range(ge=0.0, le=1.0)]
 Count = Annotated[int, Range(ge=1)]
+Seed = Annotated[int, Range(ge=0)]
 
 
 def _check(hint, value, where: str) -> None:
@@ -82,23 +86,28 @@ def _check(hint, value, where: str) -> None:
 
 @functools.cache
 def _init_fields(cls) -> tuple:
-    """(name, hint with its ranges, "Class.name") of each init field of `cls`."""
+    """(name, document key, hint with its ranges, "Class.name", required) of
+    each init field of `cls`."""
     hints = get_type_hints(cls, include_extras=True)
-    return tuple((f.name, hints[f.name], f"{cls.__name__}.{f.name}") for f in fields(cls) if f.init)
+    return tuple((f.name, f.name.removesuffix("_"), hints[f.name], f"{cls.__name__}.{f.name}",
+                  f.default is MISSING and f.default_factory is MISSING)
+                 for f in fields(cls) if f.init)
 
 
 class Section:
     """Base of the config dataclasses: construction checks every declared range."""
 
     def __post_init__(self):
-        for name, hint, where in _init_fields(type(self)):
+        for name, _, hint, where, _ in _init_fields(type(self)):
             _check(hint, getattr(self, name), where)
 
 
 def to_doc(value):
     """JSON-able document of a config value; only init fields are written."""
     if is_dataclass(value):
-        return {f.name: to_doc(getattr(value, f.name)) for f in fields(value) if f.init}
+        doc = {key: to_doc(getattr(value, name)) for name, key, *_ in _init_fields(type(value))}
+        version = getattr(value, "SCHEMA_VERSION", None)
+        return doc if version is None else {"schema_version": version, **doc}
     if isinstance(value, dict):
         return {str(k): to_doc(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -108,16 +117,9 @@ def to_doc(value):
 
 def from_doc(kind, doc, where: str = ""):
     """Inverse of `to_doc`, driven by the type hints of `kind`; `where` names
-    the field being read, for the error on a scalar of the wrong type."""
+    the field being read, for the error on a value of the wrong kind."""
     if get_origin(kind) is Annotated:
         kind = get_args(kind)[0]
-    if is_dataclass(kind):
-        missing = [f.name for f in fields(kind) if f.init and f.name not in doc
-                   and f.default is MISSING and f.default_factory is MISSING]
-        if missing:
-            raise ConfigurationError(f"{kind.__name__} document lacks {', '.join(missing)}")
-        return kind(**{name: from_doc(hint, doc[name], at)
-                       for name, hint, at in _init_fields(kind) if name in doc})
     if kind in (float, int, str, bool):
         if isinstance(doc, bool) is not (kind is bool) or not isinstance(
                 doc, (int, float) if kind is float else kind):
@@ -125,11 +127,24 @@ def from_doc(kind, doc, where: str = ""):
         # an int beyond the float range stays an int and fails its field's range
         return float(doc) if kind is float and -_FLOAT_MAX <= doc <= _FLOAT_MAX else doc
     origin, args = get_origin(kind), get_args(kind)
-    if origin is dict:
-        return {args[0](k): from_doc(args[1], v, where) for k, v in doc.items()}
+    where = where or kind.__name__
     if origin in (list, tuple):
         each = origin is list or args[-1] is Ellipsis
-        items = [from_doc(a, v, where)
-                 for a, v in zip(args[:1] * len(doc) if each else args, doc, strict=True)]
+        if not isinstance(doc, (list, tuple)) or not each and len(doc) != len(args):
+            size = "" if each else f" of {len(args)}"
+            raise ConfigurationError(f"{where} must be an array{size}, got {doc!r}")
+        items = [from_doc(a, v, where) for a, v in zip(args[:1] * len(doc) if each else args, doc)]
         return items if origin is list else tuple(items)
-    return doc
+    if not isinstance(doc, dict):  # a dataclass or a dict
+        raise ConfigurationError(f"{where} must be an object, got {doc!r}")
+    if origin is dict:
+        return {args[0](k): from_doc(args[1], v, where) for k, v in doc.items()}
+    version, got = getattr(kind, "SCHEMA_VERSION", None), doc.get("schema_version")
+    if version is not None and got != version:
+        raise ConfigurationError(f"{kind.__name__}.schema_version must be {version}, got {got!r}")
+    spec = _init_fields(kind)
+    missing = [key for _, key, _, _, required in spec if required and key not in doc]
+    if missing:
+        raise ConfigurationError(f"{kind.__name__} document lacks {', '.join(missing)}")
+    return kind(**{name: from_doc(hint, doc[key], at)
+                   for name, key, hint, at, _ in spec if key in doc})

@@ -18,12 +18,10 @@ import functools
 import math
 from dataclasses import dataclass, field
 
-from ..documents import ConfigurationError, Finite, NonNegative, Positive, Section, from_doc, to_doc
+from ..documents import ConfigurationError, Finite, NonNegative, Positive, Section
 from .spline import FrictionSpline
 
 GRAVITY = 9.81
-
-VEHICLE_SCHEMA_VERSION = 2
 
 WHEEL_NAMES = ("FL", "FR", "RL", "RR")
 
@@ -176,6 +174,7 @@ class WheelConfig:
 
 @dataclass
 class VehicleConfig(Section):
+    SCHEMA_VERSION = 2
     sprung_masses: list[SprungMass]
     suspension: SuspensionParams
     powertrain: PowertrainParams
@@ -234,17 +233,6 @@ class VehicleConfig(Section):
             arm=(mount[0] - com[0], mount[1] - com[1], mount[2] - com[2]),
             force_arm_z=(com[2] - mount[2] + susp.wheel_radius - susp.force_offset) - com[2],
         )
-
-    # -- serialization ----------------------------------------------------
-
-    def to_dict(self) -> dict:
-        return {"schema_version": VEHICLE_SCHEMA_VERSION, **to_doc(self)}
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "VehicleConfig":
-        if doc.get("schema_version") != VEHICLE_SCHEMA_VERSION:
-            raise ConfigurationError(f"unsupported vehicle schema_version {doc.get('schema_version')!r}")
-        return from_doc(cls, doc)
 
 
 def default_vehicle_config() -> VehicleConfig:

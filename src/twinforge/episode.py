@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .autonomy import (
+from .autonomy import (  # noqa: F401  parse_autonomy_doc: a binding perfbench/tracing.py wraps
     AebPlanner,
+    AutonomyConfig,
     ObstacleView,
     SurrogateDetector,
     estimate_range_px,
@@ -27,7 +28,7 @@ from .autonomy import (
     parse_autonomy_doc,
     default_autonomy_doc,
 )
-from .documents import ConfigurationError, NonNegative, Positive, Section, from_doc, to_doc
+from .documents import ConfigurationError, NonNegative, Positive, Section, Seed, from_doc, to_doc
 from .dynamics import SimulationFault, Vehicle, VehicleConfig, default_vehicle_config
 from .environment import (
     TerrainQueryError,
@@ -37,7 +38,7 @@ from .environment import (
     rectangles_overlap,
 )
 from .metrics import TelemetryLog, TelemetryRecord, compute_dtc, evaluate_verdict
-from .scenarios import build_scenario, builtin_scenario_doc, load_scenario_doc
+from .scenarios import ScenarioConfig, build_scenario, builtin_scenario_doc, load_scenario_doc
 from .se3 import pose_matrix
 from .sensors import (
     InsSensor,
@@ -67,6 +68,26 @@ class SimParams(Section):
             raise ConfigurationError(f"need dt <= t_max, got dt={self.dt}, t_max={self.t_max}")
 
 
+@dataclass
+class CaseBundle(Section):
+    """A test case: the `model` under test is a perception preset of `autonomy`."""
+    case_id: str
+    model: str
+    weather: str
+    time_of_day: str
+    seed: Seed
+    scenario: ScenarioConfig
+    autonomy: AutonomyConfig = field(default_factory=AutonomyConfig)
+    vehicle: VehicleConfig = field(default_factory=default_vehicle_config)
+    sim: SimParams = field(default_factory=SimParams)
+    sensors: SensorParams = field(default_factory=SensorParams)
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.model not in self.autonomy.presets:
+            raise ConfigurationError(f"CaseBundle.model must name a perception preset, got {self.model!r}")
+
+
 def default_bundle(case_id: str = "adhoc", model: str = "v3", weather: str = "clear",
                    time_of_day: str = "12:00", seed: int = 1, scenario: str = "default") -> dict:
     return {
@@ -77,7 +98,6 @@ def default_bundle(case_id: str = "adhoc", model: str = "v3", weather: str = "cl
         "seed": int(seed),
         "scenario": builtin_scenario_doc(scenario) if isinstance(scenario, str) else scenario,
         "autonomy": default_autonomy_doc(),
-        "vehicle": None,
         "sim": to_doc(SimParams()),
         "sensors": to_doc(SensorParams()),
     }
@@ -88,7 +108,7 @@ class EpisodeResult:
     """How a case ended. terminal is one of standstill_after_aeb (stopped,
     then held for post_stop_grace), collision (contact_window after the first
     overlap), timeout (t_max reached) or fault (status failed)."""
-    case_id: str
+    case_id: str | None
     status: str           # done | failed
     terminal: str         # standstill_after_aeb | collision | timeout | fault
     steps: int
@@ -101,52 +121,48 @@ class EpisodeResult:
 
 class Episode:
     """One case, stepped at sim.dt until a terminal: standstill_after_aeb,
-    collision, timeout, or fault when the plant or a terrain query fails."""
+    collision, timeout, or fault when the plant, a terrain query or float arithmetic fails."""
 
     def __init__(self, bundle: dict, collect_telemetry: bool = True, full_scans: bool = False):
-        self.case_id = bundle["case_id"]
+        if isinstance(bundle, dict) and isinstance(bundle.get("scenario"), str):  # name or file
+            bundle = dict(bundle, scenario=load_scenario_doc(bundle["scenario"]))
+        case = from_doc(CaseBundle, bundle)
+        self.case_id = case.case_id
         self.collect_telemetry = collect_telemetry
         self.full_scans = full_scans
 
-        self.sim = from_doc(SimParams, bundle.get("sim") or {})
-
-        vehicle_doc = bundle.get("vehicle")
-        self.vcfg = VehicleConfig.from_dict(vehicle_doc) if vehicle_doc else default_vehicle_config()
+        self.sim = case.sim
+        self.vcfg = case.vehicle
         self.vehicle = Vehicle(self.vcfg)
         fp = self.vcfg.footprint
         self.front_offset = fp.center_x + fp.length / 2.0
 
-        scenario_doc = bundle["scenario"]
-        if isinstance(scenario_doc, str):
-            scenario_doc = load_scenario_doc(scenario_doc)
-        self.scenario = build_scenario(scenario_doc, self.front_offset)
+        self.scenario = case.scenario
+        self.terrain, self.obstacles = build_scenario(case.scenario, self.front_offset)
         # Broad phase: the footprint lies within ego_radius of the body origin
         # and each obstacle within its half diagonal of its centre, so centres
         # further apart than the sum (plus 1e-6 m for rounding) cannot overlap.
         ego_radius = math.hypot(abs(fp.center_x) + fp.length / 2.0, fp.width / 2.0)
         self._reach = [(obs, (ego_radius + math.hypot(*obs.extents[:2]) / 2.0 + 1e-6) ** 2)
-                       for obs in self.scenario.obstacles]
-        self.condition = condition_derive(bundle["weather"], bundle["time_of_day"])
+                       for obs in self.obstacles]
+        self.condition = condition_derive(case.weather, case.time_of_day)
         self.lights = headlight_control(self.condition.ambient_light, self.condition.fog_density)
 
-        self.autonomy = parse_autonomy_doc(bundle.get("autonomy") or default_autonomy_doc())
-        if bundle["model"] not in self.autonomy.presets:
-            raise ValueError(f"no perception preset for model {bundle['model']!r}")
-        self.rng = np.random.Generator(np.random.Philox(key=int(bundle["seed"])))
+        self.autonomy = case.autonomy
+        self.rng = np.random.Generator(np.random.Philox(key=case.seed))
         self.detector = SurrogateDetector(
-            self.autonomy.presets[bundle["model"]], self.condition, self.rng,
+            self.autonomy.presets[case.model], self.condition, self.rng,
             self.autonomy.false_positive_rate)
         self.planner = AebPlanner(self.autonomy.aeb)
 
-        sensors = from_doc(SensorParams, bundle.get("sensors") or {})
-        self.camera = sensors.camera
+        self.camera = case.sensors.camera
         self.camera_mount = forward_camera_mount(self.camera.position)
         res = self.camera.resolution
         self._proj = projection_matrix(self.camera)
         self._fx_px = self._proj[0, 0] * res[0] / 2.0
         self._fy_px = self._proj[1, 1] * res[1] / 2.0
         self.ins = InsSensor()
-        self.lidar = sensors.lidar
+        self.lidar = case.sensors.lidar
         self.lidar_mount = forward_lidar_mount(self.lidar.position)
 
     # -- helpers ---------------------------------------------------------------
@@ -156,7 +172,7 @@ class Episode:
         view = camera_matrices(cam_world)
         cam_pos = cam_world[:3, 3]
         views = []
-        for obs in self.scenario.obstacles:
+        for obs in self.obstacles:
             area = project_box(obs.corners_3d(), view, self._proj, self.camera.resolution)
             if area is None:
                 continue
@@ -175,7 +191,7 @@ class Episode:
         return detections, dtc_estimate
 
     def _raycaster(self):
-        return functools.partial(env_raycast, self.scenario.terrain, self.scenario.obstacles)
+        return functools.partial(env_raycast, self.terrain, self.obstacles)
 
     def _overlaps(self, ex: float, ey: float, eyaw: float) -> bool:
         """Whether the ego footprint overlaps any obstacle; the separating-axis
@@ -195,8 +211,8 @@ class Episode:
 
     def run(self) -> EpisodeResult:
         dt = self.sim.dt
-        sx, sy, syaw = self.scenario.spawn
-        state = self.vehicle.spawn_state(self.scenario.terrain, sx, sy, syaw)
+        spawn = self.scenario.spawn
+        state = self.vehicle.spawn_state(self.terrain, spawn.x, spawn.y, spawn.yaw)
         pose = self.vehicle.origin_pose(state)  # the state's pose, updated after each step
         log = TelemetryLog() if self.collect_telemetry else None
 
@@ -229,7 +245,7 @@ class Episode:
                         "brake" if self.planner.braking else "cruise", state.forward_speed,
                         cruise_speed, cruise_kp)
                 state.set_commands(throttle, 0.0, brake)
-                self.vehicle.step(state, self.scenario.terrain, dt)
+                self.vehicle.step(state, self.terrain, dt)
                 steps += 1
                 t = steps * dt
 
@@ -240,7 +256,7 @@ class Episode:
                     collision_count = 1
                     contact_end = steps + contact_steps
 
-                dtc = compute_dtc(ex, ey, eyaw, self.front_offset, self.scenario.obstacles)
+                dtc = compute_dtc(ex, ey, eyaw, self.front_offset, self.obstacles)
 
                 if log is not None:
                     log.append(self._make_record(state, pose, t, detections, dtc,
@@ -257,7 +273,7 @@ class Episode:
                 if steps >= contact_end:
                     terminal = "collision"
                     break
-        except (SimulationFault, TerrainQueryError) as exc:
+        except (SimulationFault, TerrainQueryError, ArithmeticError) as exc:
             status = "failed"
             terminal = "fault"
             error = f"{type(exc).__name__}: {exc}"
@@ -297,10 +313,12 @@ class Episode:
 
 
 def run_case(bundle: dict, collect_telemetry: bool = True, full_scans: bool = False) -> EpisodeResult:
-    """Run one case; a bundle that `Episode` rejects is a `failed` result."""
+    """Run one case; a bundle that `Episode` rejects, or whose numbers overflow
+    while it is built, is a `failed` result (case_id None if the bundle has none)."""
     try:
         episode = Episode(bundle, collect_telemetry, full_scans)
-    except ValueError as exc:  # ConfigurationError, ScenarioError, or a model without a preset
-        return EpisodeResult(bundle["case_id"], "failed", "fault", 0, 0.0, None, None,
+    except (ValueError, ArithmeticError) as exc:  # ValueError: ConfigurationError, ScenarioError
+        case_id = bundle.get("case_id") if isinstance(bundle, dict) else None
+        return EpisodeResult(case_id, "failed", "fault", 0, 0.0, None, None,
                              f"{type(exc).__name__}: {exc}", None)
     return episode.run()

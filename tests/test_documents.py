@@ -22,12 +22,14 @@ from twinforge.dynamics.config import (
     VehicleConfig,
 )
 from twinforge.dynamics.spline import FrictionSpline
-from twinforge.episode import SimParams
+from twinforge.episode import CaseBundle, SimParams
+from twinforge.scenarios import ObstacleSpec, ScenarioConfig, Spawn, TerrainSpec
 from twinforge.sensors import CameraConfig, LidarConfig
 
 SECTIONS = (SimParams, CameraConfig, LidarConfig, PerceptionModelPreset, AebConfig, ControlParams,
             AutonomyConfig, SprungMass, SuspensionParams, PowertrainParams, SteeringParams,
-            BrakeParams, AeroParams, FootprintParams, VehicleConfig, FrictionSpline)
+            BrakeParams, AeroParams, FootprintParams, VehicleConfig, FrictionSpline, TerrainSpec,
+            Spawn, ObstacleSpec, ScenarioConfig, CaseBundle)
 
 
 def _undeclared_numbers(hint) -> int:

@@ -126,7 +126,7 @@ def test_suspension_coefficients_reject_bad_input():
 def test_static_displacement_hand_value():
     # corner mass 1000 kg, wn = 2*pi, rest length 1.0 -> Zs = 9810 / 39478.4
     cfg = default_vehicle_config()
-    doc = cfg.to_dict()
+    doc = to_doc(cfg)
     doc["sprung_masses"] = [
         {"mass": 1000.0, "position": [1.45, 0.78, 0.0]},
         {"mass": 1000.0, "position": [1.45, -0.78, 0.0]},
@@ -135,7 +135,7 @@ def test_static_displacement_hand_value():
     ]
     doc["suspension"]["natural_frequency"] = 2.0 * math.pi
     doc["suspension"]["rest_length"] = 1.0
-    cfg2 = VehicleConfig.from_dict(doc)
+    cfg2 = from_doc(VehicleConfig, doc)
     for w in cfg2.wheels:
         assert w.corner_mass == pytest.approx(1000.0)
         assert w.static_displacement == pytest.approx(0.248490, abs=1e-5)
@@ -144,27 +144,27 @@ def test_static_displacement_hand_value():
 # -- config serialisation ------------------------------------------------------------
 
 def test_config_json_roundtrip_reproduces_document():
-    doc = default_vehicle_config().to_dict()
-    cfg2 = VehicleConfig.from_dict(json.loads(json.dumps(doc)))
-    assert cfg2.to_dict() == doc
+    doc = to_doc(default_vehicle_config())
+    cfg2 = from_doc(VehicleConfig, json.loads(json.dumps(doc)))
+    assert to_doc(cfg2) == doc
 
 
 def test_config_document_is_pinned():
-    doc = default_vehicle_config().to_dict()
+    doc = to_doc(default_vehicle_config())
     text = json.dumps(doc, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == \
         "04d7543aa27e105404fa413dd1efeee5188f44067743bc8ecdfba314a15d82e9"
 
 
 def test_config_document_with_tire_stiffness_loads():
-    doc = default_vehicle_config().to_dict()
+    doc = to_doc(default_vehicle_config())
     doc["tires"]["stiffness"] = 30000.0
-    assert VehicleConfig.from_dict(doc).to_dict() == default_vehicle_config().to_dict()
+    assert to_doc(from_doc(VehicleConfig, doc)) == to_doc(default_vehicle_config())
 
 
 def test_a_document_with_park_and_reverse_entries_drives_the_same_plant():
     # version-2 documents written before the plant went forward-only carry these
-    doc = default_vehicle_config().to_dict()
+    doc = to_doc(default_vehicle_config())
     doc["powertrain"]["gear_ratios"].update({"-2": 0.0, "-1": -2.9})
     doc["aero"].update(drag_reverse=1200.0, reverse_speed=8.0)
     terrain = TerrainHeightmap.flat(0.0, size=400.0, cell=2.0, origin=(-100.0, -200.0))
@@ -177,15 +177,15 @@ def test_a_document_with_park_and_reverse_entries_drives_the_same_plant():
             vehicle.step(s, terrain, 0.01)
         return s.pos, s.vel, s.wheel_omega, s.pt.engine_rpm, s.pt.gear
 
-    assert drive(VehicleConfig.from_dict(doc)) == drive(default_vehicle_config())
+    assert drive(from_doc(VehicleConfig, doc)) == drive(default_vehicle_config())
 
 
 def test_config_rejects_gap_in_forward_gears():
     # without gear 2 the upshift from 1 would look up a ratio that is not there
-    doc = default_vehicle_config().to_dict()
+    doc = to_doc(default_vehicle_config())
     del doc["powertrain"]["gear_ratios"]["2"]
     with pytest.raises(ConfigurationError):
-        VehicleConfig.from_dict(doc)
+        from_doc(VehicleConfig, doc)
 
 
 @pytest.mark.parametrize("section, field, kind", [
@@ -193,10 +193,10 @@ def test_config_rejects_gap_in_forward_gears():
     ("suspension", "wheel_mass", "SuspensionParams"),
 ])
 def test_config_missing_field_names_it(section, field, kind):
-    doc = default_vehicle_config().to_dict()
+    doc = to_doc(default_vehicle_config())
     del (doc[section] if section else doc)[field]
     with pytest.raises(ConfigurationError, match=f"{kind} document lacks {field}"):
-        VehicleConfig.from_dict(doc)
+        from_doc(VehicleConfig, doc)
 
 
 @pytest.mark.parametrize("section, change", [
@@ -224,7 +224,7 @@ def test_a_torque_curve_without_increasing_rpm_knots_is_rejected(curve):
 
 def test_an_empty_torque_curve_is_a_failed_result():
     bundle = default_bundle()
-    bundle["vehicle"] = default_vehicle_config().to_dict()
+    bundle["vehicle"] = to_doc(default_vehicle_config())
     bundle["vehicle"]["powertrain"]["torque_curve"] = []
     res = run_case(bundle)
     assert (res.status, res.terminal, res.steps) == ("failed", "fault", 0)
@@ -245,9 +245,9 @@ def test_mounts_without_positive_wheelbase_and_track_are_rejected(mounts):
 def test_wheelbase_and_track_come_from_the_mounts():
     cfg = default_vehicle_config()
     assert (cfg.wheelbase, cfg.track) == (2.9, 1.56)  # bit for bit the old stored values
-    doc = cfg.to_dict()
+    doc = to_doc(cfg)
     doc["wheel_mounts"]["RL"][0] = doc["wheel_mounts"]["RR"][0] = -1.75
-    longer = VehicleConfig.from_dict(doc)
+    longer = from_doc(VehicleConfig, doc)
     assert longer.wheelbase == pytest.approx(3.2)
     vehicle = Vehicle(longer)
     assert vehicle.steering_geometry[3:] == (longer.aero.top_speed, longer.wheelbase, longer.track)
@@ -257,7 +257,7 @@ def test_wheelbase_and_track_come_from_the_mounts():
 
 
 def test_the_document_stores_each_quantity_once():
-    doc = default_vehicle_config().to_dict()
+    doc = to_doc(default_vehicle_config())
     assert doc["schema_version"] == 2
     assert set(doc["steering"]) == {"limit", "sensitivity", "speed_factor"}
     assert "tire_radius" not in doc["powertrain"]

@@ -13,6 +13,7 @@ import pickle
 import numpy as np
 import pytest
 
+from twinforge.documents import from_doc
 from twinforge.environment import (
     Obstacle,
     TerrainHeightmap,
@@ -21,7 +22,7 @@ from twinforge.environment import (
     footprint_corners,
     rectangles_overlap,
 )
-from twinforge.scenarios import build_scenario, builtin_scenario_doc
+from twinforge.scenarios import ScenarioConfig, build_scenario, builtin_scenario_doc
 
 
 # -- the scalar reference ------------------------------------------------------
@@ -161,7 +162,7 @@ def _inf(d):
 # -- inputs --------------------------------------------------------------------
 
 def _builtin_terrain(name):
-    return build_scenario(builtin_scenario_doc(name), 2.0).terrain
+    return build_scenario(from_doc(ScenarioConfig, builtin_scenario_doc(name)), 2.0)[0]
 
 
 def _random_terrain(cell):

@@ -5,9 +5,11 @@ the environment and the telemetry. A change that moves one of them is a
 behaviour change and must say so.
 """
 
+import copy
 import dataclasses
 import functools
 import hashlib
+import itertools
 import json
 import math
 import operator
@@ -19,7 +21,7 @@ from hypothesis import assume, given, settings, strategies as st
 from twinforge.autonomy import AutonomyConfig
 from twinforge.documents import ConfigurationError, from_doc, to_doc
 from twinforge.dynamics import default_vehicle_config
-from twinforge.environment import footprint_corners, rectangles_overlap
+from twinforge.environment import TerrainQueryError, footprint_corners, rectangles_overlap
 from twinforge.episode import Episode, SimParams, default_bundle, run_case
 from twinforge.sensors import CameraConfig, SensorParams
 
@@ -120,7 +122,7 @@ def _bad_scenario_kind(bundle):
 def _version_1_vehicle_doc():
     """Version 1 stored wheelbase, track, tire_radius and a second top_speed,
     and the spline as named knots."""
-    doc = default_vehicle_config().to_dict()
+    doc = to_doc(default_vehicle_config())
     del doc["schema_version"]
     doc["config_version"] = 1
     doc["steering"].update(wheelbase=2.9, track=1.56, top_speed=30.0)
@@ -136,20 +138,21 @@ def _set(*path_and_value):
 
     def edit(bundle):
         if path[0] == "vehicle":
-            bundle["vehicle"] = default_vehicle_config().to_dict()
+            bundle["vehicle"] = to_doc(default_vehicle_config())
         functools.reduce(operator.getitem, path, bundle)[key] = value
     return edit
 
 
 HUGE = 10 ** 400  # beyond the float range
-NOT_OBJECTS = "ScenarioError: scenario terrain and spawn must be objects, obstacles a list of objects"
 
 
 @pytest.mark.parametrize("edit, error", [
     (_drop_preset_field,
      "ConfigurationError: PerceptionModelPreset document lacks min_pixel_area"),
-    (lambda b: b.update(model="v9"), "ValueError: no perception preset for model 'v9'"),
-    (_bad_scenario_kind, "ScenarioError: unknown terrain kind 'lunar'"),
+    (lambda b: b.update(model="v9"),
+     "ConfigurationError: CaseBundle.model must name a perception preset, got 'v9'"),
+    (_bad_scenario_kind, "ConfigurationError: TerrainSpec.kind must be one of "
+     "('rolling', 'upslope', 'flat'), got 'lunar'"),
     (lambda b: b["sim"].update(t_max=0),
      "ConfigurationError: SimParams.t_max must be a finite number > 0, got 0.0"),
     (lambda b: b["sim"].update(dt=-0.01),
@@ -160,19 +163,20 @@ NOT_OBJECTS = "ScenarioError: scenario terrain and spawn must be objects, obstac
      "ConfigurationError: AebConfig.max_decel must be a finite number > 0, got 0.0"),
     (lambda b: b["autonomy"].update(perception_period_steps=0),
      "ConfigurationError: AutonomyConfig.perception_period_steps must be a finite number >= 1, got 0"),
-    (lambda b: b["scenario"]["terrain"].update(cell=0), "ScenarioError: terrain cell must be > 0"),
+    (lambda b: b["scenario"]["terrain"].update(cell=0),
+     "ConfigurationError: TerrainSpec.cell must be a finite number > 0, got 0.0"),
     (lambda b: b["scenario"]["obstacles"][0].pop("ahead"),
-     "ScenarioError: scenario obstacle missing field 'ahead'"),
+     "ConfigurationError: ObstacleSpec document lacks ahead"),
     (lambda b: b["scenario"]["obstacles"][0].pop("extents"),
-     "ScenarioError: scenario obstacle missing field 'extents'"),
-    (lambda b: b["scenario"]["spawn"].pop("x"), "ScenarioError: scenario spawn missing field 'x'"),
+     "ConfigurationError: ObstacleSpec document lacks extents"),
+    (lambda b: b["scenario"]["spawn"].pop("x"), "ConfigurationError: Spawn document lacks x"),
     (lambda b: b["sim"].update(dt="0.01"),
      "ConfigurationError: SimParams.dt must be float, got '0.01'"),
     (lambda b: b["sim"].update(dt=True), "ConfigurationError: SimParams.dt must be float, got True"),
     (lambda b: b["autonomy"].update(perception_period_steps=2.5),
      "ConfigurationError: AutonomyConfig.perception_period_steps must be int, got 2.5"),
     (lambda b: b["scenario"]["obstacles"][0].update(extents=[0.8, 2.4]),
-     "ScenarioError: obstacle moose0 extents must be three positive numbers"),
+     "ConfigurationError: ObstacleSpec.extents must be an array of 3, got [0.8, 2.4]"),
     (lambda b: b["sim"].update(contact_window=-1.0),
      "ConfigurationError: SimParams.contact_window must be a finite number >= 0, got -1.0"),
     (lambda b: b["sim"].update(contact_window=math.inf),
@@ -184,9 +188,9 @@ NOT_OBJECTS = "ScenarioError: scenario terrain and spawn must be objects, obstac
     (lambda b: b["sim"].update(post_stop_grace=math.inf),
      "ConfigurationError: SimParams.post_stop_grace must be a finite number >= 0, got inf"),
     (lambda b: b["scenario"].update(cruise_speed=math.nan),
-     "ScenarioError: cruise_speed must be a finite number > 0, got nan"),
+     "ConfigurationError: ScenarioConfig.cruise_speed must be a finite number > 0, got nan"),
     (lambda b: b.update(vehicle=_version_1_vehicle_doc()),
-     "ConfigurationError: unsupported vehicle schema_version None"),
+     "ConfigurationError: VehicleConfig.schema_version must be 2, got None"),
     (lambda b: b.update(vehicle={**_version_1_vehicle_doc(), "schema_version": 2}),
      "ConfigurationError: FrictionSpline document lacks s0, f0, se, fe, sa, fa"),
     (_set("autonomy", "presets", "v3", "range_halflife", 0),
@@ -228,21 +232,41 @@ NOT_OBJECTS = "ScenarioError: scenario terrain and spawn must be objects, obstac
      "ConfigurationError: CameraConfig.resolution must be a finite number >= 1, got 0"),
     (lambda b: b["sim"].update(dt=1.0, t_max=0.5),
      "ConfigurationError: need dt <= t_max, got dt=1.0, t_max=0.5"),
-    (_set("scenario", "obstacles", 5), NOT_OBJECTS),
-    (_set("scenario", "obstacles", [5]), NOT_OBJECTS),
-    (_set("scenario", "terrain", "flat"), NOT_OBJECTS),
+    (_set("scenario", "obstacles", 5),
+     "ConfigurationError: ScenarioConfig.obstacles must be an array, got 5"),
+    (_set("scenario", "obstacles", [5]),
+     "ConfigurationError: ScenarioConfig.obstacles must be an object, got 5"),
+    (_set("scenario", "terrain", "flat"),
+     "ConfigurationError: ScenarioConfig.terrain must be an object, got 'flat'"),
     (_set("scenario", "spawn", [400.0, 0.0]),
-     NOT_OBJECTS),
+     "ConfigurationError: ScenarioConfig.spawn must be an object, got [400.0, 0.0]"),
     (_set("scenario", "spawn", "y", math.inf),
-     "ScenarioError: scenario spawn y must be a finite number, got inf"),
+     "ConfigurationError: Spawn.y must be a finite number, got inf"),
     (_set("scenario", "spawn", "yaw", "0"),
-     "ScenarioError: scenario spawn yaw must be a finite number, got '0'"),
+     "ConfigurationError: Spawn.yaw must be float, got '0'"),
     (_set("scenario", "obstacles", 0, "yaw", math.nan),
-     "ScenarioError: obstacle moose0 yaw must be a finite number, got nan"),
+     "ConfigurationError: ObstacleSpec.yaw must be a finite number, got nan"),
     (_set("scenario", "obstacles", 0, "lateral", -math.inf),
-     "ScenarioError: obstacle moose0 lateral must be a finite number, got -inf"),
+     "ConfigurationError: ObstacleSpec.lateral must be a finite number, got -inf"),
     (_set("scenario", "cruise_speed", HUGE),
-     f"ScenarioError: cruise_speed must be a finite number > 0, got {HUGE}"),
+     f"ConfigurationError: ScenarioConfig.cruise_speed must be a finite number > 0, got {HUGE}"),
+    (lambda b: b.update(seed=None), "ConfigurationError: CaseBundle.seed must be int, got None"),
+    (lambda b: b.update(seed=1.5), "ConfigurationError: CaseBundle.seed must be int, got 1.5"),
+    (lambda b: b.update(seed=-1),
+     "ConfigurationError: CaseBundle.seed must be a finite number >= 0, got -1"),
+    (lambda b: b.update(model=["v3"]), "ConfigurationError: CaseBundle.model must be str, got ['v3']"),
+    (lambda b: b.pop("weather"), "ConfigurationError: CaseBundle document lacks weather"),
+    (lambda b: b.update(sim=5), "ConfigurationError: CaseBundle.sim must be an object, got 5"),
+    (lambda b: b.update(sensors=[1]),
+     "ConfigurationError: CaseBundle.sensors must be an object, got [1]"),
+    (lambda b: b.update(vehicle=None),
+     "ConfigurationError: CaseBundle.vehicle must be an object, got None"),
+    (lambda b: b.update(autonomy={}),
+     "ConfigurationError: AutonomyConfig.schema_version must be 1, got None"),
+    (_set("autonomy", "aeb", "threat_classes", "moose"),
+     "ConfigurationError: AebConfig.threat_classes must be an array, got 'moose'"),
+    (_set("vehicle", "suspension", "wheel_radius", 1e-300), "ZeroDivisionError: float division by zero"),
+    (_set("vehicle", "tires", "sa", 1e300), "OverflowError: (34, 'Numerical result out of range')"),
 ], ids=["preset-missing-field", "model-without-preset", "bad-scenario-kind", "zero-t-max",
         "negative-dt", "zero-dt", "zero-max-decel", "zero-perception-period", "zero-cell",
         "obstacle-without-ahead", "obstacle-without-extents", "spawn-without-x", "string-dt",
@@ -257,7 +281,9 @@ NOT_OBJECTS = "ScenarioError: scenario terrain and spawn must be objects, obstac
         "zero-footprint-length", "false-positive-rate-above-1", "zero-px-resolution",
         "dt-above-t-max", "number-obstacles", "number-obstacle-entry", "string-terrain",
         "list-spawn", "infinite-spawn-y", "string-spawn-yaw", "nan-obstacle-yaw",
-        "infinite-obstacle-lateral", "huge-int-cruise-speed"])
+        "infinite-obstacle-lateral", "huge-int-cruise-speed", "none-seed", "fractional-seed",
+        "negative-seed", "list-model", "no-weather", "number-sim", "list-sensors", "none-vehicle",
+        "unversioned-autonomy", "string-threat-classes", "tiny-wheel-radius", "huge-tyre-knot"])
 def test_rejected_bundle_is_a_failed_result(edit, error):
     bundle = _bundle("default")
     edit(bundle)
@@ -273,14 +299,13 @@ def test_rejected_bundle_is_a_failed_result(edit, error):
 def test_default_bundle_section_round_trips(section, kind):
     doc = json.loads(json.dumps(default_bundle()[section]))
     assert doc == default_bundle()[section]
-    doc.pop("schema_version", None)
     assert to_doc(from_doc(kind, doc)) == doc
 
 
 def test_default_bundle_digest():
     text = json.dumps(default_bundle(), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == \
-        "fa5eb092ded1cba084c3f104124766c040c03f2bcefd6a609b40c4405f5122ae"
+        "d176c75d28297ca4632fd33953b2485f7bb190345bfb414a9446d351864308d3"
 
 
 def test_an_int_passes_where_a_float_is_hinted():
@@ -292,7 +317,7 @@ def test_an_int_passes_where_a_float_is_hinted():
 def _sweep_bundle() -> dict:
     bundle = _bundle("default")
     bundle["sim"]["t_max"] = 5.0  # the first threat-sized box appears at t = 4.01 s
-    bundle["vehicle"] = default_vehicle_config().to_dict()
+    bundle["vehicle"] = to_doc(default_vehicle_config())
     return bundle
 
 
@@ -305,17 +330,21 @@ def _number_paths(doc, path=()) -> list:
 
 
 NUMBER_PATHS = _number_paths({k: _sweep_bundle()[k]
-                              for k in ("sim", "sensors", "autonomy", "vehicle")})
+                              for k in ("sim", "sensors", "autonomy", "vehicle", "scenario")})
 EDITS = {"nan": lambda d: math.nan, "inf": lambda d: math.inf, "-inf": lambda d: -math.inf,
          "zero": lambda d: 0, "negated": lambda d: -d, "tenth": lambda d: d * 0.1,
-         "tenfold": lambda d: d * 10, "huge-int": lambda d: HUGE}
+         "tenfold": lambda d: d * 10, "huge-int": lambda d: HUGE,
+         "1e300": lambda d: 1e300, "-1e300": lambda d: -1e300,
+         "1e-300": lambda d: 1e-300, "-1e-300": lambda d: -1e-300}
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from(NUMBER_PATHS), st.sampled_from(sorted(EDITS)))
 def test_run_case_returns_a_result_for_any_one_number_edited(path, edit):
-    """No value of one number of the sim, sensors, autonomy or vehicle section
-    makes `run_case` raise: the case is done or failed."""
+    """No value of one number of the sim, sensors, autonomy, vehicle or
+    scenario section makes `run_case` raise: the case is done or failed. The
+    one exception is a wheel mount so far out that its wheel is off the map at
+    spawn (see `test_an_off_map_wheel_mount_raises_from_spawn_state`)."""
     bundle = _sweep_bundle()
     *parents, key = path
     node = functools.reduce(operator.getitem, parents, bundle)
@@ -323,9 +352,66 @@ def test_run_case_returns_a_result_for_any_one_number_edited(path, edit):
     dt, t_max = bundle["sim"]["dt"], bundle["sim"]["t_max"]
     # at most 1,000 steps; a non-finite or huge-int t_max is rejected before it runs
     assume(not (type(t_max) is float and t_max < math.inf and 0 < dt < t_max / 1000))
-    res = run_case(bundle)
+    try:
+        res = run_case(bundle)
+    except TerrainQueryError:
+        assert path[:2] == ("vehicle", "wheel_mounts") and abs(node[key]) == 1e300
+        return
     assert res.status in ("done", "failed")
     assert (res.error is None) == (res.status == "done")
+
+
+def test_an_off_map_wheel_mount_raises_from_spawn_state():
+    """A mount coordinate of +-1e300 that keeps the wheelbase and track positive
+    puts its wheel off the map, and `Vehicle.spawn_state` raises outside
+    `Episode.run`'s fault handling, as an off-map spawn does."""
+    raised = []
+    for name, axis, value in itertools.product(("FL", "FR", "RL", "RR"), (0, 1), (1e300, -1e300)):
+        bundle = _sweep_bundle()
+        bundle["vehicle"]["wheel_mounts"][name][axis] = value
+        try:
+            res = run_case(bundle)
+        except TerrainQueryError:
+            raised.append((name, axis, value))
+        else:
+            assert res.error == "ConfigurationError: wheel_mounts must give wheelbase and track > 0"
+    assert len(raised) == 10
+
+
+def _node_paths(doc, path=()) -> list:
+    """The path of every node below the root of a document."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    return [p for k, v in items for p in (path + (k,), *_node_paths(v, path + (k,)))]
+
+
+WRONG_KINDS = (5, None, "x", [], {}, [1])
+
+
+def test_run_case_returns_a_result_for_any_node_of_the_wrong_kind():
+    """Every node of the bundle replaced in turn by each value of WRONG_KINDS,
+    and every key deleted: `run_case` returns a done or failed result."""
+    base = _sweep_bundle()
+    base["sim"]["t_max"] = 0.1
+    for path in _node_paths(base):
+        *parents, key = path
+        for value in (*WRONG_KINDS, "delete"):
+            bundle = copy.deepcopy(base)
+            node = functools.reduce(operator.getitem, parents, bundle)
+            if value != "delete":
+                node[key] = copy.deepcopy(value)
+            elif isinstance(node, dict):
+                del node[key]
+            else:
+                continue
+            res = run_case(bundle)
+            assert res.status in ("done", "failed"), (path, value)
+            assert (res.error is None) == (res.status == "done"), (path, value)
+    for bundle in WRONG_KINDS:  # the root
+        res = run_case(bundle)
+        assert (res.case_id, res.status, res.terminal) == (None, "failed", "fault")
+    del base["case_id"]
+    res = run_case(base)
+    assert (res.case_id, res.error) == (None, "ConfigurationError: CaseBundle document lacks case_id")
 
 
 # -- contact ---------------------------------------------------------------------
@@ -359,7 +445,7 @@ def test_no_contact_never_ends_in_collision(lateral):
 
 
 def test_an_obstacle_is_frozen():
-    obs = Episode(_bundle("default")).scenario.obstacles[0]
+    obs = Episode(_bundle("default")).obstacles[0]
     with pytest.raises(dataclasses.FrozenInstanceError):
         obs.position = (0.0, 0.0, 0.0)
     assert not obs.corners_3d().flags.writeable
@@ -369,7 +455,7 @@ def _ego_poses(episode, rng):
     """Random poses around the obstacle, plus poses that touch or nearly touch
     it: face to face, and far corner to corner along the bounding circles."""
     fp = episode.vcfg.footprint
-    obs = episode.scenario.obstacles[0]
+    obs = episode.obstacles[0]
     ox, oy = obs.position[:2]
     for _ in range(3000):
         yield ox + rng.uniform(-8.0, 8.0), oy + rng.uniform(-8.0, 8.0), rng.uniform(-math.pi, math.pi)
@@ -392,11 +478,11 @@ def _ego_poses(episode, rng):
 @pytest.mark.parametrize("center_x", [0.0, 1.1, -0.9])
 def test_broad_phase_keeps_the_separating_axis_decision(center_x):
     bundle = _bundle("default")
-    bundle["vehicle"] = default_vehicle_config().to_dict()
+    bundle["vehicle"] = to_doc(default_vehicle_config())
     bundle["vehicle"]["footprint"]["center_x"] = center_x
     episode = Episode(bundle)
     fp = episode.vcfg.footprint
-    obs = episode.scenario.obstacles[0]
+    obs = episode.obstacles[0]
     decisions = set()
     for ex, ey, eyaw in _ego_poses(episode, np.random.default_rng(3)):
         ego = footprint_corners(ex, ey, eyaw, fp.length, fp.width, fp.center_x)
@@ -413,6 +499,17 @@ def test_driving_off_the_map_is_a_failed_result():
     res = run_case(bundle)
     assert (res.status, res.terminal, res.verdict) == ("failed", "fault", None)
     assert res.error.startswith("TerrainQueryError: terrain query (400.72, 30.01)")
+
+
+@pytest.mark.parametrize("field, value", [
+    ("natural_frequency", 1e300), ("damping_ratio", 1e300), ("force_offset", -1e300),
+])
+def test_an_overflow_while_stepping_is_a_fault(field, value):
+    bundle = _sweep_bundle()
+    bundle["vehicle"]["suspension"][field] = value
+    res = run_case(bundle)
+    assert (res.status, res.terminal, res.verdict) == ("failed", "fault", None)
+    assert res.steps > 0 and res.error == "ZeroDivisionError: float division by zero"
 
 
 def test_timeout_duration_does_not_drift():

@@ -12,7 +12,7 @@ from twinforge.dynamics import SimulationFault, Vehicle, default_vehicle_config
 from twinforge.dynamics.config import GEAR_NEUTRAL, GRAVITY
 from twinforge.dynamics.powertrain import transmission_map_rpm
 from twinforge.environment import TerrainHeightmap
-from twinforge.scenarios import build_terrain
+from twinforge.scenarios import TerrainSpec, build_terrain
 from twinforge.se3 import quat_to_matrix
 
 DT = 0.01
@@ -306,7 +306,7 @@ def test_plant_trajectory_digest(drive, digest):
 
 def test_the_state_carries_the_matrix_of_its_quaternion(vehicle):
     # the step and origin_pose read state.rot in place of quat_to_matrix(state.quat)
-    terrain = build_terrain({"kind": "rolling"}, 0.0)
+    terrain = build_terrain(TerrainSpec("rolling"), 0.0)
     st = vehicle.spawn_state(terrain, 0.0, 0.0, 0.1)
 
     def bits(m):
