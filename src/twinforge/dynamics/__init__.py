@@ -5,7 +5,6 @@ from .config import (
     SprungMass,
     SuspensionParams,
     PowertrainParams,
-    SteeringParams,
     BrakeParams,
     AeroParams,
     FootprintParams,

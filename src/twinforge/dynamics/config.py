@@ -1,12 +1,13 @@
-"""Vehicle parameter set: sprung masses, suspension, powertrain, steering,
-brakes, tires and aerodynamics, plus the derived per-corner quantities used
-by the integrator. Each quantity is stored once: wheelbase and track come from
-the wheel mounts, the tire radius is the suspension's wheel radius and the
-top speed is the aero section's.
+"""Vehicle parameter set: sprung masses, suspension, powertrain, brakes, tires
+and aerodynamics, plus the derived per-corner quantities used by the
+integrator. Each quantity is stored once: wheelbase and track come from the
+wheel mounts, the tire radius is the suspension's wheel radius and the top
+speed is the aero section's.
 
-The plant drives forward only, in neutral or gears 1..top. A version-2 document
-with park or reverse gear ratios or the two reverse aero keys drives the same
-plant: those gears are never looked up and keys that name no field are ignored.
+The plant drives forward and straight, in neutral or gears 1..top. A version-2
+document with park or reverse gear ratios, the two reverse aero keys, a
+`steering` section or `powertrain.diff_torque_drop` drives the same plant:
+those gears are never looked up and keys that name no field are ignored.
 
 All units SI (m, kg, s, N, rad) except where the transmission map needs
 MPH/inches internally; that conversion lives in powertrain.py.
@@ -17,6 +18,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from ..documents import ConfigurationError, Finite, NonNegative, Positive, Section
 from .spline import FrictionSpline
@@ -89,7 +91,6 @@ class PowertrainParams(Section):
     gear_ratios: dict[int, Finite]  # gear code -> ratio
     final_drive: Positive
     drive_config: str               # FWD | RWD | AWD
-    diff_torque_drop: NonNegative   # 1/rad
     throttle_smoothing_gain: NonNegative
     shift_up_rpm: Positive
     shift_down_rpm: Positive
@@ -129,13 +130,6 @@ class PowertrainParams(Section):
 
 
 @dataclass
-class SteeringParams(Section):
-    limit: Positive            # rad
-    sensitivity: NonNegative   # rad/s
-    speed_factor: NonNegative  # rad/s
-
-
-@dataclass
 class BrakeParams(Section):
     disk_radius: Positive
     braking_distance_60mph: Positive
@@ -157,19 +151,18 @@ class FootprintParams(Section):
     center_x: Finite  # body-frame x of footprint center
 
 
-@dataclass(frozen=True)
-class WheelConfig:
-    """One corner, derived from the config when it is built."""
-    mount: tuple[float, float, float]  # strut top in body frame
-    driven: bool
-    side: int   # +1 left, -1 right
-    corner_mass: float
+class WheelConfig(NamedTuple):
+    """One corner, derived from the config when it is built; the fields are in
+    the order the step's loops unpack them."""
+    arm: tuple[float, float, float]  # mount - COM, body frame
     spring_k: float
     damper_b: float
     static_displacement: float   # Zs, dimensionless travel normalizer
-    contact_reduced_mass: float  # wheel-vs-body reduced mass at the patch
-    arm: tuple[float, float, float]  # mount - COM, body frame
+    mount: tuple[float, float, float]  # strut top in body frame
     force_arm_z: float           # ZF - COM z, ZF the body-frame z of force application
+    contact_reduced_mass: float  # wheel-vs-body reduced mass at the patch
+    driven: bool
+    corner_mass: float
 
 
 @dataclass
@@ -178,7 +171,6 @@ class VehicleConfig(Section):
     sprung_masses: list[SprungMass]
     suspension: SuspensionParams
     powertrain: PowertrainParams
-    steering: SteeringParams
     brake: BrakeParams
     aero: AeroParams
     tires: FrictionSpline
@@ -222,16 +214,15 @@ class VehicleConfig(Section):
         k, b = suspension_coefficients(mass, susp.natural_frequency, susp.damping_ratio)
         drive = self.powertrain.drive_config
         return WheelConfig(
-            mount=mount,
-            driven=drive == "AWD" or (drive == "FWD") == front,
-            side=1 if left else -1,
-            corner_mass=mass,
+            arm=(mount[0] - com[0], mount[1] - com[1], mount[2] - com[2]),
             spring_k=k,
             damper_b=b,
             static_displacement=mass * GRAVITY / (susp.rest_length * k),
-            contact_reduced_mass=1.0 / (1.0 / mass + susp.wheel_radius ** 2 / self.wheel_inertia),
-            arm=(mount[0] - com[0], mount[1] - com[1], mount[2] - com[2]),
+            mount=mount,
             force_arm_z=(com[2] - mount[2] + susp.wheel_radius - susp.force_offset) - com[2],
+            contact_reduced_mass=1.0 / (1.0 / mass + susp.wheel_radius ** 2 / self.wheel_inertia),
+            driven=drive == "AWD" or (drive == "FWD") == front,
+            corner_mass=mass,
         )
 
 
@@ -264,17 +255,11 @@ def default_vehicle_config() -> VehicleConfig:
             gear_ratios={GEAR_NEUTRAL: 0.0, 1: 2.9, 2: 1.8, 3: 1.2, 4: 0.9},
             final_drive=4.5,
             drive_config="AWD",
-            diff_torque_drop=0.5,
             throttle_smoothing_gain=0.5,
             shift_up_rpm=6300.0,
             shift_down_rpm=2800.0,
             shift_time=0.3,
             rpm_smoothing_tau=0.25,
-        ),
-        steering=SteeringParams(
-            limit=0.55,
-            sensitivity=0.8,
-            speed_factor=0.6,
         ),
         brake=BrakeParams(
             disk_radius=0.18,

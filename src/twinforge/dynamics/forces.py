@@ -1,4 +1,6 @@
-"""Per-subsystem force laws: suspension, anti-roll, steering, brakes, tires, aero."""
+"""Per-subsystem force laws: suspension, anti-roll, brakes, tires, aero. The plant
+drives straight: `steering_step` (with `ackermann_angles`) is called by no step and
+stays only as a binding perfbench/tracing.py wraps."""
 
 from __future__ import annotations
 
@@ -155,7 +157,8 @@ def tire_forces(
     eps_v: float = 0.1,
     lon_force_cap: float = math.inf,
 ) -> tuple[float, float]:
-    """Longitudinal/lateral tire forces in the wheel frame.
+    """Longitudinal/lateral tire forces in the wheel frame (the body frame for
+    a wheel pointing straight ahead).
 
     Slip denominators are guarded by eps_v and the forces taper linearly
     below it so contact is quiet at standstill. Forces oppose the slip.

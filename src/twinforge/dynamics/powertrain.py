@@ -1,4 +1,6 @@
-"""Engine / automatic transmission / differential model.
+"""Engine and automatic transmission model. Each driven wheel gets an equal share
+of the output torque; the differential's `torque_split` is called by no step and
+stays only as a binding perfbench/tracing.py wraps.
 
 The transmission map works in MPH and tire inches; that unit conversion is
 confined to transmission_map_rpm(). Everything else is SI.

@@ -12,15 +12,10 @@ import math
 
 from ..se3 import Mat3, Vec3, clamp, quat_from_euler_zyx, quat_integrate, quat_to_matrix, rotate
 from .config import GRAVITY, VehicleConfig
-from .forces import (
-    aero_forces,
-    antiroll_forces,
-    steering_step,
-    suspension_step,
-    tire_forces,
-    wheel_brake_torques,
-)
-from .powertrain import PowertrainState, powertrain_step, torque_split
+from .forces import aero_forces, antiroll_forces, suspension_step, tire_forces, wheel_brake_torques
+from .forces import steering_step  # noqa: F401  a binding perfbench/tracing.py wraps
+from .powertrain import PowertrainState, powertrain_step
+from .powertrain import torque_split  # noqa: F401  a binding perfbench/tracing.py wraps
 
 
 RPM_PER_RAD_S = 60.0 / (2.0 * math.pi)
@@ -37,8 +32,7 @@ class VehicleState:
     __slots__ = (
         "pos", "quat", "rot", "vel", "omega",
         "wheel_z", "wheel_zdot", "wheel_omega", "wheel_compression", "wheel_grounded",
-        "pt", "steer_angle",
-        "cmd_throttle", "cmd_steer", "cmd_brake",
+        "pt", "cmd_throttle", "cmd_brake",
     )
 
     def __init__(self):
@@ -53,14 +47,11 @@ class VehicleState:
         self.wheel_compression = [0.0] * 4
         self.wheel_grounded = [True] * 4
         self.pt = PowertrainState(engine_rpm=0.0)
-        self.steer_angle = 0.0
         self.cmd_throttle = 0.0
-        self.cmd_steer = 0.0
         self.cmd_brake = 0.0
 
-    def set_commands(self, throttle: float, steer: float, brake: float) -> None:
+    def set_commands(self, throttle: float, brake: float) -> None:
         self.cmd_throttle = clamp(throttle, 0.0, 1.0)
-        self.cmd_steer = clamp(steer, -1.0, 1.0)
         self.cmd_brake = clamp(brake, 0.0, 1.0)
 
     @property
@@ -78,16 +69,6 @@ class Vehicle:
         self.cfg = config
         self.driven = tuple(i for i, w in enumerate(config.wheels) if w.driven)
         self.corner_masses = tuple(w.corner_mass for w in config.wheels)
-        # Per-wheel constants the step's loops unpack.
-        self.wheel_consts = tuple(
-            (w.arm, w.spring_k, w.damper_b, w.static_displacement, w.mount[2],
-             w.force_arm_z, w.contact_reduced_mass) for w in config.wheels)
-        # Which share of torque_split drives each wheel: 0 left, 1 right, -1 none.
-        self.drive_shares = tuple((0 if w.side > 0 else 1) if w.driven else -1
-                                  for w in config.wheels)
-        st = config.steering
-        self.steering_geometry = (st.limit, st.sensitivity, st.speed_factor, config.aero.top_speed,
-                                  config.wheelbase, config.track)
 
     # -- construction ------------------------------------------------------
 
@@ -143,7 +124,7 @@ class Vehicle:
     def step(self, state: VehicleState, terrain, dt: float) -> None:
         cfg = self.cfg
         susp = cfg.suspension
-        consts = self.wheel_consts
+        wheels = cfg.wheels
         mass = cfg.total_mass
         m0, m1, m2, m3, m4, m5, m6, m7, m8 = state.rot
         px, py, pz = state.pos
@@ -153,19 +134,7 @@ class Vehicle:
         wheel_omega = state.wheel_omega
         radius = susp.wheel_radius
 
-        # steering; steering_step gives 0.0 for all three angles at a zero command and angle
-        if state.cmd_steer == 0.0 and state.steer_angle == 0.0:
-            angle = d_left = d_right = state.steer_angle = 0.0
-        else:
-            angle, d_left, d_right = steering_step(
-                state.cmd_steer, state.steer_angle, vx, *self.steering_geometry, dt)
-            state.steer_angle = angle
-        # (cos, sin) of each wheel's steer angle; cos(±0) = 1 and sin(±0) = ±0.
-        wheel_trig = ((math.cos(d_left), math.sin(d_left)) if d_left else (1.0, d_left),
-                      (math.cos(d_right), math.sin(d_right)) if d_right else (1.0, d_right),
-                      (1.0, 0.0), (1.0, 0.0))
-
-        # powertrain: one wheel's share of the total, then the differential (a no-op at 0 rad)
+        # powertrain: each driven wheel gets an equal share of the total
         driven = self.driven
         spin_sum = 0.0
         for i in driven:
@@ -174,8 +143,6 @@ class Vehicle:
         tau_total = powertrain_step(
             cfg.powertrain, radius, state.pt, state.cmd_throttle, vx, wheel_rpm_avg, dt)
         tau_out = tau_total / len(driven)
-        split = (torque_split(tau_out, angle, cfg.powertrain.diff_torque_drop) if angle
-                 else (tau_out, tau_out))
         brake = (wheel_brake_torques(self.corner_masses, vx, cfg.brake.disk_radius,
                                      cfg.brake.braking_distance_60mph, state.cmd_brake)
                  if state.cmd_brake else (0.0, 0.0, 0.0, 0.0))  # what a zero pedal gives
@@ -192,13 +159,13 @@ class Vehicle:
         contact_z = [0.0] * 4
         vertical = [0.0] * 4
         normals = [None] * 4
-        for i, ((ax, ay, az), spring_k, damper_b, zs, mount_z, _, _) in enumerate(consts):
+        for i, ((ax, ay, az), k, b, zs, (_, _, mount_z), _, _, _, _) in enumerate(wheels):
             gz, gx, gy = terrain.height_and_gradient(px + (m0 * ax + m1 * ay + m2 * az),
                                                      py + (m3 * ax + m4 * ay + m5 * az))
             (vertical[i], wheel_z[i], wheel_zdot[i], compression[i],
              grounded[i], travels[i], contact_z[i]) = suspension_step(
                 wheel_z[i], wheel_zdot[i], compression[i],
-                pz + (m6 * ax + m7 * ay + m8 * az), gz, rest, spring_k, damper_b,
+                pz + (m6 * ax + m7 * ay + m8 * az), gz, rest, k, b,
                 radius, zs, mount_z, dt)
             # R^T * (-gx, -gy, 1)
             ngx = -gx
@@ -221,7 +188,7 @@ class Vehicle:
         # would do work the spring never stored, e.g. on a pitched landing.
         # The same vertical force is the tire's normal load.
         loads = [0.0] * 4
-        for i, ((rx, ry, _), _, _, _, _, rz, _) in enumerate(consts):
+        for i, ((rx, ry, _), _, _, _, _, rz, _, _, _) in enumerate(wheels):
             f = vertical[i]
             loads[i] = f if grounded[i] and f > 0.0 else 0.0
             if f == 0.0:
@@ -237,32 +204,27 @@ class Vehicle:
             ty_sum += rz * bfx - rx * bfz
             tz_sum += rx * bfy - ry * bfx
 
-        # tire forces
+        # tire forces; the wheels point straight ahead, so the wheel frame is the body's
         eps_v = cfg.slip_speed_guard
         tires = cfg.tires
         com_z = cfg.com[2]
         tire_fx = [0.0] * 4
-        for i, ((rx, ry, _), _, _, _, _, _, reduced_mass) in enumerate(consts):
+        for i, ((rx, ry, _), _, _, _, _, _, reduced_mass, _, _) in enumerate(wheels):
             if not grounded[i]:
                 continue
             rz = contact_z[i] - com_z
             cvx = vx + oy * rz - oz * ry
             cvy = vy + oz * rx - ox * rz
-            cs, sn = wheel_trig[i]
-            wvx = cs * cvx + sn * cvy
-            wvy = -sn * cvx + cs * cvy
             spin = wheel_omega[i]
-            rel = radius * spin - wvx
+            rel = radius * spin - cvx
             cap = abs(rel) * reduced_mass / dt
-            f_lon, f_lat = tire_forces(spin, wvx, wvy, radius, tires, loads[i], eps_v, cap)
+            f_lon, f_lat = tire_forces(spin, cvx, cvy, radius, tires, loads[i], eps_v, cap)
             tire_fx[i] = f_lon
-            bfx = cs * f_lon - sn * f_lat
-            bfy = sn * f_lon + cs * f_lat
-            fx_sum += bfx
-            fy_sum += bfy
-            tx_sum -= rz * bfy
-            ty_sum += rz * bfx
-            tz_sum += rx * bfy - ry * bfx
+            fx_sum += f_lon
+            fy_sum += f_lat
+            tx_sum -= rz * f_lat
+            ty_sum += rz * f_lon
+            tz_sum += rx * f_lat - ry * f_lon
 
         # aerodynamics
         drag, ang_drag, downforce = aero_forces((vx, vy, vz), (ox, oy, oz), cfg.aero, eps_v)
@@ -317,8 +279,8 @@ class Vehicle:
 
         # wheel spin (brake torque pulls toward zero but cannot cross it)
         i_w = cfg.wheel_inertia
-        for i, share in enumerate(self.drive_shares):
-            drive = split[share] if share >= 0 else 0.0
+        for i, w in enumerate(wheels):
+            drive = tau_out if w.driven else 0.0
             w_spin = wheel_omega[i] + dt * (drive - radius * tire_fx[i]) / i_w
             cap = dt * brake[i] / i_w
             if w_spin > cap:

@@ -54,6 +54,9 @@ from .sensors import (
     projection_matrix,
 )
 
+MAX_STEPS = 10_000_000  # in t_max and in contact_window; the default sim section takes 12,000
+
+
 @dataclass
 class SimParams(Section):
     """The sim section of a case bundle."""
@@ -66,6 +69,8 @@ class SimParams(Section):
         super().__post_init__()
         if not self.dt <= self.t_max:
             raise ConfigurationError(f"need dt <= t_max, got dt={self.dt}, t_max={self.t_max}")
+        if not max(self.t_max, self.contact_window) / self.dt <= MAX_STEPS:
+            raise ConfigurationError(f"need t_max and contact_window <= {MAX_STEPS} dt, got {self}")
 
 
 @dataclass
@@ -244,7 +249,7 @@ class Episode:
                     throttle, brake = longitudinal_control(
                         "brake" if self.planner.braking else "cruise", state.forward_speed,
                         cruise_speed, cruise_kp)
-                state.set_commands(throttle, 0.0, brake)
+                state.set_commands(throttle, brake)
                 self.vehicle.step(state, self.terrain, dt)
                 steps += 1
                 t = steps * dt
@@ -300,7 +305,7 @@ class Episode:
         best = max(detections, key=lambda d: d.confidence) if detections else None
         return TelemetryRecord(
             t, position[0], position[1], position[2], euler[0], euler[1], euler[2],
-            state.forward_speed, state.cmd_throttle, state.cmd_steer, state.cmd_brake,
+            state.forward_speed, state.cmd_throttle, 0.0, state.cmd_brake,  # 0.0: steer_cmd
             0.0, state.pt.gear, state.pt.engine_rpm, len(detections),  # 0.0: handbrake_cmd
             best.confidence if best else 0.0, best.area if best else 0.0,
             1 if self.planner.braking else 0, dtc, collision_count, self.lights)

@@ -17,7 +17,6 @@ from twinforge.dynamics.config import (
     FootprintParams,
     PowertrainParams,
     SprungMass,
-    SteeringParams,
     SuspensionParams,
     VehicleConfig,
 )
@@ -27,9 +26,9 @@ from twinforge.scenarios import ObstacleSpec, ScenarioConfig, Spawn, TerrainSpec
 from twinforge.sensors import CameraConfig, LidarConfig
 
 SECTIONS = (SimParams, CameraConfig, LidarConfig, PerceptionModelPreset, AebConfig, ControlParams,
-            AutonomyConfig, SprungMass, SuspensionParams, PowertrainParams, SteeringParams,
-            BrakeParams, AeroParams, FootprintParams, VehicleConfig, FrictionSpline, TerrainSpec,
-            Spawn, ObstacleSpec, ScenarioConfig, CaseBundle)
+            AutonomyConfig, SprungMass, SuspensionParams, PowertrainParams, BrakeParams,
+            AeroParams, FootprintParams, VehicleConfig, FrictionSpline, TerrainSpec, Spawn,
+            ObstacleSpec, ScenarioConfig, CaseBundle)
 
 
 def _undeclared_numbers(hint) -> int:
@@ -65,7 +64,6 @@ def _vehicle_section(name):
     (_vehicle_section("suspension"), "natural_frequency"),
     (_vehicle_section("suspension"), "damping_ratio"),
     (_vehicle_section("powertrain"), "final_drive"),
-    (_vehicle_section("steering"), "limit"),
     (_vehicle_section("brake"), "disk_radius"),
     (_vehicle_section("aero"), "drag_max"),
     (CameraConfig, "focal_length"),

@@ -153,7 +153,18 @@ def test_config_document_is_pinned():
     doc = to_doc(default_vehicle_config())
     text = json.dumps(doc, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == \
+        "f04e98eda5539f0bf13cb953ff16e66f58d5155966a327372e5b68d470634bf6"
+
+
+def test_a_document_with_steering_and_a_differential_drop_loads_as_the_default():
+    # the default document as it was written while the plant could steer
+    doc = to_doc(default_vehicle_config())
+    doc["steering"] = {"limit": 0.55, "sensitivity": 0.8, "speed_factor": 0.6}
+    doc["powertrain"]["diff_torque_drop"] = 0.5
+    text = json.dumps(doc, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == \
         "04d7543aa27e105404fa413dd1efeee5188f44067743bc8ecdfba314a15d82e9"
+    assert to_doc(from_doc(VehicleConfig, doc)) == to_doc(default_vehicle_config())
 
 
 def test_config_document_with_tire_stiffness_loads():
@@ -173,7 +184,7 @@ def test_a_document_with_park_and_reverse_entries_drives_the_same_plant():
         vehicle = Vehicle(cfg)
         s = vehicle.spawn_state(terrain, 0.0, 0.0, 0.0)
         for k in range(600):
-            s.set_commands(1.0 if k < 400 else 0.0, 0.0, 0.0 if k < 400 else 1.0)
+            s.set_commands(1.0 if k < 400 else 0.0, 0.0 if k < 400 else 1.0)
             vehicle.step(s, terrain, 0.01)
         return s.pos, s.vel, s.wheel_omega, s.pt.engine_rpm, s.pt.gear
 
@@ -204,7 +215,7 @@ def test_config_missing_field_names_it(section, field, kind):
     ("suspension", {"wheel_radius": -0.35}),
     ("powertrain", {"final_drive": 0.0}),
     ("powertrain", {"shift_down_rpm": 7000.0}),
-    ("steering", {"limit": 0.0}),
+    ("footprint", {"length": 0.0}),
     ("brake", {"disk_radius": 0.0}),
     ("aero", {"drag_max": -1.0}),
 ])
@@ -249,18 +260,18 @@ def test_wheelbase_and_track_come_from_the_mounts():
     doc["wheel_mounts"]["RL"][0] = doc["wheel_mounts"]["RR"][0] = -1.75
     longer = from_doc(VehicleConfig, doc)
     assert longer.wheelbase == pytest.approx(3.2)
-    vehicle = Vehicle(longer)
-    assert vehicle.steering_geometry[3:] == (longer.aero.top_speed, longer.wheelbase, longer.track)
-    angle, left, right = steering_step(1.0, 0.3, 5.0, *vehicle.steering_geometry, 0.01)
-    assert (left, right) == ackermann_angles(angle, longer.wheelbase, longer.track)
-    assert (left, right) != ackermann_angles(angle, cfg.wheelbase, cfg.track)
+    # the static load split follows: the COM is now further from the rear axle
+    front, rear = longer.wheels[0].corner_mass, longer.wheels[2].corner_mass
+    assert front > cfg.wheels[0].corner_mass and rear < cfg.wheels[2].corner_mass
+    assert front + rear == pytest.approx(cfg.wheels[0].corner_mass + cfg.wheels[2].corner_mass)
 
 
 def test_the_document_stores_each_quantity_once():
     doc = to_doc(default_vehicle_config())
     assert doc["schema_version"] == 2
-    assert set(doc["steering"]) == {"limit", "sensitivity", "speed_factor"}
+    assert "steering" not in doc
     assert "tire_radius" not in doc["powertrain"]
+    assert "diff_torque_drop" not in doc["powertrain"]
     assert doc["tires"] == {"s0": 0.0, "f0": 0.0, "se": 0.2, "fe": 1.0, "sa": 0.8, "fa": 0.6}
 
 
@@ -417,6 +428,17 @@ def test_brake_torque_hand_value():
     expected = 500.0 * 26.82 ** 2 / (2 * 18.0) * 0.15
     assert tau == pytest.approx(expected, rel=1e-12)
     assert tau == pytest.approx(1498.57, abs=0.01)
+
+
+# Vehicle.step skips wheel_brake_torques at a zero pedal; what it uses instead
+# must be its result bit for bit. That holds while the unbraked torque
+# m·v²/(2·d)·r is finite, since 0·inf is nan.
+@settings(deadline=None)
+@given(st.tuples(*[st.floats(1e-3, 1e4)] * 4), st.floats(-1e3, 1e3), st.floats(1e-3, 1.0),
+       st.floats(1e-3, 1e3))
+def test_the_calls_the_step_skips_return_what_it_uses(masses, v, disk_radius, distance):
+    torques = wheel_brake_torques(masses, v, disk_radius, distance, 0.0)
+    assert struct.pack("<4d", *torques) == struct.pack("<4d", *(0.0,) * 4)
 
 
 # -- tire spline ----------------------------------------------------------------------
@@ -660,27 +682,6 @@ def test_split_straight_ahead_equal():
     assert left == right == 100.0
     left, right = torque_split(400.0 / 2, 0.0, 0.5)  # FWD or RWD
     assert left == right == 200.0
-
-
-_FINITE = st.floats(allow_nan=False, allow_infinity=False)
-
-
-# Vehicle.step skips these three calls at a zero steer command and angle, a
-# zero angle and a zero pedal; what it uses instead must be their results bit
-# for bit. The brake torques hold while the unbraked torque m·v²/(2·d)·r is
-# finite, since 0·inf is nan.
-@settings(deadline=None)
-@given(_FINITE, _FINITE, _FINITE, st.tuples(*[st.floats(1e-3, 1e4)] * 4),
-       st.floats(-1e3, 1e3), st.floats(1e-3, 1.0), st.floats(1e-3, 1e3))
-def test_the_calls_the_step_skips_return_what_it_uses(tau, drop, speed, masses, v,
-                                                      disk_radius, distance):
-    def bits(values):
-        return struct.pack(f"<{len(values)}d", *values)
-
-    assert bits(torque_split(tau, 0.0, drop)) == bits((tau, tau))
-    assert bits(wheel_brake_torques(masses, v, disk_radius, distance, 0.0)) == bits((0.0,) * 4)
-    geometry = Vehicle(default_vehicle_config()).steering_geometry
-    assert bits(steering_step(0.0, 0.0, speed, *geometry, 0.01)) == bits((0.0,) * 3)
 
 
 def test_split_drop_clamped_at_09():

@@ -22,7 +22,7 @@ from twinforge.autonomy import AutonomyConfig
 from twinforge.documents import ConfigurationError, from_doc, to_doc
 from twinforge.dynamics import default_vehicle_config
 from twinforge.environment import TerrainQueryError, footprint_corners, rectangles_overlap
-from twinforge.episode import Episode, SimParams, default_bundle, run_case
+from twinforge.episode import MAX_STEPS, Episode, SimParams, default_bundle, run_case
 from twinforge.sensors import CameraConfig, SensorParams
 
 DEFAULT_DIGEST = "39f1c68ec1b52e8f0a586636bddc251f2f8995730c667ec25f2f64fe48a05ee2"
@@ -120,12 +120,14 @@ def _bad_scenario_kind(bundle):
 
 
 def _version_1_vehicle_doc():
-    """Version 1 stored wheelbase, track, tire_radius and a second top_speed,
-    and the spline as named knots."""
+    """Version 1 stored a steering section with wheelbase, track and a second
+    top_speed, tire_radius, and the spline as named knots."""
     doc = to_doc(default_vehicle_config())
     del doc["schema_version"]
     doc["config_version"] = 1
-    doc["steering"].update(wheelbase=2.9, track=1.56, top_speed=30.0)
+    doc["steering"] = {"limit": 0.55, "sensitivity": 0.8, "speed_factor": 0.6,
+                       "wheelbase": 2.9, "track": 1.56, "top_speed": 30.0}
+    doc["powertrain"]["diff_torque_drop"] = 0.5
     doc["powertrain"]["tire_radius"] = 0.35
     doc["tires"] = {"knots": {"zero": [0.0, 0.0], "extremum": [0.2, 1.0], "asymptote": [0.8, 0.6]}}
     return doc
@@ -232,6 +234,12 @@ HUGE = 10 ** 400  # beyond the float range
      "ConfigurationError: CameraConfig.resolution must be a finite number >= 1, got 0"),
     (lambda b: b["sim"].update(dt=1.0, t_max=0.5),
      "ConfigurationError: need dt <= t_max, got dt=1.0, t_max=0.5"),
+    (lambda b: b["sim"].update(dt=1e-310),
+     "ConfigurationError: need t_max and contact_window <= 10000000 dt, got SimParams(dt=1e-310, "
+     "t_max=120.0, post_stop_grace=10.0, contact_window=1.0)"),
+    (lambda b: b["sim"].update(t_max=1e300, dt=1e-10),
+     "ConfigurationError: need t_max and contact_window <= 10000000 dt, got SimParams(dt=1e-10, "
+     "t_max=1e+300, post_stop_grace=10.0, contact_window=1.0)"),
     (_set("scenario", "obstacles", 5),
      "ConfigurationError: ScenarioConfig.obstacles must be an array, got 5"),
     (_set("scenario", "obstacles", [5]),
@@ -279,11 +287,12 @@ HUGE = 10 ** 400  # beyond the float range
         "infinite-wheel-mount", "huge-int-t-max", "huge-int-focal-length",
         "huge-int-perception-period", "nan-focal-length", "nan-cruise-kp",
         "zero-footprint-length", "false-positive-rate-above-1", "zero-px-resolution",
-        "dt-above-t-max", "number-obstacles", "number-obstacle-entry", "string-terrain",
-        "list-spawn", "infinite-spawn-y", "string-spawn-yaw", "nan-obstacle-yaw",
-        "infinite-obstacle-lateral", "huge-int-cruise-speed", "none-seed", "fractional-seed",
-        "negative-seed", "list-model", "no-weather", "number-sim", "list-sensors", "none-vehicle",
-        "unversioned-autonomy", "string-threat-classes", "tiny-wheel-radius", "huge-tyre-knot"])
+        "dt-above-t-max", "subnormal-dt", "huge-t-max-tiny-dt", "number-obstacles",
+        "number-obstacle-entry", "string-terrain", "list-spawn", "infinite-spawn-y",
+        "string-spawn-yaw", "nan-obstacle-yaw", "infinite-obstacle-lateral",
+        "huge-int-cruise-speed", "none-seed", "fractional-seed", "negative-seed", "list-model",
+        "no-weather", "number-sim", "list-sensors", "none-vehicle", "unversioned-autonomy",
+        "string-threat-classes", "tiny-wheel-radius", "huge-tyre-knot"])
 def test_rejected_bundle_is_a_failed_result(edit, error):
     bundle = _bundle("default")
     edit(bundle)
@@ -335,7 +344,8 @@ EDITS = {"nan": lambda d: math.nan, "inf": lambda d: math.inf, "-inf": lambda d:
          "zero": lambda d: 0, "negated": lambda d: -d, "tenth": lambda d: d * 0.1,
          "tenfold": lambda d: d * 10, "huge-int": lambda d: HUGE,
          "1e300": lambda d: 1e300, "-1e300": lambda d: -1e300,
-         "1e-300": lambda d: 1e-300, "-1e-300": lambda d: -1e-300}
+         "1e-300": lambda d: 1e-300, "-1e-300": lambda d: -1e-300,
+         "1e-310": lambda d: 1e-310, "-1e-310": lambda d: -1e-310}
 
 
 @settings(max_examples=150, deadline=None)
@@ -350,8 +360,10 @@ def test_run_case_returns_a_result_for_any_one_number_edited(path, edit):
     node = functools.reduce(operator.getitem, parents, bundle)
     node[key] = EDITS[edit](node[key])
     dt, t_max = bundle["sim"]["dt"], bundle["sim"]["t_max"]
-    # at most 1,000 steps; a non-finite or huge-int t_max is rejected before it runs
-    assume(not (type(t_max) is float and t_max < math.inf and 0 < dt < t_max / 1000))
+    # at most 1,000 steps, or more than MAX_STEPS, which SimParams rejects before
+    # the case runs (as it does a non-finite or huge-int t_max)
+    assume(not (type(t_max) is float and t_max < math.inf and 0 < dt < t_max / 1000
+                and t_max / dt <= MAX_STEPS))
     try:
         res = run_case(bundle)
     except TerrainQueryError:

@@ -40,7 +40,7 @@ def _roll_state(vehicle, terrain, speed):
 def test_rest_on_flat_terrain_stays_put(vehicle, flat_terrain):
     st = vehicle.spawn_state(flat_terrain, 0.0, 0.0, 0.0)
     for _ in range(1000):
-        st.set_commands(0.0, 0.0, 0.0)
+        st.set_commands(0.0, 0.0)
         vehicle.step(st, flat_terrain, DT)
     assert st.speed < 1e-3
     assert abs(st.pos[0]) < 0.02 and abs(st.pos[1]) < 0.01
@@ -55,7 +55,7 @@ def test_slope_rolls_downhill_monotonically(vehicle):
     st = vehicle.spawn_state(terrain, 0.0, 0.0, 0.0)
     speeds = []
     for _ in range(100):
-        st.set_commands(0.0, 0.0, 0.0)
+        st.set_commands(0.0, 0.0)
         vehicle.step(st, terrain, DT)
         speeds.append(st.forward_speed)
     assert all(b >= a - 1e-12 for a, b in zip(speeds, speeds[1:]))
@@ -67,7 +67,7 @@ def test_step_is_bitwise_deterministic(vehicle, flat_terrain):
     def run():
         st = vehicle.spawn_state(flat_terrain, 0.0, 0.0, 0.0)
         for i in range(600):
-            st.set_commands(0.8 if i < 400 else 0.0, 0.05, 0.0 if i < 400 else 1.0)
+            st.set_commands(0.8 if i < 400 else 0.0, 0.0 if i < 400 else 1.0)
             vehicle.step(st, flat_terrain, DT)
         return (tuple(st.pos), st.quat, tuple(st.vel), tuple(st.omega),
                 tuple(st.wheel_omega), tuple(st.wheel_z), st.pt.engine_rpm, st.pt.gear)
@@ -75,12 +75,14 @@ def test_step_is_bitwise_deterministic(vehicle, flat_terrain):
     assert run() == run()
 
 
-def test_orientation_stays_orthonormal(vehicle, flat_terrain):
-    st = vehicle.spawn_state(flat_terrain, 0.0, 0.0, 0.2)
+def test_orientation_stays_orthonormal(vehicle):
+    # rolling terrain turns the body about all three axes
+    terrain = build_terrain(TerrainSpec("rolling"), 0.0)
+    st = vehicle.spawn_state(terrain, 0.0, 0.0, 0.2)
     worst = 0.0
     for i in range(800):
-        st.set_commands(0.9, 0.4 * math.sin(i * 0.02), 0.0)
-        vehicle.step(st, flat_terrain, DT)
+        st.set_commands(0.9, 0.0)
+        vehicle.step(st, terrain, DT)
         r = np.array(quat_to_matrix(st.quat)).reshape(3, 3)
         worst = max(worst, float(np.abs(r @ r.T - np.eye(3)).max()))
     assert worst < 1e-9
@@ -90,7 +92,7 @@ def test_kinetic_energy_nonincreasing_coasting(vehicle, flat_terrain):
     st = _roll_state(vehicle, flat_terrain, 10.0)
     ke = vehicle.kinetic_energy(st)
     for _ in range(1500):
-        st.set_commands(0.0, 0.0, 0.0)
+        st.set_commands(0.0, 0.0)
         vehicle.step(st, flat_terrain, DT)
         ke_next = vehicle.kinetic_energy(st)
         assert ke_next <= ke + 1e-9
@@ -101,7 +103,7 @@ def test_full_throttle_accelerates_and_shifts(vehicle, flat_terrain):
     st = vehicle.spawn_state(flat_terrain, 0.0, 0.0, 0.0)
     gears = set()
     for _ in range(2000):
-        st.set_commands(1.0, 0.0, 0.0)
+        st.set_commands(1.0, 0.0)
         vehicle.step(st, flat_terrain, DT)
         gears.add(st.pt.gear)
     assert st.forward_speed > 15.0
@@ -119,7 +121,7 @@ def test_upshift_follows_the_suspension_wheel_radius(flat_terrain):
         assert len(speeds) < 3000
         if st.pt.gear == 1 and st.pt.shift_timer == 0.0:
             speeds.append(st.forward_speed)
-        st.set_commands(1.0, 0.0, 0.0)
+        st.set_commands(1.0, 0.0)
         vehicle.step(st, flat_terrain, DT)
     rpm = [transmission_map_rpm(v, 0.40, pt.final_drive, pt.gear_ratios[1]) for v in speeds[-2:]]
     assert rpm[0] <= pt.shift_up_rpm < rpm[1]
@@ -130,7 +132,7 @@ def test_braking_stops_near_planner_model(vehicle, flat_terrain):
     x0 = st.pos[0]
     steps = 0
     while st.speed > 0.05 and steps < 3000:
-        st.set_commands(0.0, 0.0, 1.0)
+        st.set_commands(0.0, 1.0)
         vehicle.step(st, flat_terrain, DT)
         steps += 1
     dist = st.pos[0] - x0
@@ -147,7 +149,7 @@ def test_full_pedal_holds_on_slope(vehicle):
     terrain = TerrainHeightmap(np.tile(profile, (51, 1)), 2.0, (-200.0, -51.0))
     st = vehicle.spawn_state(terrain, 0.0, 0.0, 0.0)
     for _ in range(500):
-        st.set_commands(0.0, 0.0, 1.0)
+        st.set_commands(0.0, 1.0)
         vehicle.step(st, terrain, DT)
     assert st.speed < 0.05
     assert st.pt.gear == GEAR_NEUTRAL
@@ -180,7 +182,7 @@ def _check_cliff_landing(vehicle, drop, steps=1000):
     e0 = _total_energy(vehicle, st)
     airborne_seen = landed = False
     for k in range(steps):
-        st.set_commands(0.0, 0.0, 0.0)
+        st.set_commands(0.0, 0.0)
         vehicle.step(st, terrain, DT)
         if not any(st.wheel_grounded):
             airborne_seen = True
@@ -229,7 +231,7 @@ def test_grounded_wheel_without_vertical_force_gets_no_tire_load(vehicle, monkey
     for k in range(1000):
         for c in calls.values():
             c.clear()
-        st.set_commands(0.0, 0.0, 0.0)
+        st.set_commands(0.0, 0.0)
         vehicle.step(st, terrain, DT)
         vertical = [res[0] for res in calls["suspension_step"]]
         for (fl, fr), (li, ri) in zip(calls["antiroll_forces"], ((0, 1), (2, 3))):
@@ -253,41 +255,34 @@ def test_nan_force_raises_simulation_fault(vehicle, flat_terrain):
 def test_commands_are_clamped(vehicle):
     from twinforge.dynamics.vehicle import VehicleState
     s = VehicleState()
-    s.set_commands(2.0, -3.0, 1.4)
+    s.set_commands(2.0, 1.4)
     assert s.cmd_throttle == 1.0
-    assert s.cmd_steer == -1.0
     assert s.cmd_brake == 1.0
-
-
-def test_steering_angle_never_exceeds_limit(vehicle, flat_terrain):
-    st = vehicle.spawn_state(flat_terrain, 0.0, 0.0, 0.0)
-    limit = vehicle.cfg.steering.limit
-    for _ in range(600):
-        st.set_commands(0.5, 1.0, 0.0)
-        vehicle.step(st, flat_terrain, DT)
-        assert abs(st.steer_angle) <= limit + 1e-12
-    assert st.steer_angle == pytest.approx(limit)
+    s.set_commands(-0.5, -3.0)
+    assert s.cmd_throttle == 0.0
+    assert s.cmd_brake == 0.0
 
 
 def _plant_blob(st):
     vals = [*st.pos, *st.quat, *st.vel, *st.omega, *st.wheel_omega, *st.wheel_z,
-            *st.wheel_zdot, *st.wheel_compression, st.pt.engine_rpm, st.steer_angle]
+            *st.wheel_zdot, *st.wheel_compression, st.pt.engine_rpm]
     return (struct.pack(f"<{len(vals)}d", *vals) + bytes([st.pt.gear & 0xFF])
             + bytes(int(g) for g in st.wheel_grounded))
 
 
 @pytest.mark.parametrize("drive, digest", [
     ("AWD",
-     "7a97210166d5861da25a5f0aa272a4062e7dc04e919017e59c06e000232039c6"),
+     "aa88e2fb1834e4722864333f5e27f40b8110ad6a7a5d970aae69979066b9d427"),
     ("FWD",
-     "be940c01da8243ea232eb7483b1d9d717a62c4dda7498996fe6fbffaae154bc7"),
+     "265864cd2ecdb3e18688a217739d9719b15684b123cd176cef6b749bbe307557"),
     ("RWD",
-     "171e2c0794a62d8368df42ab71ebd0ded45a433f6017a28d4b495e2e0dc83634"),
+     "3147acf2125331b86ff49e2ea07fe48fead3b445c12fe3d8ce2b8038c41d3d01"),
 ])
 def test_plant_trajectory_digest(drive, digest):
-    # rough terrain, steering, throttle, then the pedal held to the end (the car
-    # creeps at 2-6 cm/s on the bumps, in neutral): the paths the pinned
-    # episodes never take (they never steer or use FWD/RWD)
+    # rough terrain, throttle, then the pedal held to the end (the car creeps at
+    # 2-6 cm/s on the bumps, in neutral): paths the pinned episodes never take
+    # (they never use FWD/RWD); the digests are those of the plant that could
+    # still steer, run with a zero steer command
     heights = np.random.default_rng(3).normal(0.0, 0.15, (101, 301))
     terrain = TerrainHeightmap(heights, 2.0, (-100.0, -100.0))
     cfg = default_vehicle_config()
@@ -296,8 +291,7 @@ def test_plant_trajectory_digest(drive, digest):
     st = vehicle.spawn_state(terrain, 0.0, 0.0, 0.0)
     h = hashlib.sha256()
     for k in range(1500):
-        st.set_commands(0.8 if k < 700 else 0.0, 0.6 * math.sin(k / 90),
-                        0.6 if k >= 700 else 0.0)
+        st.set_commands(0.8 if k < 700 else 0.0, 0.6 if k >= 700 else 0.0)
         vehicle.step(st, terrain, DT)
         h.update(_plant_blob(st))
     assert st.pt.gear == GEAR_NEUTRAL
@@ -315,7 +309,7 @@ def test_the_state_carries_the_matrix_of_its_quaternion(vehicle):
     assert bits(st.rot) == bits(quat_to_matrix(st.quat))
     braked = 0
     for k in range(1500):
-        st.set_commands(0.7 if k < 900 else 0.0, 0.0, 0.0 if k < 900 else 1.0)
+        st.set_commands(0.7 if k < 900 else 0.0, 0.0 if k < 900 else 1.0)
         vehicle.step(st, terrain, DT)
         assert bits(st.rot) == bits(quat_to_matrix(st.quat)), k
         assert vehicle.origin_pose(st)[0] is st.rot
