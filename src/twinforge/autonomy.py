@@ -90,21 +90,21 @@ class AutonomyConfig(Section):
 
 
 def effective_visibility(condition, lights: str) -> float:
-    """Visibility after the headlights recover part of the light term."""
+    """The weather's visibility factor times the light, where the headlights
+    add to the ambient light (up to full light) but never to the weather
+    factor."""
     light = min(1.0, condition.ambient_light + LIGHT_GAIN[lights])
-    weather = condition.visibility / condition.ambient_light if condition.ambient_light > 0 else 0.0
-    return min(1.0, max(0.0, light * weather))
+    return min(1.0, max(0.0, light * condition.weather_visibility))
 
 
-def detection_probability(preset: PerceptionModelPreset, condition, lights: str,
-                          distance: float) -> float:
+def detection_probability(preset: PerceptionModelPreset, visibility: float,
+                          ambient_light: float, distance: float) -> float:
     """Closed-form per-frame detection probability for one obstacle."""
-    vis = effective_visibility(condition, lights)
-    if condition.ambient_light < LOW_LIGHT_THRESHOLD:
+    if ambient_light < LOW_LIGHT_THRESHOLD:
         exponent = 1.0 + NIGHT_EXPONENT_SCALE * preset.low_light_penalty
     else:
         exponent = 1.0
-    p = preset.base_detect_rate * (vis ** exponent) * 2.0 ** (-distance / preset.range_halflife)
+    p = preset.base_detect_rate * (visibility ** exponent) * 2.0 ** (-distance / preset.range_halflife)
     return min(1.0, max(0.0, p))
 
 
@@ -117,26 +117,29 @@ class ObstacleView:
 
 
 class SurrogateDetector:
-    """Stochastic stand-in for a neural detector; owns the episode RNG stream."""
+    """Stochastic stand-in for a neural detector; owns the episode RNG stream.
+    The condition and the headlights hold for the episode, so the visibility
+    is computed once."""
 
-    def __init__(self, preset: PerceptionModelPreset, condition, rng: np.random.Generator,
-                 false_positive_rate: float):
+    def __init__(self, preset: PerceptionModelPreset, condition, lights: str,
+                 rng: np.random.Generator, false_positive_rate: float):
         self.preset = preset
-        self.condition = condition
+        self.visibility = effective_visibility(condition, lights)
+        self.ambient_light = condition.ambient_light
         self.rng = rng
         self.false_positive_rate = false_positive_rate
 
-    def detect(self, views: list[ObstacleView], lights: str) -> list[Detection]:
+    def detect(self, views: list[ObstacleView]) -> list[Detection]:
         out: list[Detection] = []
-        vis = effective_visibility(self.condition, lights)
+        preset = self.preset
+        vis = self.visibility
         for view in views:
-            if view.area < self.preset.min_pixel_area:
+            if view.area < preset.min_pixel_area:
                 continue
-            p = detection_probability(self.preset, self.condition, lights, view.distance)
+            p = detection_probability(preset, vis, self.ambient_light, view.distance)
             if self.rng.random() >= p:
                 continue
-            conf = self.rng.normal(self.preset.confidence_mean * vis,
-                                   self.preset.confidence_spread)
+            conf = self.rng.normal(preset.confidence_mean * vis, preset.confidence_spread)
             out.append(Detection(view.cls, min(1.0, max(0.0, conf)), view.area))
         if self.rng.random() < self.false_positive_rate:
             area = self.rng.uniform(30.0, 250.0)

@@ -4,10 +4,12 @@ integrator. Each quantity is stored once: wheelbase and track come from the
 wheel mounts, the tire radius is the suspension's wheel radius and the top
 speed is the aero section's.
 
-The plant drives forward and straight, in neutral or gears 1..top. A version-2
-document with park or reverse gear ratios, the two reverse aero keys, a
-`steering` section or `powertrain.diff_torque_drop` drives the same plant:
-those gears are never looked up and keys that name no field are ignored.
+The plant drives forward and straight on all four wheels, in neutral or gears
+1..top. A version-2 document with park or reverse gear ratios, the two reverse
+aero keys, a `steering` section, `powertrain.diff_torque_drop` or the
+powertrain's FWD/RWD/AWD key drives the same plant: those gears are never
+looked up and keys that name no field are ignored, so a FWD or RWD document
+drives all four wheels.
 
 All units SI (m, kg, s, N, rad) except where the transmission map needs
 MPH/inches internally; that conversion lives in powertrain.py.
@@ -45,10 +47,17 @@ def com_properties(entries: list[SprungMass]) -> tuple[float, tuple, tuple]:
     """
     if not entries:
         raise ConfigurationError("sprung mass set is empty")
-    total = sum(e.mass for e in entries)
-    cx = sum(e.mass * e.position[0] for e in entries) / total
-    cy = sum(e.mass * e.position[1] for e in entries) / total
-    cz = sum(e.mass * e.position[2] for e in entries) / total
+    # Left-to-right sums: from Python 3.12 on, sum() compensates float
+    # rounding, which moves the COM, and so every digest, in the last bit.
+    total = mx = my = mz = 0.0
+    for e in entries:
+        total += e.mass
+        mx += e.mass * e.position[0]
+        my += e.mass * e.position[1]
+        mz += e.mass * e.position[2]
+    cx = mx / total
+    cy = my / total
+    cz = mz / total
     ixx = iyy = izz = 0.0
     for e in entries:
         dx = e.position[0] - cx
@@ -90,7 +99,6 @@ class PowertrainParams(Section):
     idle_rpm: Positive
     gear_ratios: dict[int, Finite]  # gear code -> ratio
     final_drive: Positive
-    drive_config: str               # FWD | RWD | AWD
     throttle_smoothing_gain: NonNegative
     shift_up_rpm: Positive
     shift_down_rpm: Positive
@@ -104,8 +112,6 @@ class PowertrainParams(Section):
             raise ConfigurationError("engine torque curve needs strictly increasing rpm knots")
         if not self.shift_down_rpm < self.shift_up_rpm:
             raise ConfigurationError("shift_down_rpm must be below shift_up_rpm")
-        if self.drive_config not in ("FWD", "RWD", "AWD"):
-            raise ConfigurationError(f"unknown drive_config {self.drive_config!r}")
         # launch from neutral into gear 1, then shift one gear at a time
         for g in range(GEAR_NEUTRAL, self.top_forward_gear + 1):
             if g not in self.gear_ratios:
@@ -161,7 +167,6 @@ class WheelConfig(NamedTuple):
     mount: tuple[float, float, float]  # strut top in body frame
     force_arm_z: float           # ZF - COM z, ZF the body-frame z of force application
     contact_reduced_mass: float  # wheel-vs-body reduced mass at the patch
-    driven: bool
     corner_mass: float
 
 
@@ -212,7 +217,6 @@ class VehicleConfig(Section):
         mass = (self.total_mass * (front_share if front else 1.0 - front_share)
                 * (left_share if left else 1.0 - left_share))
         k, b = suspension_coefficients(mass, susp.natural_frequency, susp.damping_ratio)
-        drive = self.powertrain.drive_config
         return WheelConfig(
             arm=(mount[0] - com[0], mount[1] - com[1], mount[2] - com[2]),
             spring_k=k,
@@ -221,7 +225,6 @@ class VehicleConfig(Section):
             mount=mount,
             force_arm_z=(com[2] - mount[2] + susp.wheel_radius - susp.force_offset) - com[2],
             contact_reduced_mass=1.0 / (1.0 / mass + susp.wheel_radius ** 2 / self.wheel_inertia),
-            driven=drive == "AWD" or (drive == "FWD") == front,
             corner_mass=mass,
         )
 
@@ -254,7 +257,6 @@ def default_vehicle_config() -> VehicleConfig:
             idle_rpm=1100.0,
             gear_ratios={GEAR_NEUTRAL: 0.0, 1: 2.9, 2: 1.8, 3: 1.2, 4: 0.9},
             final_drive=4.5,
-            drive_config="AWD",
             throttle_smoothing_gain=0.5,
             shift_up_rpm=6300.0,
             shift_down_rpm=2800.0,

@@ -1,6 +1,6 @@
-"""Engine and automatic transmission model. Each driven wheel gets an equal share
-of the output torque; the differential's `torque_split` is called by no step and
-stays only as a binding perfbench/tracing.py wraps.
+"""Engine and automatic transmission model. Each of the four wheels gets an
+equal share of the output torque; the differential's `torque_split` is called
+by no step and stays only as a binding perfbench/tracing.py wraps.
 
 The transmission map works in MPH and tire inches; that unit conversion is
 confined to transmission_map_rpm(). Everything else is SI.

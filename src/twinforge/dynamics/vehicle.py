@@ -67,7 +67,6 @@ class VehicleState:
 class Vehicle:
     def __init__(self, config: VehicleConfig):
         self.cfg = config
-        self.driven = tuple(i for i, w in enumerate(config.wheels) if w.driven)
         self.corner_masses = tuple(w.corner_mass for w in config.wheels)
 
     # -- construction ------------------------------------------------------
@@ -134,15 +133,12 @@ class Vehicle:
         wheel_omega = state.wheel_omega
         radius = susp.wheel_radius
 
-        # powertrain: each driven wheel gets an equal share of the total
-        driven = self.driven
-        spin_sum = 0.0
-        for i in driven:
-            spin_sum += wheel_omega[i]
-        wheel_rpm_avg = spin_sum * RPM_PER_RAD_S / len(driven)
+        # powertrain: all four wheels are driven, each with a quarter of the total
+        w0, w1, w2, w3 = wheel_omega
+        wheel_rpm_avg = ((((0.0 + w0) + w1) + w2) + w3) * RPM_PER_RAD_S / 4
         tau_total = powertrain_step(
             cfg.powertrain, radius, state.pt, state.cmd_throttle, vx, wheel_rpm_avg, dt)
-        tau_out = tau_total / len(driven)
+        tau_out = tau_total / 4
         brake = (wheel_brake_torques(self.corner_masses, vx, cfg.brake.disk_radius,
                                      cfg.brake.braking_distance_60mph, state.cmd_brake)
                  if state.cmd_brake else (0.0, 0.0, 0.0, 0.0))  # what a zero pedal gives
@@ -159,7 +155,7 @@ class Vehicle:
         contact_z = [0.0] * 4
         vertical = [0.0] * 4
         normals = [None] * 4
-        for i, ((ax, ay, az), k, b, zs, (_, _, mount_z), _, _, _, _) in enumerate(wheels):
+        for i, ((ax, ay, az), k, b, zs, (_, _, mount_z), _, _, _) in enumerate(wheels):
             gz, gx, gy = terrain.height_and_gradient(px + (m0 * ax + m1 * ay + m2 * az),
                                                      py + (m3 * ax + m4 * ay + m5 * az))
             (vertical[i], wheel_z[i], wheel_zdot[i], compression[i],
@@ -188,7 +184,7 @@ class Vehicle:
         # would do work the spring never stored, e.g. on a pitched landing.
         # The same vertical force is the tire's normal load.
         loads = [0.0] * 4
-        for i, ((rx, ry, _), _, _, _, _, rz, _, _, _) in enumerate(wheels):
+        for i, ((rx, ry, _), _, _, _, _, rz, _, _) in enumerate(wheels):
             f = vertical[i]
             loads[i] = f if grounded[i] and f > 0.0 else 0.0
             if f == 0.0:
@@ -209,7 +205,7 @@ class Vehicle:
         tires = cfg.tires
         com_z = cfg.com[2]
         tire_fx = [0.0] * 4
-        for i, ((rx, ry, _), _, _, _, _, _, reduced_mass, _, _) in enumerate(wheels):
+        for i, ((rx, ry, _), _, _, _, _, _, reduced_mass, _) in enumerate(wheels):
             if not grounded[i]:
                 continue
             rz = contact_z[i] - com_z
@@ -279,9 +275,8 @@ class Vehicle:
 
         # wheel spin (brake torque pulls toward zero but cannot cross it)
         i_w = cfg.wheel_inertia
-        for i, w in enumerate(wheels):
-            drive = tau_out if w.driven else 0.0
-            w_spin = wheel_omega[i] + dt * (drive - radius * tire_fx[i]) / i_w
+        for i in range(4):
+            w_spin = wheel_omega[i] + dt * (tau_out - radius * tire_fx[i]) / i_w
             cap = dt * brake[i] / i_w
             if w_spin > cap:
                 w_spin -= cap

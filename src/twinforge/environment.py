@@ -13,44 +13,40 @@ from dataclasses import dataclass
 
 import numpy as np
 
-WEATHERS = ("clear", "cloudy", "thin_fog", "thick_fog",
-            "light_rain", "heavy_rain", "light_snow", "heavy_snow")
-TIMES_OF_DAY = ("00:00", "06:00", "12:00", "18:00")
-
-# Non-authoritative visibility tables; chosen so the sweep spans near-certain
-# detection down to near-certain miss.
-WEATHER_VISIBILITY = {
-    "clear": 1.0, "cloudy": 0.9, "thin_fog": 0.6, "thick_fog": 0.25,
-    "light_rain": 0.8, "heavy_rain": 0.5, "light_snow": 0.75, "heavy_snow": 0.45,
+# Non-authoritative tables, one per axis, chosen so the sweep spans
+# near-certain detection down to near-certain miss. A weather is its
+# visibility factor (the share of light the air lets through) and its fog
+# density; a time of day is its ambient light. The key order is the matrix
+# order.
+WEATHER = {
+    "clear": (1.0, 0.0), "cloudy": (0.9, 0.1), "thin_fog": (0.6, 0.5),
+    "thick_fog": (0.25, 0.9), "light_rain": (0.8, 0.2), "heavy_rain": (0.5, 0.4),
+    "light_snow": (0.75, 0.2), "heavy_snow": (0.45, 0.4),
 }
 TIME_LIGHT = {"00:00": 0.15, "06:00": 0.6, "12:00": 1.0, "18:00": 0.7}
-WEATHER_FOG = {
-    "clear": 0.0, "cloudy": 0.1, "thin_fog": 0.5, "thick_fog": 0.9,
-    "light_rain": 0.2, "heavy_rain": 0.4, "light_snow": 0.2, "heavy_snow": 0.4,
-}
+WEATHERS = tuple(WEATHER)
+TIMES_OF_DAY = tuple(TIME_LIGHT)
 
 
 class TerrainQueryError(RuntimeError):
     """Raised when a height query leaves the terrain bounds (episode fault)."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class EnvironmentCondition:
-    visibility: float
+    weather_visibility: float
     ambient_light: float
     fog_density: float
 
 
 def condition_derive(weather: str, time_of_day: str) -> EnvironmentCondition:
-    """Deterministic (weather, time) -> (visibility, ambient_light, fog_density)."""
-    if weather not in WEATHERS:
+    """Deterministic (weather, time) -> the condition's three factors."""
+    if weather not in WEATHER:
         raise ValueError(f"unknown weather {weather!r}")
-    if time_of_day not in TIMES_OF_DAY:
+    if time_of_day not in TIME_LIGHT:
         raise ValueError(f"unknown time_of_day {time_of_day!r}")
-    light = TIME_LIGHT[time_of_day]
-    fog = WEATHER_FOG[weather]
-    visibility = min(1.0, max(0.0, light * WEATHER_VISIBILITY[weather]))
-    return EnvironmentCondition(visibility, light, fog)
+    visibility, fog = WEATHER[weather]
+    return EnvironmentCondition(visibility, TIME_LIGHT[time_of_day], fog)
 
 
 class TerrainHeightmap:

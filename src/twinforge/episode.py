@@ -156,7 +156,7 @@ class Episode:
         self.autonomy = case.autonomy
         self.rng = np.random.Generator(np.random.Philox(key=case.seed))
         self.detector = SurrogateDetector(
-            self.autonomy.presets[case.model], self.condition, self.rng,
+            self.autonomy.presets[case.model], self.condition, self.lights, self.rng,
             self.autonomy.false_positive_rate)
         self.planner = AebPlanner(self.autonomy.aeb)
 
@@ -184,7 +184,7 @@ class Episode:
             gap = obs.position_array - cam_pos
             d = math.sqrt(gap.dot(gap))  # np.linalg.norm's arithmetic
             views.append(ObstacleView(obs.cls, area, d))
-        detections = self.detector.detect(views, self.lights)
+        detections = self.detector.detect(views)
         dtc_estimate = None
         threat = [d for d in detections if d.cls in self.planner.cfg.threat_classes
                   and d.area >= self.planner.cfg.min_area]

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from twinforge.autonomy import (
+    LIGHT_GAIN,
     STANDSTILL_SPEED,
     AebConfig,
     AebPlanner,
@@ -15,10 +16,11 @@ from twinforge.autonomy import (
     PerceptionModelPreset,
     SurrogateDetector,
     detection_probability,
+    effective_visibility,
     estimate_range_px,
     headlight_control,
 )
-from twinforge.environment import condition_derive
+from twinforge.environment import TIME_LIGHT, WEATHER, condition_derive
 
 THREAT = Detection("moose", 0.9, 1000.0)
 # At 12 m/s the default gate is fos * v^2 / (2 * max_decel) = 1.5 * 144 / 12 = 18 m.
@@ -78,30 +80,50 @@ def test_brake_latches_until_standstill_and_never_rearms():
 
 def test_detection_probability_halves_every_range_halflife():
     preset = PerceptionModelPreset(0.9, 40.0, 0.5, 0.8, 0.1, 300.0)
-    noon = condition_derive("clear", "12:00")
-    p0 = detection_probability(preset, noon, "off", 0.0)
+    vis = effective_visibility(condition_derive("clear", "12:00"), "off")
+    p0 = detection_probability(preset, vis, 1.0, 0.0)
     assert p0 == 0.9
     for k in range(1, 6):
-        p = detection_probability(preset, noon, "off", k * preset.range_halflife)
+        p = detection_probability(preset, vis, 1.0, k * preset.range_halflife)
         assert p == pytest.approx(p0 * 0.5 ** k, rel=1e-12)
 
 
 def _detector(seed):
     preset = PerceptionModelPreset(0.9, 40.0, 0.5, 0.8, 0.1, 300.0)
     rng = np.random.Generator(np.random.Philox(key=seed))
-    return SurrogateDetector(preset, condition_derive("clear", "12:00"), rng, 0.0), rng
+    return SurrogateDetector(preset, condition_derive("clear", "12:00"), "off", rng, 0.0), rng
 
 
 def test_a_view_below_min_pixel_area_consumes_no_draw():
     small, small_rng = _detector(5)
     none, none_rng = _detector(5)
     large, large_rng = _detector(5)
-    assert small.detect([ObstacleView("moose", 299.0, 10.0)], "off") == []
-    assert none.detect([], "off") == []
-    large.detect([ObstacleView("moose", 300.0, 10.0)], "off")
+    assert small.detect([ObstacleView("moose", 299.0, 10.0)]) == []
+    assert none.detect([]) == []
+    large.detect([ObstacleView("moose", 300.0, 10.0)])
     following = none_rng.random(4).tolist()
     assert small_rng.random(4).tolist() == following
     assert large_rng.random(4).tolist() != following
+
+
+def test_headlights_lift_the_light_but_never_the_weather_factor():
+    for weather, (factor, _) in WEATHER.items():
+        for time_of_day, light in TIME_LIGHT.items():
+            condition = condition_derive(weather, time_of_day)
+            assert effective_visibility(condition, "off") == light * factor
+            for lights in LIGHT_GAIN:
+                assert effective_visibility(condition, lights) <= factor
+        noon = condition_derive(weather, "12:00")
+        assert effective_visibility(noon, "low_beam") == factor
+
+
+def test_the_detector_takes_the_visibility_of_its_lights():
+    preset = PerceptionModelPreset(0.9, 40.0, 0.5, 0.8, 0.1, 300.0)
+    night = condition_derive("thick_fog", "00:00")
+    rng = np.random.Generator(np.random.Philox(key=1))
+    for lights in LIGHT_GAIN:
+        detector = SurrogateDetector(preset, night, lights, rng, 0.0)
+        assert detector.visibility == effective_visibility(night, lights)
 
 
 @pytest.mark.parametrize("ambient, fog, lights", [

@@ -1,9 +1,11 @@
 """Unit tests for the dynamics parameter machinery and force laws."""
 
 import dataclasses
+import functools
 import hashlib
 import json
 import math
+import operator
 import struct
 
 import numpy as np
@@ -81,11 +83,19 @@ def test_com_rejects_empty_and_nonpositive():
 
 
 def test_com_mass_exact_sum():
+    # left-to-right folds on every Python: from 3.12 on, sum() compensates, and
+    # the default COM z becomes 234.99999999999997 / m, which moves every digest
     rng = np.random.default_rng(11)
-    entries = [SprungMass(float(rng.uniform(1, 500)), tuple(rng.uniform(-3, 3, 3)))
-               for _ in range(12)]
-    m, _, _ = com_properties(entries)
-    assert m == sum(e.mass for e in entries)
+    drawn = [SprungMass(float(rng.uniform(1, 500)), tuple(rng.uniform(-3, 3, 3)))
+             for _ in range(12)]
+    for entries in (drawn, default_vehicle_config().sprung_masses):
+        m, com, _ = com_properties(entries)
+        assert m == functools.reduce(operator.add, (e.mass for e in entries), 0.0)
+        for axis in range(3):
+            moment = functools.reduce(operator.add, (e.mass * e.position[axis] for e in entries),
+                                      0.0)
+            assert com[axis] == moment / m
+    assert com[2] == 235.0 / m
 
 
 # -- suspension coefficients -----------------------------------------------------
@@ -153,18 +163,22 @@ def test_config_document_is_pinned():
     doc = to_doc(default_vehicle_config())
     text = json.dumps(doc, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == \
-        "f04e98eda5539f0bf13cb953ff16e66f58d5155966a327372e5b68d470634bf6"
+        "890ed3e74d84ac23861ae46155297ffe77b63dc353f052170966da570657197c"
 
 
 def test_a_document_with_steering_and_a_differential_drop_loads_as_the_default():
-    # the default document as it was written while the plant could steer
+    # the default document as it was written while the plant could steer and
+    # had a drive config; a FWD or RWD document drives all four wheels too
     doc = to_doc(default_vehicle_config())
     doc["steering"] = {"limit": 0.55, "sensitivity": 0.8, "speed_factor": 0.6}
     doc["powertrain"]["diff_torque_drop"] = 0.5
+    doc["powertrain"]["drive_config"] = "AWD"
     text = json.dumps(doc, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == \
         "04d7543aa27e105404fa413dd1efeee5188f44067743bc8ecdfba314a15d82e9"
-    assert to_doc(from_doc(VehicleConfig, doc)) == to_doc(default_vehicle_config())
+    for drive in ("AWD", "FWD", "RWD"):
+        doc["powertrain"]["drive_config"] = drive
+        assert to_doc(from_doc(VehicleConfig, doc)) == to_doc(default_vehicle_config())
 
 
 def test_config_document_with_tire_stiffness_loads():

@@ -1,12 +1,14 @@
 """The batched terrain march and obstacle slab test, the plain-float height
 query and the inline separating-axis test against the versions they
-replaced, which live on here as the reference.
+replaced, which live on here as the reference; and the weather and
+time-of-day tables.
 
 Equality is exact: the new code does the reference's arithmetic in the same
 order, so every distance and height must match bit for bit (a reference
 miss, None, is inf in the batch).
 """
 
+import dataclasses
 import math
 import pickle
 
@@ -15,9 +17,15 @@ import pytest
 
 from twinforge.documents import from_doc
 from twinforge.environment import (
+    TIME_LIGHT,
+    TIMES_OF_DAY,
+    WEATHER,
+    WEATHERS,
+    EnvironmentCondition,
     Obstacle,
     TerrainHeightmap,
     TerrainQueryError,
+    condition_derive,
     env_raycast,
     footprint_corners,
     rectangles_overlap,
@@ -395,3 +403,25 @@ def test_rectangles_overlap_equals_the_projection_reference():
         outcomes.add(want)
     assert outcomes == {True, False}
     assert rectangles_overlap(*pairs[-1])  # unit squares that share an edge touch
+
+
+# -- weather and time of day ---------------------------------------------------
+
+def test_a_condition_is_its_three_factors():
+    assert WEATHERS == ("clear", "cloudy", "thin_fog", "thick_fog",
+                        "light_rain", "heavy_rain", "light_snow", "heavy_snow")
+    assert TIMES_OF_DAY == ("00:00", "06:00", "12:00", "18:00")
+    assert [f.name for f in dataclasses.fields(EnvironmentCondition)] == [
+        "weather_visibility", "ambient_light", "fog_density"]
+    for weather, (visibility, fog) in WEATHER.items():
+        for time_of_day, light in TIME_LIGHT.items():
+            assert condition_derive(weather, time_of_day) == \
+                EnvironmentCondition(visibility, light, fog)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        condition_derive("clear", "12:00").ambient_light = 0.0
+
+
+@pytest.mark.parametrize("weather, time_of_day", [("sleet", "12:00"), ("clear", "12:30")])
+def test_an_unknown_weather_or_time_is_a_value_error(weather, time_of_day):
+    with pytest.raises(ValueError):
+        condition_derive(weather, time_of_day)
