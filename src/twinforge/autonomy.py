@@ -94,7 +94,7 @@ def effective_visibility(condition, lights: str) -> float:
     add to the ambient light (up to full light) but never to the weather
     factor."""
     light = min(1.0, condition.ambient_light + LIGHT_GAIN[lights])
-    return min(1.0, max(0.0, light * condition.weather_visibility))
+    return clamp(light * condition.weather_visibility, 0.0, 1.0)
 
 
 def detection_probability(preset: PerceptionModelPreset, visibility: float,
@@ -105,7 +105,7 @@ def detection_probability(preset: PerceptionModelPreset, visibility: float,
     else:
         exponent = 1.0
     p = preset.base_detect_rate * (visibility ** exponent) * 2.0 ** (-distance / preset.range_halflife)
-    return min(1.0, max(0.0, p))
+    return clamp(p, 0.0, 1.0)
 
 
 @dataclass
@@ -140,7 +140,7 @@ class SurrogateDetector:
             if self.rng.random() >= p:
                 continue
             conf = self.rng.normal(preset.confidence_mean * vis, preset.confidence_spread)
-            out.append(Detection(view.cls, min(1.0, max(0.0, conf)), view.area))
+            out.append(Detection(view.cls, clamp(conf, 0.0, 1.0), view.area))
         if self.rng.random() < self.false_positive_rate:
             area = self.rng.uniform(30.0, 250.0)
             conf = self.rng.uniform(0.3, 0.9)

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from ..documents import ConfigurationError, Finite, NonNegative, Positive, Section
+from ..se3 import clamp
 from .spline import FrictionSpline
 
 GRAVITY = 9.81
@@ -207,8 +208,8 @@ class VehicleConfig(Section):
         # solid-disc approximation for wheel spin inertia
         self.wheel_inertia = 0.5 * self.suspension.wheel_mass * self.suspension.wheel_radius ** 2
         # static load split from the COM position over the wheelbase and track
-        front_share = min(0.9, max(0.1, (self.com[0] - xr) / self.wheelbase))
-        left_share = min(0.9, max(0.1, 0.5 + self.com[1] / self.track))
+        front_share = clamp((self.com[0] - xr) / self.wheelbase, 0.1, 0.9)
+        left_share = clamp(0.5 + self.com[1] / self.track, 0.1, 0.9)
         self.wheels = [self._build_wheel(name, front_share, left_share) for name in WHEEL_NAMES]
 
     def _build_wheel(self, name: str, front_share: float, left_share: float) -> WheelConfig:

@@ -212,8 +212,8 @@ class TerrainHeightmap:
 
 @dataclass(frozen=True, eq=False)
 class Obstacle:
-    """A static box. Its 2D corners, homogeneous 3D corners and position
-    array are built once, with the obstacle."""
+    """A static box. Its position is a float tuple, and its 2D corners and
+    homogeneous 3D corners are built once, with the obstacle."""
     obstacle_id: str
     cls: str
     extents: tuple[float, float, float]  # full sizes along local x, y, z
@@ -229,11 +229,9 @@ class Obstacle:
         pts = [(px + c * lx - s * ly, py + s * lx + c * ly, pz + lz)
                for lx in (-hx, hx) for ly in (-hy, hy) for lz in (-hz, hz)]
         homo = np.hstack([np.array(pts), np.ones((8, 1))]).T  # (4, 8): columns [x, y, z, 1]
-        position_array = np.array(position)
-        homo.flags.writeable = position_array.flags.writeable = False
+        homo.flags.writeable = False
         init = functools.partial(object.__setattr__, self)
         init("position", position)
-        init("position_array", position_array)
         init("_corners_2d", tuple(footprint_corners(px, py, self.yaw, *self.extents[:2])))
         init("_corners_3d", homo)
 

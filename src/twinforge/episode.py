@@ -144,12 +144,6 @@ class Episode:
 
         self.scenario = case.scenario
         self.terrain, self.obstacles = build_scenario(case.scenario, self.front_offset)
-        # Broad phase: the footprint lies within ego_radius of the body origin
-        # and each obstacle within its half diagonal of its centre, so centres
-        # further apart than the sum (plus 1e-6 m for rounding) cannot overlap.
-        ego_radius = math.hypot(abs(fp.center_x) + fp.length / 2.0, fp.width / 2.0)
-        self._reach = [(obs, (ego_radius + math.hypot(*obs.extents[:2]) / 2.0 + 1e-6) ** 2)
-                       for obs in self.obstacles]
         self.condition = condition_derive(case.weather, case.time_of_day)
         self.lights = headlight_control(self.condition.ambient_light, self.condition.fog_density)
 
@@ -181,7 +175,7 @@ class Episode:
             area = project_box(obs.corners_3d(), view, self._proj, self.camera.resolution)
             if area is None:
                 continue
-            gap = obs.position_array - cam_pos
+            gap = np.subtract(obs.position, cam_pos)
             d = math.sqrt(gap.dot(gap))  # np.linalg.norm's arithmetic
             views.append(ObstacleView(obs.cls, area, d))
         detections = self.detector.detect(views)
@@ -198,19 +192,18 @@ class Episode:
     def _raycaster(self):
         return functools.partial(env_raycast, self.terrain, self.obstacles)
 
-    def _overlaps(self, ex: float, ey: float, eyaw: float) -> bool:
-        """Whether the ego footprint overlaps any obstacle; the separating-axis
-        test runs only past the broad phase (see `__init__`)."""
+    def _overlaps(self, ex: float, ey: float, eyaw: float, dtc: float) -> bool:
+        """Whether the ego footprint overlaps any obstacle, given the pose's DTC.
+
+        No point of the footprint lies ahead of the front face, so an obstacle
+        whose near edge is more than 1e-6 m (far above rounding) ahead of it
+        cannot touch; the separating-axis test runs only when dtc <= 1e-6.
+        """
+        if dtc > 1e-6:
+            return False
         fp = self.vcfg.footprint
-        ego = None
-        for obs, reach2 in self._reach:
-            dx = obs.position[0] - ex
-            dy = obs.position[1] - ey
-            if dx * dx + dy * dy <= reach2:
-                ego = ego or footprint_corners(ex, ey, eyaw, fp.length, fp.width, fp.center_x)
-                if rectangles_overlap(ego, obs.corners_2d()):
-                    return True
-        return False
+        ego = footprint_corners(ex, ey, eyaw, fp.length, fp.width, fp.center_x)
+        return any(rectangles_overlap(ego, obs.corners_2d()) for obs in self.obstacles)
 
     # -- main loop ---------------------------------------------------------------
 
@@ -221,8 +214,6 @@ class Episode:
         pose = self.vehicle.origin_pose(state)  # the state's pose, updated after each step
         log = TelemetryLog() if self.collect_telemetry else None
 
-        detections: list = []
-        dtc_estimate = None
         collision_count = 0  # 1 from the first overlap on
         contact_end = math.inf  # the step that ends the trace after contact
         hold_elapsed = 0.0
@@ -243,7 +234,10 @@ class Episode:
                 if i % perception_period == 0:
                     detections, dtc_estimate = self._perceive(pose)
                     self.planner.plan(detections, dtc_estimate, state.forward_speed)
-                if self.planner.finished and not self.planner.braking:
+                    # The frame's summary, for its records until the next frame.
+                    best = max(detections, key=lambda d: d.confidence, default=None)
+                    seen = (len(detections), best.confidence, best.area) if best else (0, 0.0, 0.0)
+                if self.planner.finished:
                     throttle, brake = 0.0, 0.0  # mission over, coast
                 else:
                     throttle, brake = longitudinal_control(
@@ -257,15 +251,13 @@ class Episode:
                 pose = self.vehicle.origin_pose(state)
                 rot, (ex, ey, _) = pose
                 eyaw = math.atan2(rot[3], rot[0])
-                if not collision_count and self._overlaps(ex, ey, eyaw):
+                dtc = compute_dtc(ex, ey, eyaw, self.front_offset, self.obstacles)
+                if not collision_count and self._overlaps(ex, ey, eyaw, dtc):
                     collision_count = 1
                     contact_end = steps + contact_steps
 
-                dtc = compute_dtc(ex, ey, eyaw, self.front_offset, self.obstacles)
-
                 if log is not None:
-                    log.append(self._make_record(state, pose, t, detections, dtc,
-                                                 collision_count))
+                    log.append(self._make_record(state, pose, t, seen, dtc, collision_count))
 
                 if self.full_scans and steps % 50 == 0:
                     self._dump_scan(pose, t, scan_lines)
@@ -299,15 +291,15 @@ class Episode:
         return EpisodeResult(self.case_id, status, terminal, steps, t, log, verdict,
                              error, scan_dump)
 
-    def _make_record(self, state, pose, t: float, detections, dtc: float,
+    def _make_record(self, state, pose, t: float, seen: tuple[int, float, float], dtc: float,
                      collision_count: int) -> TelemetryRecord:
+        """One step's row; `seen` is the last frame's detection count, best
+        confidence and that detection's area (0.0 and 0.0 with none)."""
         position, euler = self.ins.read(pose)
-        best = max(detections, key=lambda d: d.confidence) if detections else None
         return TelemetryRecord(
             t, position[0], position[1], position[2], euler[0], euler[1], euler[2],
             state.forward_speed, state.cmd_throttle, 0.0, state.cmd_brake,  # 0.0: steer_cmd
-            0.0, state.pt.gear, state.pt.engine_rpm, len(detections),  # 0.0: handbrake_cmd
-            best.confidence if best else 0.0, best.area if best else 0.0,
+            0.0, state.pt.gear, state.pt.engine_rpm, *seen,  # 0.0: handbrake_cmd
             1 if self.planner.braking else 0, dtc, collision_count, self.lights)
 
     def _dump_scan(self, pose, t: float, lines: list[str]) -> None:

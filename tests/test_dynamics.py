@@ -131,6 +131,8 @@ def test_suspension_coefficients_reject_bad_input():
         suspension_coefficients(0.0, 1.0, 0.1)
     with pytest.raises(ConfigurationError):
         suspension_coefficients(10.0, -1.0, 0.1)
+    with pytest.raises(ConfigurationError, match=r"^negative damping ratio -0\.1$"):
+        suspension_coefficients(10.0, 1.0, -0.1)
 
 
 def test_static_displacement_hand_value():
@@ -245,6 +247,13 @@ def test_a_section_with_a_bad_value_raises_at_construction(section, change):
 def test_a_torque_curve_without_increasing_rpm_knots_is_rejected(curve):
     with pytest.raises(ConfigurationError, match="strictly increasing rpm"):
         dataclasses.replace(default_vehicle_config().powertrain, torque_curve=curve)
+
+
+def test_engine_torque_below_the_first_knot_is_the_first_knots_torque():
+    powertrain = dataclasses.replace(default_vehicle_config().powertrain,
+                                     torque_curve=[(800.0, 90.0), (5000.0, 145.0)])
+    assert [powertrain.engine_torque(rpm) for rpm in (-1e300, 0.0, 799.9, 800.0)] == [90.0] * 4
+    assert powertrain.engine_torque(2900.0) == 117.5
 
 
 def test_an_empty_torque_curve_is_a_failed_result():

@@ -370,6 +370,22 @@ def test_height_query_raises_exactly_off_the_map(name):
             terrain.height_and_gradient(*bad)
 
 
+@pytest.mark.parametrize("heights, message", [
+    (np.zeros((1, 5)), "heightmap needs at least a 2x2 grid"),
+    (np.array([[0.0, 1.0], [math.nan, 2.0]]), "heightmap contains non-finite values"),
+])
+def test_a_heightmap_needs_a_finite_2x2_grid(heights, message):
+    with pytest.raises(ValueError) as err:
+        TerrainHeightmap(heights, 1.0)
+    assert str(err.value) == message
+
+
+def test_an_obstacle_with_a_zero_extent_is_rejected():
+    with pytest.raises(ValueError) as err:
+        Obstacle("box0", "rock", (1.0, 0.0, 1.0))
+    assert str(err.value) == "obstacle extents must be positive"
+
+
 def _quad(rng, scale=3.0):
     return footprint_corners(*rng.uniform(-scale, scale, 2).tolist(),
                              float(rng.uniform(-math.pi, math.pi)),

@@ -23,6 +23,7 @@ from twinforge.documents import ConfigurationError, from_doc, to_doc
 from twinforge.dynamics import default_vehicle_config
 from twinforge.environment import TerrainQueryError, footprint_corners, rectangles_overlap
 from twinforge.episode import MAX_STEPS, Episode, SimParams, default_bundle, run_case
+from twinforge.metrics import compute_dtc
 from twinforge.sensors import CameraConfig, SensorParams
 
 DEFAULT_DIGEST = "39f1c68ec1b52e8f0a586636bddc251f2f8995730c667ec25f2f64fe48a05ee2"
@@ -447,13 +448,27 @@ def test_contact_ends_the_episode_a_window_after_the_first_overlap(window):
 @pytest.mark.parametrize("lateral", [None, 4.0])
 def test_no_contact_never_ends_in_collision(lateral):
     bundle = _bundle("default")
-    if lateral is not None:  # drive past the obstacle, close by, without braking
+    if lateral is not None:  # 4 m to the side; t_max ends the case 3.8 m short of the obstacle
         bundle["scenario"]["obstacles"][0]["lateral"] = lateral
         bundle["sim"]["t_max"] = 12.0
     res = run_case(bundle)
     assert res.terminal == ("standstill_after_aeb" if lateral is None else "timeout")
     assert all(r.collision_count == 0 for r in res.log.records)
     assert res.verdict.passed
+
+
+@pytest.mark.parametrize("lateral, terminal", [(2.0, "collision"), (2.1, "timeout")])
+def test_a_car_blind_to_an_obstacle_hits_it_or_passes_it_by_centimetres(lateral, terminal):
+    # No class is a threat, so nothing brakes. Past the obstacle's near edge
+    # the DTC is negative, and the separating-axis test decides every step.
+    bundle = _bundle("default")
+    bundle["autonomy"]["aeb"]["threat_classes"] = []
+    bundle["scenario"]["obstacles"][0]["lateral"] = lateral
+    bundle["sim"]["t_max"] = 25.0
+    res = run_case(bundle)
+    assert (res.status, res.terminal) == ("done", terminal)
+    assert res.log.records[-1].dtc < -1.0
+    assert res.verdict.collision_count == (terminal == "collision")
 
 
 def test_an_obstacle_is_frozen():
@@ -488,7 +503,7 @@ def _ego_poses(episode, rng):
 
 
 @pytest.mark.parametrize("center_x", [0.0, 1.1, -0.9])
-def test_broad_phase_keeps_the_separating_axis_decision(center_x):
+def test_the_dtc_gate_never_hides_an_overlap(center_x):
     bundle = _bundle("default")
     bundle["vehicle"] = to_doc(default_vehicle_config())
     bundle["vehicle"]["footprint"]["center_x"] = center_x
@@ -499,7 +514,9 @@ def test_broad_phase_keeps_the_separating_axis_decision(center_x):
     for ex, ey, eyaw in _ego_poses(episode, np.random.default_rng(3)):
         ego = footprint_corners(ex, ey, eyaw, fp.length, fp.width, fp.center_x)
         want = rectangles_overlap(ego, obs.corners_2d())
-        assert episode._overlaps(ex, ey, eyaw) == want, (ex, ey, eyaw)
+        dtc = compute_dtc(ex, ey, eyaw, episode.front_offset, episode.obstacles)
+        assert dtc <= 1e-6 or not want, (ex, ey, eyaw, dtc)
+        assert episode._overlaps(ex, ey, eyaw, dtc) == want, (ex, ey, eyaw, dtc)
         decisions.add(want)
     assert decisions == {True, False}
 

@@ -170,6 +170,27 @@ def test_parse_csv_rejects_a_bad_header_and_short_line():
         parse_csv(text.rsplit(",", 1)[0] + "\n")
 
 
+def test_parse_csv_names_the_line_of_a_non_numeric_field():
+    header, row, _ = _log([_record(0.01, np.random.default_rng(27))]).to_csv().split("\n")
+    fields = row.split(",")
+    fields[1] = "abc"  # pos_x
+    with pytest.raises(TelemetryError) as err:
+        parse_csv(f"{header}\n{','.join(fields)}\n")
+    assert str(err.value) == "line 2: could not convert string to float: 'abc'"
+
+
+def test_append_rejects_a_step_back_in_time_and_a_falling_collision_count():
+    rng = np.random.default_rng(28)
+    log = _log([_record(0.02, rng, collisions=1)])
+    with pytest.raises(TelemetryError) as err:
+        log.append(_record(0.02, rng, collisions=1))
+    assert str(err.value) == "non-increasing time 0.02 after 0.02"
+    with pytest.raises(TelemetryError) as err:
+        log.append(_record(0.03, rng, collisions=0))
+    assert str(err.value) == "collision_count decreased"
+    assert [r.t for r in log.records] == [0.02]
+
+
 def test_compute_dtc_equals_the_generator_version():
     rng = np.random.default_rng(24)
     for _ in range(2000):

@@ -13,7 +13,7 @@ from twinforge.dynamics.config import GEAR_NEUTRAL, GRAVITY
 from twinforge.dynamics.powertrain import transmission_map_rpm
 from twinforge.environment import TerrainHeightmap
 from twinforge.scenarios import TerrainSpec, build_terrain
-from twinforge.se3 import quat_to_matrix
+from twinforge.se3 import euler_zyx_from_matrix, quat_to_matrix
 
 DT = 0.01
 
@@ -305,3 +305,11 @@ def test_the_state_carries_the_matrix_of_its_quaternion(vehicle):
         assert vehicle.origin_pose(st)[0] is st.rot
         braked += st.cmd_brake > 0.0 and st.speed > 0.1
     assert braked > 100 and st.speed < 0.1
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_at_gimbal_lock_the_yaw_folds_into_the_roll(sign):
+    # Rz(0) @ Ry(sign * pi / 2) @ Rx(0.3), with the exact zeros and ones of the lock
+    c, s = math.cos(0.3), math.sin(0.3)
+    m = (0.0, sign * s, sign * c, 0.0, c, -s, -sign, 0.0, 0.0)
+    assert euler_zyx_from_matrix(m) == (math.atan2(s, c), sign * math.pi / 2, 0.0)
