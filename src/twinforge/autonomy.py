@@ -153,46 +153,50 @@ class SurrogateDetector:
 
 
 class AebPlanner:
-    """Persistence-filtered threat detection plus a stopping-distance gate.
+    """The AEB decision. A threat is a detection of a `threat_classes` class
+    whose box is at least `min_area`; a frame is confirmed when a threat
+    reaches `min_confidence`. After `persistence_frames` confirmed frames in a
+    row, the planner brakes once `fos` times the stopping distance reaches the
+    DTC that `range_of_area(px^2) -> m` gives for the largest threat box.
 
-    Once braking is issued it latches until standstill; after the first
-    emergency stop completes the mission is over and the planner never
-    re-arms, so the active flag rises at most once per episode.
+    `mode` is "cruise", then "brake" until |speed| < STANDSTILL_SPEED, then
+    "coast": the stop is over and the planner never re-arms.
     """
 
-    def __init__(self, cfg: AebConfig):
+    def __init__(self, cfg: AebConfig, range_of_area):
         self.cfg = cfg
+        self.range_of_area = range_of_area
         self.counter = 0
-        self.braking = False
-        self.finished = False
+        self.mode = "cruise"
 
     def stopping_distance(self, speed: float) -> float:
         return speed * speed / (2.0 * self.cfg.max_decel)
 
-    def plan(self, detections: list[Detection], dtc_estimate: float | None,
-             speed: float) -> None:
+    def plan(self, detections: list[Detection], speed: float) -> None:
         cfg = self.cfg
-        qualifying = [d for d in detections
-                      if d.cls in cfg.threat_classes
-                      and d.confidence >= cfg.min_confidence
-                      and d.area >= cfg.min_area]
-        self.counter = self.counter + 1 if qualifying else 0
+        threats = [d for d in detections
+                   if d.cls in cfg.threat_classes and d.area >= cfg.min_area]
+        confirmed = any(d.confidence >= cfg.min_confidence for d in threats)
+        self.counter = self.counter + 1 if confirmed else 0
 
-        if self.braking:
+        if self.mode == "brake":
             if abs(speed) < STANDSTILL_SPEED:
-                self.braking = False
-                self.finished = True
-        elif (not self.finished and self.counter >= cfg.persistence_frames
-              and dtc_estimate is not None
-              and self.stopping_distance(speed) * cfg.fos >= dtc_estimate):
-            self.braking = True
+                self.mode = "coast"
+        elif self.mode == "cruise" and self.counter >= cfg.persistence_frames:
+            # persistence_frames >= 1, so this frame is confirmed and has a threat.
+            dtc = self.range_of_area(max(d.area for d in threats)) - cfg.range_to_dtc_offset
+            if self.stopping_distance(speed) * cfg.fos >= dtc:
+                self.mode = "brake"
 
 
-def longitudinal_control(decision: str, speed: float, cruise_speed: float,
+def longitudinal_control(mode: str, speed: float, cruise_speed: float,
                          kp: float) -> tuple[float, float]:
-    """(throttle, brake) for the current planner decision."""
-    if decision == "brake":
+    """(throttle, brake) for the planner's mode: full brake, nothing once the
+    stop is over (coast), or the clamped P-law toward the cruise speed."""
+    if mode == "brake":
         return 0.0, 1.0
+    if mode == "coast":
+        return 0.0, 0.0
     return clamp(kp * (cruise_speed - speed), 0.0, 1.0), 0.0
 
 

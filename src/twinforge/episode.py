@@ -55,6 +55,9 @@ from .sensors import (
 )
 
 MAX_STEPS = 10_000_000  # in t_max and in contact_window; the default sim section takes 12,000
+# Terrain samples one full_scans LIDAR cast holds at once: rays x r_max / (cell / 2).
+# The default planar sweep takes about 14,500 and the final spatial scan 26,000.
+MAX_SCAN_SAMPLES = 1_000_000
 
 
 @dataclass
@@ -114,7 +117,6 @@ class EpisodeResult:
     then held for post_stop_grace), collision (contact_window after the first
     overlap), timeout (t_max reached) or fault (status failed)."""
     case_id: str | None
-    status: str           # done | failed
     terminal: str         # standstill_after_aeb | collision | timeout | fault
     steps: int
     duration: float
@@ -122,6 +124,10 @@ class EpisodeResult:
     verdict: object | None
     error: str | None
     scan_dump: str | None
+
+    @property
+    def status(self) -> str:
+        return "failed" if self.terminal == "fault" else "done"
 
 
 class Episode:
@@ -148,21 +154,30 @@ class Episode:
         self.lights = headlight_control(self.condition.ambient_light, self.condition.fog_density)
 
         self.autonomy = case.autonomy
-        self.rng = np.random.Generator(np.random.Philox(key=case.seed))
         self.detector = SurrogateDetector(
-            self.autonomy.presets[case.model], self.condition, self.lights, self.rng,
+            self.autonomy.presets[case.model], self.condition, self.lights,
+            np.random.Generator(np.random.Philox(key=case.seed)),
             self.autonomy.false_positive_rate)
-        self.planner = AebPlanner(self.autonomy.aeb)
 
         self.camera = case.sensors.camera
         self.camera_mount = forward_camera_mount(self.camera.position)
         res = self.camera.resolution
         self._proj = projection_matrix(self.camera)
-        self._fx_px = self._proj[0, 0] * res[0] / 2.0
-        self._fy_px = self._proj[1, 1] * res[1] / 2.0
+        self.planner = AebPlanner(self.autonomy.aeb, functools.partial(
+            estimate_range_px, fx_px=self._proj[0, 0] * res[0] / 2.0,
+            fy_px=self._proj[1, 1] * res[1] / 2.0,
+            assumed_frontal_area=self.autonomy.assumed_frontal_area))
         self.ins = InsSensor()
         self.lidar = case.sensors.lidar
         self.lidar_mount = forward_lidar_mount(self.lidar.position)
+        # The final spatial scan: 25 azimuths at 13 elevations.
+        self.spatial_lidar = replace(self.lidar, theta_min=-0.6, theta_max=0.6, theta_res=0.05)
+        self.spatial_phis = angle_grid(-0.3, 0.3, 0.05)
+        for lidar, channels in ((self.lidar, 1), (self.spatial_lidar, len(self.spatial_phis))):
+            rays = ((lidar.theta_max - lidar.theta_min) / lidar.theta_res + 1.0) * channels
+            if full_scans and not rays * lidar.r_max / (self.terrain.cell / 2.0) <= MAX_SCAN_SAMPLES:
+                raise ConfigurationError(f"a LIDAR cast of {rays:.6g} rays to r_max {lidar.r_max} "
+                                         f"exceeds {MAX_SCAN_SAMPLES} terrain samples")
 
     # -- helpers ---------------------------------------------------------------
 
@@ -178,16 +193,7 @@ class Episode:
             gap = np.subtract(obs.position, cam_pos)
             d = math.sqrt(gap.dot(gap))  # np.linalg.norm's arithmetic
             views.append(ObstacleView(obs.cls, area, d))
-        detections = self.detector.detect(views)
-        dtc_estimate = None
-        threat = [d for d in detections if d.cls in self.planner.cfg.threat_classes
-                  and d.area >= self.planner.cfg.min_area]
-        if threat:
-            best = max(threat, key=lambda d: d.area)
-            rng_est = estimate_range_px(best.area, self._fx_px, self._fy_px,
-                                        self.autonomy.assumed_frontal_area)
-            dtc_estimate = rng_est - self.planner.cfg.range_to_dtc_offset
-        return detections, dtc_estimate
+        return self.detector.detect(views)
 
     def _raycaster(self):
         return functools.partial(env_raycast, self.terrain, self.obstacles)
@@ -220,7 +226,6 @@ class Episode:
         scan_lines: list[str] = []
         terminal = "timeout"
         error = None
-        status = "done"
         t = 0.0
         steps = 0
         max_steps = int(round(self.sim.t_max / dt))
@@ -232,17 +237,13 @@ class Episode:
         try:
             for i in range(max_steps):
                 if i % perception_period == 0:
-                    detections, dtc_estimate = self._perceive(pose)
-                    self.planner.plan(detections, dtc_estimate, state.forward_speed)
+                    detections = self._perceive(pose)
+                    self.planner.plan(detections, state.forward_speed)
                     # The frame's summary, for its records until the next frame.
                     best = max(detections, key=lambda d: d.confidence, default=None)
                     seen = (len(detections), best.confidence, best.area) if best else (0, 0.0, 0.0)
-                if self.planner.finished:
-                    throttle, brake = 0.0, 0.0  # mission over, coast
-                else:
-                    throttle, brake = longitudinal_control(
-                        "brake" if self.planner.braking else "cruise", state.forward_speed,
-                        cruise_speed, cruise_kp)
+                throttle, brake = longitudinal_control(
+                    self.planner.mode, state.forward_speed, cruise_speed, cruise_kp)
                 state.set_commands(throttle, brake)
                 self.vehicle.step(state, self.terrain, dt)
                 steps += 1
@@ -262,7 +263,7 @@ class Episode:
                 if self.full_scans and steps % 50 == 0:
                     self._dump_scan(pose, t, scan_lines)
 
-                if self.planner.finished:
+                if self.planner.mode == "coast":
                     hold_elapsed += dt
                     if hold_elapsed >= self.sim.post_stop_grace:
                         terminal = "standstill_after_aeb"
@@ -271,25 +272,19 @@ class Episode:
                     terminal = "collision"
                     break
         except (SimulationFault, TerrainQueryError, ArithmeticError) as exc:
-            status = "failed"
             terminal = "fault"
             error = f"{type(exc).__name__}: {exc}"
 
         scan_dump = None
         if self.full_scans:
             scan_dump = "\n".join(scan_lines)
-            points = lidar_scan_3d(
-                replace(self.lidar, theta_min=-0.6, theta_max=0.6, theta_res=0.05),
-                angle_grid(-0.3, 0.3, 0.05),
-                pose_matrix(*pose) @ self.lidar_mount,
-                self._raycaster())
+            points = lidar_scan_3d(self.spatial_lidar, self.spatial_phis,
+                                   pose_matrix(*pose) @ self.lidar_mount, self._raycaster())
             scan_dump += "\n# spatial scan (sensor frame)\n" + point_cloud_ascii(points)
 
-        verdict = None
-        if status == "done" and log is not None:
-            verdict = evaluate_verdict(log.records, self.case_id)
-        return EpisodeResult(self.case_id, status, terminal, steps, t, log, verdict,
-                             error, scan_dump)
+        verdict = (evaluate_verdict(log.records, self.case_id)
+                   if terminal != "fault" and log is not None else None)
+        return EpisodeResult(self.case_id, terminal, steps, t, log, verdict, error, scan_dump)
 
     def _make_record(self, state, pose, t: float, seen: tuple[int, float, float], dtc: float,
                      collision_count: int) -> TelemetryRecord:
@@ -300,7 +295,7 @@ class Episode:
             t, position[0], position[1], position[2], euler[0], euler[1], euler[2],
             state.forward_speed, state.cmd_throttle, 0.0, state.cmd_brake,  # 0.0: steer_cmd
             0.0, state.pt.gear, state.pt.engine_rpm, *seen,  # 0.0: handbrake_cmd
-            1 if self.planner.braking else 0, dtc, collision_count, self.lights)
+            1 if self.planner.mode == "brake" else 0, dtc, collision_count, self.lights)
 
     def _dump_scan(self, pose, t: float, lines: list[str]) -> None:
         lidar_world = pose_matrix(*pose) @ self.lidar_mount
@@ -316,6 +311,6 @@ def run_case(bundle: dict, collect_telemetry: bool = True, full_scans: bool = Fa
         episode = Episode(bundle, collect_telemetry, full_scans)
     except (ValueError, ArithmeticError) as exc:  # ValueError: ConfigurationError, ScenarioError
         case_id = bundle.get("case_id") if isinstance(bundle, dict) else None
-        return EpisodeResult(case_id, "failed", "fault", 0, 0.0, None, None,
+        return EpisodeResult(case_id, "fault", 0, 0.0, None, None,
                              f"{type(exc).__name__}: {exc}", None)
     return episode.run()

@@ -1,5 +1,5 @@
-"""The AEB planner's persistence filter, gate and latch, and the surrogate
-detector's closed forms."""
+"""The AEB planner's persistence filter, gate and mode, the longitudinal
+control of each mode, and the surrogate detector's closed forms."""
 
 import math
 
@@ -19,6 +19,7 @@ from twinforge.autonomy import (
     effective_visibility,
     estimate_range_px,
     headlight_control,
+    longitudinal_control,
 )
 from twinforge.environment import TIME_LIGHT, WEATHER, condition_derive
 
@@ -26,28 +27,34 @@ THREAT = Detection("moose", 0.9, 1000.0)
 # At 12 m/s the default gate is fos * v^2 / (2 * max_decel) = 1.5 * 144 / 12 = 18 m.
 SPEED = 12.0
 GATE = 18.0
+OFFSET = AebConfig().range_to_dtc_offset
 
 
-def _frames(planner, count, detections=(THREAT,), dtc=GATE, speed=SPEED):
+def _planner(dtc=GATE):
+    """A default planner whose range estimate puts every threat box at `dtc`."""
+    return AebPlanner(AebConfig(), lambda area: dtc + OFFSET)
+
+
+def _frames(planner, count, detections=(THREAT,), speed=SPEED):
     for _ in range(count):
-        planner.plan(list(detections), dtc, speed)
+        planner.plan(list(detections), speed)
 
 
 def test_planner_fires_on_the_persistence_frame_and_not_before():
-    planner = AebPlanner(AebConfig())
+    planner = _planner()
     _frames(planner, planner.cfg.persistence_frames - 1)
-    assert not planner.braking
+    assert planner.mode == "cruise"
     _frames(planner, 1)
-    assert planner.braking
+    assert planner.mode == "brake"
 
 
 @pytest.mark.parametrize("dtc, fires", [
-    (GATE, True), (1.0, True), (GATE + 0.01, False), (None, False),
-], ids=["on-the-gate", "inside", "outside", "no-estimate"])
+    (GATE, True), (1.0, True), (GATE + 0.01, False),
+], ids=["on-the-gate", "inside", "outside"])
 def test_planner_fires_only_inside_the_stopping_distance_gate(dtc, fires):
-    planner = AebPlanner(AebConfig())
-    _frames(planner, 10, dtc=dtc)
-    assert planner.braking is fires
+    planner = _planner(dtc)
+    _frames(planner, 10)
+    assert planner.mode == ("brake" if fires else "cruise")
 
 
 @pytest.mark.parametrize("frame", [
@@ -55,27 +62,48 @@ def test_planner_fires_only_inside_the_stopping_distance_gate(dtc, fires):
     [Detection("moose", 0.9, 399.0)],
 ], ids=["nothing", "other-class", "low-confidence", "small-box"])
 def test_a_non_qualifying_frame_resets_the_count(frame):
-    planner = AebPlanner(AebConfig())
+    planner = _planner()
     _frames(planner, planner.cfg.persistence_frames - 1)
     _frames(planner, 1, detections=frame)
     assert planner.counter == 0
     _frames(planner, planner.cfg.persistence_frames - 1)
-    assert not planner.braking
+    assert planner.mode == "cruise"
     _frames(planner, 1)
-    assert planner.braking
+    assert planner.mode == "brake"
+
+
+def test_the_estimate_takes_the_largest_threat_box_whatever_its_confidence():
+    areas = []
+    planner = AebPlanner(AebConfig(), lambda area: areas.append(area) or 1.0)
+    frame = [Detection("moose", 0.9, 500.0), Detection("moose", 0.3, 5000.0),
+             Detection("deer", 0.9, 50000.0)]
+    _frames(planner, planner.cfg.persistence_frames - 1, detections=frame)
+    assert areas == []  # the range is estimated only once the gate is reached
+    _frames(planner, 1, detections=frame)
+    assert areas == [5000.0] and planner.mode == "brake"
 
 
 def test_brake_latches_until_standstill_and_never_rearms():
-    planner = AebPlanner(AebConfig())
+    planner = _planner()
+    modes = [planner.mode]
     _frames(planner, planner.cfg.persistence_frames)
-    assert planner.braking
-    for speed in (SPEED, 1.0, STANDSTILL_SPEED):
-        planner.plan([], None, speed)
-        assert planner.braking and not planner.finished
-    planner.plan([], None, -0.5 * STANDSTILL_SPEED)
-    assert not planner.braking and planner.finished
-    _frames(planner, 10, dtc=1.0)
-    assert not planner.braking and planner.finished
+    modes.append(planner.mode)
+    for speed in (SPEED, 1.0, STANDSTILL_SPEED, -0.5 * STANDSTILL_SPEED):
+        planner.plan([], speed)
+        modes.append(planner.mode)
+    assert modes == ["cruise", "brake", "brake", "brake", "brake", "coast"]
+    for speed in (SPEED, 0.0):
+        _frames(planner, 10, speed=speed)
+        assert planner.mode == "coast"
+
+
+@pytest.mark.parametrize("mode, speed, command", [
+    ("brake", 5.0, (0.0, 1.0)), ("coast", 5.0, (0.0, 0.0)), ("coast", 0.0, (0.0, 0.0)),
+    ("cruise", 8.0, (0.4, 0.0)), ("cruise", 0.0, (1.0, 0.0)), ("cruise", 12.0, (0.0, 0.0)),
+])
+def test_longitudinal_control_follows_the_mode(mode, speed, command):
+    # cruise: the P-law 0.2 * (10 - speed), clamped to [0, 1]
+    assert longitudinal_control(mode, speed, 10.0, 0.2) == pytest.approx(command)
 
 
 def test_detection_probability_halves_every_range_halflife():

@@ -22,7 +22,8 @@ from twinforge.autonomy import AutonomyConfig
 from twinforge.documents import ConfigurationError, from_doc, to_doc
 from twinforge.dynamics import default_vehicle_config
 from twinforge.environment import TerrainQueryError, footprint_corners, rectangles_overlap
-from twinforge.episode import MAX_STEPS, Episode, SimParams, default_bundle, run_case
+from twinforge.episode import (MAX_SCAN_SAMPLES, MAX_STEPS, Episode, SimParams, default_bundle,
+                               run_case)
 from twinforge.metrics import compute_dtc
 from twinforge.sensors import CameraConfig, SensorParams
 
@@ -425,6 +426,28 @@ def test_run_case_returns_a_result_for_any_node_of_the_wrong_kind():
     del base["case_id"]
     res = run_case(base)
     assert (res.case_id, res.error) == (None, "ConfigurationError: CaseBundle document lacks case_id")
+
+
+@pytest.mark.parametrize("lidar, rays", [
+    ({"r_max": 1e300}, "181"), ({"theta_min": -1e300}, "5.72958e+301"),
+    ({"theta_max": 1e300}, "5.72958e+301"), ({"theta_res": 1e-300}, "3.14159e+300"),
+    ({"theta_min": 0.0, "theta_max": 0.0, "r_max": 3100.0}, "325"),  # a 1-ray sweep
+], ids=["huge-r-max", "huge-negative-theta-min", "huge-theta-max", "tiny-theta-res",
+        "spatial-scan"])
+def test_a_full_scan_too_large_to_cast_is_a_failed_result(lidar, rays):
+    """Each cast, the planar sweep and the final 325-ray spatial scan, holds
+    rays x r_max / (cell / 2) terrain samples at once; a LIDAR config past
+    MAX_SCAN_SAMPLES fails the full-scan case before it runs, and leaves a
+    case without full scans alone."""
+    bundle = _bundle("default")
+    bundle["sim"]["t_max"] = 0.6
+    bundle["sensors"]["lidar"].update(lidar)
+    res = run_case(bundle, full_scans=True)
+    assert (res.status, res.terminal, res.steps, res.scan_dump) == ("failed", "fault", 0, None)
+    r_max = bundle["sensors"]["lidar"]["r_max"]
+    assert res.error == (f"ConfigurationError: a LIDAR cast of {rays} rays to r_max {r_max} "
+                         f"exceeds {MAX_SCAN_SAMPLES} terrain samples")
+    assert run_case(bundle).status == "done"
 
 
 # -- contact ---------------------------------------------------------------------
