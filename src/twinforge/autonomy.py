@@ -38,6 +38,10 @@ HEADLIGHT_FOG_HIGH = 0.6
 
 STANDSTILL_SPEED = 0.05  # m/s, releases the AEB latch
 
+# Ranges of a false-positive box's area (px^2) and confidence, drawn uniformly.
+FALSE_POSITIVE_AREA = (30.0, 250.0)
+FALSE_POSITIVE_CONFIDENCE = (0.3, 0.9)
+
 
 @dataclass(frozen=True)
 class PerceptionModelPreset(Section):
@@ -142,12 +146,11 @@ class SurrogateDetector:
             conf = self.rng.normal(preset.confidence_mean * vis, preset.confidence_spread)
             out.append(Detection(view.cls, clamp(conf, 0.0, 1.0), view.area))
         if self.rng.random() < self.false_positive_rate:
-            area = self.rng.uniform(30.0, 250.0)
-            conf = self.rng.uniform(0.3, 0.9)
+            area = self.rng.uniform(*FALSE_POSITIVE_AREA)
+            conf = self.rng.uniform(*FALSE_POSITIVE_CONFIDENCE)
             # The box centre is not used, but its two draws stay so that every
             # later draw of the case's stream, and so its telemetry, holds.
-            self.rng.uniform(0, 640)
-            self.rng.uniform(0, 480)
+            self.rng.random(2)
             out.append(Detection("moose", conf, area))
         return out
 

@@ -8,7 +8,10 @@ dataclass that `to_doc` writes and `from_doc` reads back. The rule:
 - a field whose name ends in `_` (`class_`) is stored under the key without it;
 - a class attribute `SCHEMA_VERSION` is written as `schema_version` and required on read;
 - a field with a default may be absent, and then takes the default, so the
-  dataclass field default is the only place a default lives;
+  dataclass field default is the only place a default lives; every section,
+  the vehicle's too, has one on each field but the tire spline's knots and a
+  sprung mass's, so a document gives only the numbers it changes;
+- a dict or list field that is given replaces the default whole, never merged;
 - keys that name no field are ignored;
 - a field without a default that is absent raises `ConfigurationError`
   naming the dataclass and the fields.

@@ -4,6 +4,9 @@ integrator. Each quantity is stored once: wheelbase and track come from the
 wheel mounts, the tire radius is the suspension's wheel radius and the top
 speed is the aero section's.
 
+Each number's default is on its field, so `{"schema_version": 2}` is the
+default vehicle; a list or dict field and the tire spline are given whole.
+
 The plant drives forward and straight on all four wheels, in neutral or gears
 1..top. A version-2 document with park or reverse gear ratios, the two reverse
 aero keys, a `steering` section, `powertrain.diff_torque_drop` or the
@@ -85,26 +88,30 @@ def suspension_coefficients(mass: float, natural_frequency: float, damping_ratio
 
 @dataclass
 class SuspensionParams(Section):
-    natural_frequency: Positive  # rad/s
-    damping_ratio: NonNegative
-    rest_length: Positive        # equilibrium point Z0, m
-    force_offset: Finite         # Zf, m
-    antiroll_stiffness: NonNegative
-    wheel_mass: Positive
-    wheel_radius: Positive
+    natural_frequency: Positive = 2.0 * math.pi * 1.6  # rad/s
+    damping_ratio: NonNegative = 0.8
+    rest_length: Positive = 0.45   # equilibrium point Z0, m
+    force_offset: Finite = 0.45    # Zf, m
+    antiroll_stiffness: NonNegative = 4000.0
+    wheel_mass: Positive = 25.0
+    wheel_radius: Positive = 0.35
 
 
 @dataclass
 class PowertrainParams(Section):
-    torque_curve: list[tuple[Finite, NonNegative]]  # (rpm, N*m), piecewise linear
-    idle_rpm: Positive
-    gear_ratios: dict[int, Finite]  # gear code -> ratio
-    final_drive: Positive
-    throttle_smoothing_gain: NonNegative
-    shift_up_rpm: Positive
-    shift_down_rpm: Positive
-    shift_time: NonNegative
-    rpm_smoothing_tau: Positive
+    # (rpm, N*m), piecewise linear
+    torque_curve: list[tuple[Finite, NonNegative]] = field(default_factory=lambda: [
+        (800.0, 90.0), (2000.0, 110.0), (3500.0, 130.0),
+        (5000.0, 145.0), (7000.0, 150.0), (8500.0, 120.0)])
+    idle_rpm: Positive = 1100.0
+    gear_ratios: dict[int, Finite] = field(  # gear code -> ratio
+        default_factory=lambda: {GEAR_NEUTRAL: 0.0, 1: 2.9, 2: 1.8, 3: 1.2, 4: 0.9})
+    final_drive: Positive = 4.5
+    throttle_smoothing_gain: NonNegative = 0.5
+    shift_up_rpm: Positive = 6300.0
+    shift_down_rpm: Positive = 2800.0
+    shift_time: NonNegative = 0.3
+    rpm_smoothing_tau: Positive = 0.25
 
     def __post_init__(self):
         super().__post_init__()
@@ -138,24 +145,24 @@ class PowertrainParams(Section):
 
 @dataclass
 class BrakeParams(Section):
-    disk_radius: Positive
-    braking_distance_60mph: Positive
+    disk_radius: Positive = 0.18
+    braking_distance_60mph: Positive = 1.0
 
 
 @dataclass
 class AeroParams(Section):
-    drag_max: NonNegative       # N, at/above top speed
-    drag_idle: NonNegative      # N, below top speed
-    top_speed: Positive         # m/s
-    angular_drag: NonNegative   # N*m*s/rad
-    downforce_coeff: NonNegative  # N*s/m
+    drag_max: NonNegative = 2600.0      # N, at/above top speed
+    drag_idle: NonNegative = 220.0      # N, below top speed
+    top_speed: Positive = 30.0          # m/s
+    angular_drag: NonNegative = 120.0   # N*m*s/rad
+    downforce_coeff: NonNegative = 8.0  # N*s/m
 
 
 @dataclass
 class FootprintParams(Section):
-    length: Positive
-    width: Positive
-    center_x: Finite  # body-frame x of footprint center
+    length: Positive = 3.8
+    width: Positive = 1.73
+    center_x: Finite = 0.0  # body-frame x of footprint center
 
 
 class WheelConfig(NamedTuple):
@@ -173,15 +180,30 @@ class WheelConfig(NamedTuple):
 
 @dataclass
 class VehicleConfig(Section):
+    """Side-by-side UTV class defaults. Placeholder values, not measured data."""
     SCHEMA_VERSION = 2
-    sprung_masses: list[SprungMass]
-    suspension: SuspensionParams
-    powertrain: PowertrainParams
-    brake: BrakeParams
-    aero: AeroParams
-    tires: FrictionSpline
-    wheel_mounts: dict[str, tuple[Finite, Finite, Finite]]
-    footprint: FootprintParams
+    sprung_masses: list[SprungMass] = field(default_factory=lambda: [
+        SprungMass(400.0, (1.20, 0.0, 0.10)),
+        SprungMass(450.0, (-1.10, 0.0, 0.15)),
+        SprungMass(650.0, (0.10, 0.0, 0.35)),
+        SprungMass(100.0, (-0.80, 0.0, 0.00)),
+        SprungMass(100.0, (1.45, 0.78, -0.25)),
+        SprungMass(100.0, (1.45, -0.78, -0.25)),
+        SprungMass(100.0, (-1.45, 0.78, -0.25)),
+        SprungMass(100.0, (-1.45, -0.78, -0.25)),
+    ])
+    suspension: SuspensionParams = field(default_factory=SuspensionParams)
+    powertrain: PowertrainParams = field(default_factory=PowertrainParams)
+    brake: BrakeParams = field(default_factory=BrakeParams)
+    aero: AeroParams = field(default_factory=AeroParams)
+    tires: FrictionSpline = field(default_factory=lambda: FrictionSpline(0.0, 0.0, 0.2, 1.0, 0.8, 0.6))
+    wheel_mounts: dict[str, tuple[Finite, Finite, Finite]] = field(default_factory=lambda: {
+        "FL": (1.45, 0.78, -0.05),
+        "FR": (1.45, -0.78, -0.05),
+        "RL": (-1.45, 0.78, -0.05),
+        "RR": (-1.45, -0.78, -0.05),
+    })
+    footprint: FootprintParams = field(default_factory=FootprintParams)
     slip_speed_guard: Positive = 0.1   # eps_v, m/s
     standstill_brake_decel: NonNegative = 7.5  # m/s^2 at full pedal, low-speed hold
     standstill_brake_speed: NonNegative = 2.5  # m/s, band where the hold takes over
@@ -231,56 +253,4 @@ class VehicleConfig(Section):
 
 
 def default_vehicle_config() -> VehicleConfig:
-    """Side-by-side UTV class defaults. Placeholder values, not measured data."""
-    return VehicleConfig(
-        sprung_masses=[
-            SprungMass(400.0, (1.20, 0.0, 0.10)),
-            SprungMass(450.0, (-1.10, 0.0, 0.15)),
-            SprungMass(650.0, (0.10, 0.0, 0.35)),
-            SprungMass(100.0, (-0.80, 0.0, 0.00)),
-            SprungMass(100.0, (1.45, 0.78, -0.25)),
-            SprungMass(100.0, (1.45, -0.78, -0.25)),
-            SprungMass(100.0, (-1.45, 0.78, -0.25)),
-            SprungMass(100.0, (-1.45, -0.78, -0.25)),
-        ],
-        suspension=SuspensionParams(
-            natural_frequency=2.0 * math.pi * 1.6,
-            damping_ratio=0.8,
-            rest_length=0.45,
-            force_offset=0.45,
-            antiroll_stiffness=4000.0,
-            wheel_mass=25.0,
-            wheel_radius=0.35,
-        ),
-        powertrain=PowertrainParams(
-            torque_curve=[(800.0, 90.0), (2000.0, 110.0), (3500.0, 130.0),
-                          (5000.0, 145.0), (7000.0, 150.0), (8500.0, 120.0)],
-            idle_rpm=1100.0,
-            gear_ratios={GEAR_NEUTRAL: 0.0, 1: 2.9, 2: 1.8, 3: 1.2, 4: 0.9},
-            final_drive=4.5,
-            throttle_smoothing_gain=0.5,
-            shift_up_rpm=6300.0,
-            shift_down_rpm=2800.0,
-            shift_time=0.3,
-            rpm_smoothing_tau=0.25,
-        ),
-        brake=BrakeParams(
-            disk_radius=0.18,
-            braking_distance_60mph=1.0,
-        ),
-        aero=AeroParams(
-            drag_max=2600.0,
-            drag_idle=220.0,
-            top_speed=30.0,
-            angular_drag=120.0,
-            downforce_coeff=8.0,
-        ),
-        tires=FrictionSpline(0.0, 0.0, 0.2, 1.0, 0.8, 0.6),
-        wheel_mounts={
-            "FL": (1.45, 0.78, -0.05),
-            "FR": (1.45, -0.78, -0.05),
-            "RL": (-1.45, 0.78, -0.05),
-            "RR": (-1.45, -0.78, -0.05),
-        },
-        footprint=FootprintParams(length=3.8, width=1.73, center_x=0.0),
-    )
+    return VehicleConfig()

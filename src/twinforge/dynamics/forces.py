@@ -154,7 +154,7 @@ def tire_forces(
     wheel_radius: float,
     spline,
     normal_load: float,
-    eps_v: float = 0.1,
+    eps_v: float,
     lon_force_cap: float = math.inf,
 ) -> tuple[float, float]:
     """Longitudinal/lateral tire forces in the wheel frame (the body frame for
@@ -190,7 +190,7 @@ def aero_forces(
     velocity_body: tuple[float, float, float],
     omega_body: tuple[float, float, float],
     params,
-    eps_v: float = 0.1,
+    eps_v: float,
 ) -> tuple[tuple[float, float, float], tuple[float, float, float], float]:
     """Drag force opposing motion, angular drag torque, downforce magnitude.
 

@@ -271,15 +271,13 @@ class Obstacle:
         return np.where(miss, math.inf, t_min)
 
 
-def env_raycast(terrain: TerrainHeightmap | None, obstacles, origin, directions,
+def env_raycast(terrain: TerrainHeightmap, obstacles, origin, directions,
                 r_max: float) -> np.ndarray:
     """Distance along each of the (n, 3) directions to the nearest hit among
     the terrain surface and all obstacle boxes: (n,), inf where nothing is
     hit within r_max."""
-    best = np.full(len(directions), math.inf)
-    if terrain is not None:
-        d = terrain.raycast(origin, directions, r_max)
-        best = np.where(d <= r_max, d, best)
+    d = terrain.raycast(origin, directions, r_max)
+    best = np.where(d <= r_max, d, math.inf)
     for obs in obstacles:
         d = obs.raycast(origin, directions)
         best = np.where((d <= r_max) & (d < best), d, best)

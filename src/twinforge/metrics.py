@@ -155,7 +155,9 @@ def evaluate_verdict(records: list[TelemetryRecord], case_id: str = "") -> Verdi
     """Pure function of the telemetry series.
 
     A case passes iff it never collided; the stop margin is the final DTC
-    when the run ended clean, otherwise the (negative) worst penetration.
+    when the run ended clean, otherwise the least DTC: on a static world, how
+    far the front face got past the obstacle's near edge in `contact_window`
+    (negative), not a penetration any force resisted.
     """
     if not records:
         raise TelemetryError("empty telemetry")

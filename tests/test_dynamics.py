@@ -161,6 +161,20 @@ def test_config_json_roundtrip_reproduces_document():
     assert to_doc(cfg2) == doc
 
 
+def test_a_partial_document_changes_only_the_numbers_it_gives():
+    default = to_doc(default_vehicle_config())
+    assert to_doc(from_doc(VehicleConfig, {"schema_version": 2})) == default
+    doc = to_doc(from_doc(VehicleConfig, {"schema_version": 2, "suspension": {"damping_ratio": 0.5}}))
+    assert doc["suspension"].pop("damping_ratio") == 0.5
+    assert default["suspension"].pop("damping_ratio") == 0.8
+    assert doc == default
+
+
+def test_a_partial_dict_field_replaces_the_whole_dict():
+    with pytest.raises(ConfigurationError, match="wheel_mounts must define exactly"):
+        from_doc(VehicleConfig, {"schema_version": 2, "wheel_mounts": {"FL": [1.45, 0.78, -0.05]}})
+
+
 def test_config_document_is_pinned():
     doc = to_doc(default_vehicle_config())
     text = json.dumps(doc, sort_keys=True)
@@ -215,13 +229,16 @@ def test_config_rejects_gap_in_forward_gears():
         from_doc(VehicleConfig, doc)
 
 
-@pytest.mark.parametrize("section, field, kind", [
-    (None, "footprint", "VehicleConfig"),
-    ("suspension", "wheel_mass", "SuspensionParams"),
-])
-def test_config_missing_field_names_it(section, field, kind):
+@pytest.mark.parametrize("path, kind", [
+    (("tires", "s0"), "FrictionSpline"),
+    (("sprung_masses", 0, "mass"), "SprungMass"),
+], ids=["tires-s0-FrictionSpline", "sprung_masses-0-mass-SprungMass"])
+def test_config_missing_field_names_it(path, kind):
+    # the spline is fitted from all six knots and a sprung mass is one entry
+    # of a list, so neither takes a default
     doc = to_doc(default_vehicle_config())
-    del (doc[section] if section else doc)[field]
+    *parent, field = path
+    del functools.reduce(operator.getitem, parent, doc)[field]
     with pytest.raises(ConfigurationError, match=f"{kind} document lacks {field}"):
         from_doc(VehicleConfig, doc)
 
@@ -258,8 +275,7 @@ def test_engine_torque_below_the_first_knot_is_the_first_knots_torque():
 
 def test_an_empty_torque_curve_is_a_failed_result():
     bundle = default_bundle()
-    bundle["vehicle"] = to_doc(default_vehicle_config())
-    bundle["vehicle"]["powertrain"]["torque_curve"] = []
+    bundle["vehicle"] = {"schema_version": 2, "powertrain": {"torque_curve": []}}
     res = run_case(bundle)
     assert (res.status, res.terminal, res.steps) == ("failed", "fault", 0)
     assert res.error == "ConfigurationError: engine torque curve needs strictly increasing rpm knots"
@@ -524,7 +540,7 @@ def test_spline_serialization_roundtrip():
 
 def test_tire_pure_rolling_is_forceless():
     sp = FrictionSpline(0.0, 0.0, 0.2, 1.0, 0.8, 0.6)
-    f_x, f_y = tire_forces(10.0 / 0.35, 10.0, 0.0, 0.35, sp, 5000.0)
+    f_x, f_y = tire_forces(10.0 / 0.35, 10.0, 0.0, 0.35, sp, 5000.0, 0.1)
     assert f_x == pytest.approx(0.0, abs=1e-9)
     assert f_y == 0.0
 
@@ -532,13 +548,13 @@ def test_tire_pure_rolling_is_forceless():
 def test_tire_slip_signs_oppose_slip():
     sp = FrictionSpline(0.0, 0.0, 0.2, 1.0, 0.8, 0.6)
     # wheel spinning faster than ground speed -> pushes vehicle forward
-    f_x, _ = tire_forces(40.0, 10.0, 0.0, 0.35, sp, 5000.0)
+    f_x, _ = tire_forces(40.0, 10.0, 0.0, 0.35, sp, 5000.0, 0.1)
     assert f_x > 0.0
     # locked wheel while moving -> drags vehicle backward
-    f_x, _ = tire_forces(0.0, 10.0, 0.0, 0.35, sp, 5000.0)
+    f_x, _ = tire_forces(0.0, 10.0, 0.0, 0.35, sp, 5000.0, 0.1)
     assert f_x < 0.0
     # lateral slip opposed
-    _, f_y = tire_forces(10.0 / 0.35, 10.0, 2.0, 0.35, sp, 5000.0)
+    _, f_y = tire_forces(10.0 / 0.35, 10.0, 2.0, 0.35, sp, 5000.0, 0.1)
     assert f_y < 0.0
 
 
@@ -550,8 +566,8 @@ def test_tire_low_speed_guard():
 
 def test_tire_longitudinal_impulse_cap():
     sp = FrictionSpline(0.0, 0.0, 0.2, 1.0, 0.8, 0.6)
-    f_x, _ = tire_forces(10.0 / 0.35 + 0.01, 10.0, 0.0, 0.35, sp, 5000.0,
-                               lon_force_cap=1.0)
+    f_x, _ = tire_forces(10.0 / 0.35 + 0.01, 10.0, 0.0, 0.35, sp, 5000.0, 0.1,
+                         lon_force_cap=1.0)
     assert abs(f_x) <= 1.0
 
 
@@ -591,7 +607,7 @@ def test_aero_exactly_one_case_fires():
         v = tuple(float(c) for c in v / np.linalg.norm(v) * rng.uniform(0.1, 40.0))
         speed = math.sqrt(v[0] * v[0] + v[1] * v[1] + v[2] * v[2])
         expect = p.drag_max if speed >= p.top_speed else p.drag_idle
-        drag, _, down = aero_forces(v, (0.0, 0.0, 0.0), p)
+        drag, _, down = aero_forces(v, (0.0, 0.0, 0.0), p, 0.1)
         assert _drag_magnitude(v) == pytest.approx(expect, rel=1e-9)
         # the drag opposes the motion
         assert sum(d * c for d, c in zip(drag, v)) == pytest.approx(-expect * speed, rel=1e-9)
@@ -599,7 +615,7 @@ def test_aero_exactly_one_case_fires():
 
 
 def test_aero_at_rest():
-    drag, torque, down = aero_forces((0.0, 0.0, 0.0), (0.0, 0.0, 0.0), _Aero())
+    drag, torque, down = aero_forces((0.0, 0.0, 0.0), (0.0, 0.0, 0.0), _Aero(), 0.1)
     assert drag == (0.0, 0.0, 0.0)
     assert torque == (0.0, 0.0, 0.0)
     assert down == 0.0

@@ -97,7 +97,8 @@ def _drop_aeb_fos(bundle):
     lambda b: b.update(sensors={"camera": {"focal_length": 1.732}}),
     _drop_aeb_fos,
     lambda b: b.update(sim={}),
-], ids=["partial-sensors-camera", "partial-autonomy-aeb", "empty-sim"])
+    lambda b: b.update(vehicle={"schema_version": 2}),
+], ids=["partial-sensors-camera", "partial-autonomy-aeb", "empty-sim", "versioned-vehicle"])
 def test_partial_section_runs_with_the_defaults(edit):
     bundle = _bundle("default")
     edit(bundle)
@@ -136,13 +137,16 @@ def _version_1_vehicle_doc():
 
 
 def _set(*path_and_value):
-    """An edit that sets the field at `path` of the bundle; a path into
-    "vehicle" first puts the default vehicle in as a document."""
+    """An edit that sets the field at `path` of the bundle. A path into
+    "vehicle" first puts in a partial vehicle document: the schema version and
+    the default of the one entry the path leads into, which a dict, a list or
+    the spline needs whole."""
     *path, key, value = path_and_value
 
     def edit(bundle):
         if path[0] == "vehicle":
-            bundle["vehicle"] = to_doc(default_vehicle_config())
+            default = to_doc(default_vehicle_config())
+            bundle["vehicle"] = {"schema_version": 2, **{k: default[k] for k in path[1:2]}}
         functools.reduce(operator.getitem, path, bundle)[key] = value
     return edit
 
@@ -528,8 +532,7 @@ def _ego_poses(episode, rng):
 @pytest.mark.parametrize("center_x", [0.0, 1.1, -0.9])
 def test_the_dtc_gate_never_hides_an_overlap(center_x):
     bundle = _bundle("default")
-    bundle["vehicle"] = to_doc(default_vehicle_config())
-    bundle["vehicle"]["footprint"]["center_x"] = center_x
+    bundle["vehicle"] = {"schema_version": 2, "footprint": {"center_x": center_x}}
     episode = Episode(bundle)
     fp = episode.vcfg.footprint
     obs = episode.obstacles[0]
