@@ -37,7 +37,7 @@ from .environment import (
     footprint_corners,
     rectangles_overlap,
 )
-from .metrics import TelemetryLog, TelemetryRecord, compute_dtc, evaluate_verdict
+from .metrics import TelemetryLog, TelemetryRecord, VerdictRecords, compute_dtc, evaluate_verdict
 from .scenarios import ScenarioConfig, build_scenario, builtin_scenario_doc, load_scenario_doc
 from .se3 import pose_matrix
 from .sensors import (
@@ -218,7 +218,8 @@ class Episode:
         spawn = self.scenario.spawn
         state = self.vehicle.spawn_state(self.terrain, spawn.x, spawn.y, spawn.yaw)
         pose = self.vehicle.origin_pose(state)  # the state's pose, updated after each step
-        log = TelemetryLog() if self.collect_telemetry else None
+        # Without telemetry the episode still keeps the records its verdict reads.
+        log = TelemetryLog() if self.collect_telemetry else VerdictRecords()
 
         collision_count = 0  # 1 from the first overlap on
         contact_end = math.inf  # the step that ends the trace after contact
@@ -257,8 +258,7 @@ class Episode:
                     collision_count = 1
                     contact_end = steps + contact_steps
 
-                if log is not None:
-                    log.append(self._make_record(state, pose, t, seen, dtc, collision_count))
+                log.append(self._make_record(state, pose, t, seen, dtc, collision_count))
 
                 if self.full_scans and steps % 50 == 0:
                     self._dump_scan(pose, t, scan_lines)
@@ -282,9 +282,10 @@ class Episode:
                                    pose_matrix(*pose) @ self.lidar_mount, self._raycaster())
             scan_dump += "\n# spatial scan (sensor frame)\n" + point_cloud_ascii(points)
 
-        verdict = (evaluate_verdict(log.records, self.case_id)
-                   if terminal != "fault" and log is not None else None)
-        return EpisodeResult(self.case_id, terminal, steps, t, log, verdict, error, scan_dump)
+        verdict = (None if terminal == "fault"
+                   else evaluate_verdict(log.verdict_records(), self.case_id))
+        return EpisodeResult(self.case_id, terminal, steps, t,
+                             log if self.collect_telemetry else None, verdict, error, scan_dump)
 
     def _make_record(self, state, pose, t: float, seen: tuple[int, float, float], dtc: float,
                      collision_count: int) -> TelemetryRecord:

@@ -3,6 +3,10 @@
 The CSV dialect is fixed: comma separator, '\\n' line endings, one header
 row, UTF-8, floats with 6 decimal places. Identical episodes must produce
 byte-identical files, so nothing time- or host-dependent is ever written.
+
+`TelemetryLog` formats each record into its CSV row as it is appended and
+keeps the text, not the record; `parse_csv` is the one way back to records.
+Besides the rows it keeps only the four records a verdict reads.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ class TelemetryError(RuntimeError):
 
 
 class TelemetryRecord(NamedTuple):
-    """One row per physics step; `to_csv` formats the tuple as it stands."""
+    """One row per physics step; `TelemetryLog.append` formats the tuple as it stands."""
     t: float
     pos_x: float
     pos_y: float
@@ -52,23 +56,68 @@ _COLUMN_TYPES = tuple(map(get_type_hints(TelemetryRecord).__getitem__, TELEMETRY
 _ROW_TEMPLATE = ",".join({float: "%.6f", int: "%d", str: "%s"}[kind] for kind in _COLUMN_TYPES)
 
 
-class TelemetryLog:
-    """In-memory telemetry sink; one record per physics step."""
+class VerdictRecords:
+    """The records a verdict reads, kept as a series is appended.
+
+    `append` rejects a record whose time does not exceed the last one's or
+    whose collision count falls, then `keep`s it. Of the series four records
+    are kept: the least-DTC one (the first with a nan DTC if any, else the
+    first with the least), the first with `aeb_active`, the first with
+    contact and the last.
+    """
 
     def __init__(self):
-        self.records: list[TelemetryRecord] = []
+        self.least = self.first_aeb = self.first_contact = self.last = None
 
     def append(self, record: TelemetryRecord) -> None:
-        if self.records and record.t <= self.records[-1].t:
-            raise TelemetryError(f"non-increasing time {record.t} after {self.records[-1].t}")
-        if self.records and record.collision_count < self.records[-1].collision_count:
-            raise TelemetryError("collision_count decreased")
-        self.records.append(record)
+        last = self.last
+        if last is not None:
+            if not record.t > last.t:
+                raise TelemetryError(f"non-increasing time {record.t} after {last.t}")
+            if record.collision_count < last.collision_count:
+                raise TelemetryError("collision_count decreased")
+        self.keep(record)
+
+    def keep(self, record: TelemetryRecord) -> None:
+        if self.least is None:
+            self.least = record
+        else:
+            least = self.least.dtc
+            if least == least and not record.dtc >= least:  # less, or the first nan
+                self.least = record
+        if self.first_aeb is None and record.aeb_active:
+            self.first_aeb = record
+        if self.first_contact is None and record.collision_count:
+            self.first_contact = record
+        self.last = record
+
+    def verdict_records(self) -> list[TelemetryRecord]:
+        """The kept records in time order, each once: `evaluate_verdict` of
+        them equals `evaluate_verdict` of the whole series."""
+        kept = {id(r): r for r in (self.least, self.first_aeb, self.first_contact, self.last)
+                if r is not None}
+        return sorted(kept.values(), key=lambda r: r.t)
+
+
+class TelemetryLog(VerdictRecords):
+    """In-memory telemetry sink: one CSV row per physics step.
+
+    `append` formats each record into its row at once and keeps the text,
+    plus the few records `VerdictRecords` keeps for the verdict; `parse_csv`
+    of `to_csv()` gives the records back.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.rows: list[str] = []
+
+    def append(self, record: TelemetryRecord) -> None:
+        super().append(record)
+        self.rows.append(_ROW_TEMPLATE % record)
 
     def to_csv(self) -> str:
-        rows = [_ROW_TEMPLATE % rec for rec in self.records]
         # One join, with "" for the final newline: no second copy of the text.
-        return "\n".join([",".join(TELEMETRY_COLUMNS), *rows, ""])
+        return "\n".join([",".join(TELEMETRY_COLUMNS), *self.rows, ""])
 
     def to_bytes(self) -> bytes:
         return self.to_csv().encode("utf-8")
@@ -152,30 +201,29 @@ class Verdict:
 
 
 def evaluate_verdict(records: list[TelemetryRecord], case_id: str = "") -> Verdict:
-    """Pure function of the telemetry series.
+    """Pure function of the telemetry series, read through `VerdictRecords`.
 
-    A case passes iff it never collided; the stop margin is the final DTC
-    when the run ended clean, otherwise the least DTC: on a static world, how
-    far the front face got past the obstacle's near edge in `contact_window`
-    (negative), not a penetration any force resisted.
+    A case passes iff it never collided. `min_dtc` is the least DTC (nan if
+    any DTC is nan). The stop margin is the final DTC when the run ended
+    clean, otherwise the DTC of the first row with contact: where the front
+    face stood when the footprints first overlapped, not how far the car
+    drove on through a static obstacle in `contact_window`. "First" and
+    "last" follow the list's order, which is not checked.
     """
-    if not records:
+    kept = VerdictRecords()
+    for record in records:
+        kept.keep(record)
+    last = kept.last
+    if last is None:
         raise TelemetryError("empty telemetry")
-    last = records[-1]
     collisions = last.collision_count
-    min_dtc = min(r.dtc for r in records)
-    aeb_triggered = any(r.aeb_active for r in records)
-    if collisions == 0:
-        stop_margin = last.dtc
-    else:
-        stop_margin = min_dtc
     return Verdict(
         case_id=case_id,
         passed=collisions == 0,
         collision_count=collisions,
-        min_dtc=min_dtc,
-        aeb_triggered=aeb_triggered,
-        stop_margin=stop_margin,
+        min_dtc=kept.least.dtc,
+        aeb_triggered=kept.first_aeb is not None,
+        stop_margin=last.dtc if collisions == 0 else kept.first_contact.dtc,
         duration=last.t,
     )
 

@@ -8,11 +8,14 @@ behaviour change and must say so.
 import copy
 import dataclasses
 import functools
+import gc
 import hashlib
 import itertools
 import json
 import math
 import operator
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -24,7 +27,7 @@ from twinforge.dynamics import default_vehicle_config
 from twinforge.environment import TerrainQueryError, footprint_corners, rectangles_overlap
 from twinforge.episode import (MAX_SCAN_SAMPLES, MAX_STEPS, Episode, SimParams, default_bundle,
                                run_case)
-from twinforge.metrics import compute_dtc
+from twinforge.metrics import aggregate_report, compute_dtc, parse_csv
 from twinforge.sensors import CameraConfig, SensorParams
 
 DEFAULT_DIGEST = "39f1c68ec1b52e8f0a586636bddc251f2f8995730c667ec25f2f64fe48a05ee2"
@@ -59,8 +62,60 @@ def test_pinned_collision_digest(model, weather, lights, digest):
                                   seed=1))
     assert (res.status, res.terminal, res.steps) == ("done", "collision", 1031)
     assert not res.verdict.passed
-    assert {r.lights for r in res.log.records} == {lights}
+    assert {r.lights for r in parse_csv(res.log.to_csv())} == {lights}
     assert res.log.digest() == digest
+
+
+PINNED_CASES = (("default", "v3", "clear", "12:00"), ("default", "v2_tiny", "heavy_snow", "00:00"),
+                ("slope", "v3", "clear", "12:00"), ("flat", "v3", "clear", "12:00"))
+
+
+def test_a_case_without_telemetry_has_the_telemetry_runs_verdict():
+    bundles = [default_bundle(f"{sc}/{model}/{weather}/{tod}", model, weather, tod, 1, sc)
+               for sc, model, weather, tod in PINNED_CASES]
+    verdicts = {}
+    for bundle in bundles:
+        res = run_case(bundle, collect_telemetry=False)
+        assert (res.status, res.log) == ("done", None)
+        assert res.verdict == run_case(bundle).verdict
+        verdicts[bundle["case_id"]] = res.verdict
+    plan = SimpleNamespace(batches=[[SimpleNamespace(case_id=b["case_id"], model=b["model"])
+                                     for b in bundles]])
+    report = aggregate_report(verdicts, plan)
+    assert report.infra_failed == []
+    assert (report.cumulative_passed, report.cumulative_total) == (3, 4)
+
+
+def test_the_log_keeps_text_not_records():
+    """A 2,000-step run retains about 216 B per row: the row's text and a
+    list slot. A record kept per step would add its tuple and 16 floats
+    (463 B per row in all)."""
+    bundle = _bundle("flat")
+    bundle["sim"]["t_max"] = 20.0
+    run_case(bundle)  # first-call caches are not the log's
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        res = run_case(bundle)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert (res.terminal, res.steps) == ("timeout", 2000)
+    assert retained / res.steps < 300
+
+
+def test_a_contact_cases_stop_margin_is_the_dtc_at_first_contact():
+    res = run_case(default_bundle("default/v2_tiny/heavy_snow/00:00", "v2_tiny", "heavy_snow",
+                                  "00:00", seed=1))
+    rows = parse_csv(res.log.to_csv())
+    first = next(r for r in rows if r.collision_count == 1)
+    # The CSV holds six decimals, so the verdict's numbers are read back through them.
+    assert float(f"{res.verdict.stop_margin:.6f}") == first.dtc
+    assert res.verdict.stop_margin <= 1e-6
+    assert float(f"{res.verdict.min_dtc:.6f}") == min(r.dtc for r in rows)
+    assert res.verdict.min_dtc < res.verdict.stop_margin
 
 
 def test_pinned_scan_digest():
@@ -457,7 +512,7 @@ def test_a_full_scan_too_large_to_cast_is_a_failed_result(lidar, rays):
 # -- contact ---------------------------------------------------------------------
 
 def _first_overlap_step(res) -> int:
-    return next(i for i, r in enumerate(res.log.records, start=1) if r.collision_count)
+    return next(i for i, r in enumerate(parse_csv(res.log.to_csv()), start=1) if r.collision_count)
 
 
 @pytest.mark.parametrize("window", [1.0, 0.37])
@@ -467,7 +522,7 @@ def test_contact_ends_the_episode_a_window_after_the_first_overlap(window):
     res = run_case(bundle)
     assert (res.status, res.terminal) == ("done", "collision")
     assert res.steps == _first_overlap_step(res) + round(window / 0.01)
-    assert {r.collision_count for r in res.log.records} == {0, 1}
+    assert {r.collision_count for r in parse_csv(res.log.to_csv())} == {0, 1}
     assert res.verdict.collision_count == 1 and not res.verdict.passed
     assert res.verdict.stop_margin < 0.0  # a penetration: the obstacle does not move
 
@@ -480,7 +535,7 @@ def test_no_contact_never_ends_in_collision(lateral):
         bundle["sim"]["t_max"] = 12.0
     res = run_case(bundle)
     assert res.terminal == ("standstill_after_aeb" if lateral is None else "timeout")
-    assert all(r.collision_count == 0 for r in res.log.records)
+    assert all(r.collision_count == 0 for r in parse_csv(res.log.to_csv()))
     assert res.verdict.passed
 
 
@@ -494,7 +549,7 @@ def test_a_car_blind_to_an_obstacle_hits_it_or_passes_it_by_centimetres(lateral,
     bundle["sim"]["t_max"] = 25.0
     res = run_case(bundle)
     assert (res.status, res.terminal) == ("done", terminal)
-    assert res.log.records[-1].dtc < -1.0
+    assert parse_csv(res.log.to_csv())[-1].dtc < -1.0
     assert res.verdict.collision_count == (terminal == "collision")
 
 

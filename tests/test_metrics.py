@@ -10,7 +10,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from twinforge.environment import Obstacle
 from twinforge.metrics import (
@@ -152,14 +152,14 @@ _FIELD_VALUES = {
 @settings(deadline=None)
 @given(st.lists(st.builds(TelemetryRecord, **_FIELD_VALUES), max_size=8))
 def test_the_csv_is_a_fixed_point_of_one_round_trip(records):
-    # st.floats() draws inf, -inf and nan too; the log is filled directly
-    # because the property is about the text, not about time order.
-    log = TelemetryLog()
-    log.records = records
-    text = log.to_csv()
-    again = TelemetryLog()
-    again.records = parse_csv(text)
-    assert again.to_csv() == text
+    # st.floats() draws inf, -inf and nan too. Each record is the first of a
+    # log of its own, which meets neither the time nor the collision check,
+    # so every drawn value goes through the row template `append` applies.
+    for record in records:
+        text = _log([record]).to_csv()
+        parsed = parse_csv(text)
+        assert len(parsed) == 1
+        assert _log(parsed).to_csv() == text
 
 
 def test_parse_csv_rejects_a_bad_header_and_short_line():
@@ -188,7 +188,7 @@ def test_append_rejects_a_step_back_in_time_and_a_falling_collision_count():
     with pytest.raises(TelemetryError) as err:
         log.append(_record(0.03, rng, collisions=0))
     assert str(err.value) == "collision_count decreased"
-    assert [r.t for r in log.records] == [0.02]
+    assert [r.t for r in parse_csv(log.to_csv())] == [0.02]
 
 
 def test_compute_dtc_equals_the_generator_version():
@@ -217,16 +217,64 @@ def test_evaluate_verdict_on_a_hand_built_log():
     assert (v.case_id, v.passed, v.collision_count, v.aeb_triggered) == ("case-a", True, 0, True)
     assert (v.min_dtc, v.stop_margin, v.duration) == (0.75, 0.75, 0.03)
 
-    # A collision on the last row: failed, and the margin is the worst penetration.
+    # A collision on the last row: failed, and the margin is the DTC of that
+    # first row with contact, not the least DTC.
     rows[1] = rows[1]._replace(dtc=-0.5)
     rows[2] = rows[2]._replace(collision_count=1)
     v = evaluate_verdict(rows, "case-b")
-    assert (v.passed, v.collision_count, v.min_dtc, v.stop_margin) == (False, 1, -0.5, -0.5)
+    assert (v.passed, v.collision_count, v.min_dtc, v.stop_margin) == (False, 1, -0.5, 0.75)
 
     # The verdict is the same read back from the CSV.
     assert evaluate_verdict(parse_csv(_log(rows).to_csv()), "case-b") == v
     with pytest.raises(TelemetryError):
         evaluate_verdict([])
+
+
+_BLANK = TelemetryRecord(0.0, *[0.0] * 11, 0, 0.0, 0, 0.0, 0.0, 0, 0.0, 0, "off")
+
+
+@st.composite
+def _series(draw):
+    """Records in strictly increasing time with a collision count that never
+    falls; DTC takes any float (nan and infinities too), aeb_active any int."""
+    rows = draw(st.lists(st.tuples(st.floats(min_value=1e-3, max_value=10.0), st.floats(),
+                                   st.integers(-1, 2), st.integers(0, 2)),
+                         min_size=1, max_size=40))
+    t, count = 0.0, draw(st.integers(-1, 1))
+    records = []
+    for step, dtc, aeb, rise in rows:
+        t += step
+        count += rise
+        records.append(_BLANK._replace(t=t, dtc=dtc, aeb_active=aeb, collision_count=count))
+    return records
+
+
+def ref_verdict(records, case_id):
+    """The verdict rule over the whole list, as `evaluate_verdict` states it."""
+    last = records[-1]
+    dtcs = [r.dtc for r in records]
+    return Verdict(case_id, last.collision_count == 0, last.collision_count,
+                   math.nan if any(map(math.isnan, dtcs)) else min(dtcs),
+                   any(r.aeb_active for r in records),
+                   last.dtc if last.collision_count == 0
+                   else next(r.dtc for r in records if r.collision_count), last.t)
+
+
+@settings(deadline=None)
+@given(_series())
+@example([_BLANK._replace(t=1.0, dtc=5.0), _BLANK._replace(t=2.0, dtc=math.nan, aeb_active=1),
+          _BLANK._replace(t=3.0, dtc=3.0)])  # a nan kept before the least DTC
+@example([_BLANK._replace(t=1.0, dtc=2.0, collision_count=1),
+          _BLANK._replace(t=2.0, dtc=-1.0, collision_count=1)])  # contact before the least
+def test_the_kept_records_give_the_verdict_of_the_whole_series(records):
+    log = _log(records)
+    kept = log.verdict_records()
+    assert len(kept) <= 4
+    assert [r.t for r in kept] == sorted({r.t for r in kept})
+    assert all(any(r is k for r in records) for k in kept)
+    # repr: a nan DTC compares unequal to itself, its repr does not.
+    want = repr(ref_verdict(records, "c"))
+    assert repr(evaluate_verdict(kept, "c")) == repr(evaluate_verdict(records, "c")) == want
 
 
 # -- sweep report ------------------------------------------------------------------
