@@ -166,8 +166,7 @@ class FootprintParams(Section):
 
 
 class WheelConfig(NamedTuple):
-    """One corner, derived from the config when it is built; the fields are in
-    the order the step's loops unpack them."""
+    """One corner, derived from the config when it is built."""
     arm: tuple[float, float, float]  # mount - COM, body frame
     spring_k: float
     damper_b: float

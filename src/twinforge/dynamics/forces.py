@@ -202,7 +202,8 @@ def aero_forces(
     speed = math.sqrt(vx * vx + vy * vy + vz * vz)
     magnitude = params.drag_max if speed >= params.top_speed else params.drag_idle
     if speed > 1e-12:
-        scale = magnitude * clamp(speed / eps_v, 0.0, 1.0) / speed
+        taper = speed / eps_v  # clamped to [0, 1] as in tire_forces
+        scale = magnitude * ((taper if taper < 1.0 else 1.0) if taper > 0.0 else 0.0) / speed
         drag = (-vx * scale, -vy * scale, -vz * scale)
     else:
         drag = (0.0, 0.0, 0.0)

@@ -68,6 +68,10 @@ class Vehicle:
     def __init__(self, config: VehicleConfig):
         self.cfg = config
         self.corner_masses = tuple(w.corner_mass for w in config.wheels)
+        # One flat tuple per corner for the step's loops: arm x/y/z, spring k,
+        # damper b, Zs, mount z, force-arm z and contact reduced mass.
+        self.corners = tuple((*w.arm, w.spring_k, w.damper_b, w.static_displacement, w.mount[2],
+                              w.force_arm_z, w.contact_reduced_mass) for w in config.wheels)
 
     # -- construction ------------------------------------------------------
 
@@ -123,7 +127,7 @@ class Vehicle:
     def step(self, state: VehicleState, terrain, dt: float) -> None:
         cfg = self.cfg
         susp = cfg.suspension
-        wheels = cfg.wheels
+        corners = self.corners
         mass = cfg.total_mass
         m0, m1, m2, m3, m4, m5, m6, m7, m8 = state.rot
         px, py, pz = state.pos
@@ -154,28 +158,25 @@ class Vehicle:
         travels = [0.0] * 4
         contact_z = [0.0] * 4
         vertical = [0.0] * 4
-        normals = [None] * 4
-        for i, ((ax, ay, az), k, b, zs, (_, _, mount_z), _, _, _) in enumerate(wheels):
-            gz, gx, gy = terrain.height_and_gradient(px + (m0 * ax + m1 * ay + m2 * az),
-                                                     py + (m3 * ax + m4 * ay + m5 * az))
+        slopes = [None] * 4
+        for i in range(4):
+            ax, ay, az, k, b, zs, mount_z, _, _ = corners[i]
+            ground = slopes[i] = terrain.height_and_gradient(px + (m0 * ax + m1 * ay + m2 * az),
+                                                             py + (m3 * ax + m4 * ay + m5 * az))
             (vertical[i], wheel_z[i], wheel_zdot[i], compression[i],
              grounded[i], travels[i], contact_z[i]) = suspension_step(
                 wheel_z[i], wheel_zdot[i], compression[i],
-                pz + (m6 * ax + m7 * ay + m8 * az), gz, rest, k, b,
+                pz + (m6 * ax + m7 * ay + m8 * az), ground[0], rest, k, b,
                 radius, zs, mount_z, dt)
-            # R^T * (-gx, -gy, 1)
-            ngx = -gx
-            ngy = -gy
-            normals[i] = (m0 * ngx + m3 * ngy + m6,
-                          m1 * ngx + m4 * ngy + m7,
-                          m2 * ngx + m5 * ngy + m8)
 
-        # anti-roll bars per axle
-        for li, ri in ((0, 1), (2, 3)):
-            fl, fr = antiroll_forces(travels[li], travels[ri], susp.antiroll_stiffness,
-                                     grounded[li], grounded[ri])
-            vertical[li] += fl
-            vertical[ri] += fr
+        # anti-roll bars, front axle then rear
+        stiffness = susp.antiroll_stiffness
+        fl, fr = antiroll_forces(travels[0], travels[1], stiffness, grounded[0], grounded[1])
+        rl, rr = antiroll_forces(travels[2], travels[3], stiffness, grounded[2], grounded[3])
+        vertical[0] += fl
+        vertical[1] += fr
+        vertical[2] += rl
+        vertical[3] += rr
 
         # suspension + anti-roll forces act at the force height along the
         # world-frame (-dh/dx, -dh/dy, 1) under the mount: the compression is
@@ -184,15 +185,19 @@ class Vehicle:
         # would do work the spring never stored, e.g. on a pitched landing.
         # The same vertical force is the tire's normal load.
         loads = [0.0] * 4
-        for i, ((rx, ry, _), _, _, _, _, rz, _, _) in enumerate(wheels):
+        for i in range(4):
             f = vertical[i]
             loads[i] = f if grounded[i] and f > 0.0 else 0.0
             if f == 0.0:
                 continue
-            nx, ny, nz = normals[i]
-            bfx = f * nx
-            bfy = f * ny
-            bfz = f * nz
+            rx, ry, _, _, _, _, _, rz, _ = corners[i]
+            _, gx, gy = slopes[i]
+            # R^T * (-gx, -gy, 1)
+            ngx = -gx
+            ngy = -gy
+            bfx = f * (m0 * ngx + m3 * ngy + m6)
+            bfy = f * (m1 * ngx + m4 * ngy + m7)
+            bfz = f * (m2 * ngx + m5 * ngy + m8)
             fx_sum += bfx
             fy_sum += bfy
             fz_sum += bfz
@@ -202,19 +207,20 @@ class Vehicle:
 
         # tire forces; the wheels point straight ahead, so the wheel frame is the body's
         eps_v = cfg.slip_speed_guard
-        tires = cfg.tires
+        spline = cfg.tires.__call__  # the bound method: calling the instance costs a lookup more
         com_z = cfg.com[2]
         tire_fx = [0.0] * 4
-        for i, ((rx, ry, _), _, _, _, _, _, reduced_mass, _) in enumerate(wheels):
+        for i in range(4):
             if not grounded[i]:
                 continue
+            rx, ry, _, _, _, _, _, _, reduced_mass = corners[i]
             rz = contact_z[i] - com_z
             cvx = vx + oy * rz - oz * ry
             cvy = vy + oz * rx - ox * rz
             spin = wheel_omega[i]
             rel = radius * spin - cvx
             cap = abs(rel) * reduced_mass / dt
-            f_lon, f_lat = tire_forces(spin, cvx, cvy, radius, tires, loads[i], eps_v, cap)
+            f_lon, f_lat = tire_forces(spin, cvx, cvy, radius, spline, loads[i], eps_v, cap)
             tire_fx[i] = f_lon
             fx_sum += f_lon
             fy_sum += f_lat

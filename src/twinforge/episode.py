@@ -74,6 +74,8 @@ class SimParams(Section):
             raise ConfigurationError(f"need dt <= t_max, got dt={self.dt}, t_max={self.t_max}")
         if not max(self.t_max, self.contact_window) / self.dt <= MAX_STEPS:
             raise ConfigurationError(f"need t_max and contact_window <= {MAX_STEPS} dt, got {self}")
+        if not self.dt >= 1e-6:  # the CSV writes t to 6 decimals: a smaller dt repeats it
+            raise ConfigurationError(f"need dt >= 1e-06 s, the CSV's time resolution, got dt={self.dt}")
 
 
 @dataclass
@@ -147,6 +149,7 @@ class Episode:
         self.vehicle = Vehicle(self.vcfg)
         fp = self.vcfg.footprint
         self.front_offset = fp.center_x + fp.length / 2.0
+        self.half_width = fp.width / 2.0
 
         self.scenario = case.scenario
         self.terrain, self.obstacles = build_scenario(case.scenario, self.front_offset)
@@ -198,15 +201,14 @@ class Episode:
     def _raycaster(self):
         return functools.partial(env_raycast, self.terrain, self.obstacles)
 
-    def _overlaps(self, ex: float, ey: float, eyaw: float, dtc: float) -> bool:
-        """Whether the ego footprint overlaps any obstacle, given the pose's DTC.
+    def _overlaps(self, ex: float, ey: float, eyaw: float) -> bool:
+        """Whether the ego footprint overlaps any obstacle.
 
-        No point of the footprint lies ahead of the front face, so an obstacle
-        whose near edge is more than 1e-6 m (far above rounding) ahead of it
-        cannot touch; the separating-axis test runs only when dtc <= 1e-6.
+        `run` calls it only when the pose's DTC is at most 1e-6 m: no point
+        of the footprint lies ahead of the front face, so an obstacle whose
+        near edge is more than 1e-6 m (far above rounding) ahead of it cannot
+        touch.
         """
-        if dtc > 1e-6:
-            return False
         fp = self.vcfg.footprint
         ego = footprint_corners(ex, ey, eyaw, fp.length, fp.width, fp.center_x)
         return any(rectangles_overlap(ego, obs.corners_2d()) for obs in self.obstacles)
@@ -216,8 +218,9 @@ class Episode:
     def run(self) -> EpisodeResult:
         dt = self.sim.dt
         spawn = self.scenario.spawn
-        state = self.vehicle.spawn_state(self.terrain, spawn.x, spawn.y, spawn.yaw)
-        pose = self.vehicle.origin_pose(state)  # the state's pose, updated after each step
+        vehicle, terrain, planner = self.vehicle, self.terrain, self.planner
+        state = vehicle.spawn_state(terrain, spawn.x, spawn.y, spawn.yaw)
+        pose = vehicle.origin_pose(state)  # the state's pose, updated after each step
         # Without telemetry the episode still keeps the records its verdict reads.
         log = TelemetryLog() if self.collect_telemetry else VerdictRecords()
 
@@ -234,38 +237,44 @@ class Episode:
         cruise_kp = self.autonomy.control.cruise_kp
         perception_period = self.autonomy.perception_period_steps
         contact_steps = int(round(self.sim.contact_window / dt))
+        grace = self.sim.post_stop_grace
+        front_offset, half_width, obstacles = self.front_offset, self.half_width, self.obstacles
+        full_scans = self.full_scans
+        # The loop's bound methods, read once.
+        perceive, plan, step, origin_pose = self._perceive, planner.plan, vehicle.step, vehicle.origin_pose
+        set_commands, make_record, append = state.set_commands, self._make_record, log.append
 
         try:
             for i in range(max_steps):
                 if i % perception_period == 0:
-                    detections = self._perceive(pose)
-                    self.planner.plan(detections, state.forward_speed)
+                    detections = perceive(pose)
+                    plan(detections, state.forward_speed)
                     # The frame's summary, for its records until the next frame.
                     best = max(detections, key=lambda d: d.confidence, default=None)
                     seen = (len(detections), best.confidence, best.area) if best else (0, 0.0, 0.0)
-                throttle, brake = longitudinal_control(
-                    self.planner.mode, state.forward_speed, cruise_speed, cruise_kp)
-                state.set_commands(throttle, brake)
-                self.vehicle.step(state, self.terrain, dt)
+                mode = planner.mode  # only `plan` changes it
+                throttle, brake = longitudinal_control(mode, state.forward_speed, cruise_speed, cruise_kp)
+                set_commands(throttle, brake)
+                step(state, terrain, dt)
                 steps += 1
                 t = steps * dt
 
-                pose = self.vehicle.origin_pose(state)
+                pose = origin_pose(state)
                 rot, (ex, ey, _) = pose
                 eyaw = math.atan2(rot[3], rot[0])
-                dtc = compute_dtc(ex, ey, eyaw, self.front_offset, self.obstacles)
-                if not collision_count and self._overlaps(ex, ey, eyaw, dtc):
+                dtc = compute_dtc(ex, ey, eyaw, front_offset, half_width, obstacles)
+                if not collision_count and dtc <= 1e-6 and self._overlaps(ex, ey, eyaw):
                     collision_count = 1
                     contact_end = steps + contact_steps
 
-                log.append(self._make_record(state, pose, t, seen, dtc, collision_count))
+                append(make_record(state, pose, t, seen, mode == "brake", dtc, collision_count))
 
-                if self.full_scans and steps % 50 == 0:
+                if full_scans and steps % 50 == 0:
                     self._dump_scan(pose, t, scan_lines)
 
-                if self.planner.mode == "coast":
+                if mode == "coast":
                     hold_elapsed += dt
-                    if hold_elapsed >= self.sim.post_stop_grace:
+                    if hold_elapsed >= grace:
                         terminal = "standstill_after_aeb"
                         break
                 if steps >= contact_end:
@@ -276,7 +285,7 @@ class Episode:
             error = f"{type(exc).__name__}: {exc}"
 
         scan_dump = None
-        if self.full_scans:
+        if full_scans:
             scan_dump = "\n".join(scan_lines)
             points = lidar_scan_3d(self.spatial_lidar, self.spatial_phis,
                                    pose_matrix(*pose) @ self.lidar_mount, self._raycaster())
@@ -287,16 +296,17 @@ class Episode:
         return EpisodeResult(self.case_id, terminal, steps, t,
                              log if self.collect_telemetry else None, verdict, error, scan_dump)
 
-    def _make_record(self, state, pose, t: float, seen: tuple[int, float, float], dtc: float,
-                     collision_count: int) -> TelemetryRecord:
+    def _make_record(self, state, pose, t: float, seen: tuple[int, float, float], aeb: bool,
+                     dtc: float, collision_count: int) -> TelemetryRecord:
         """One step's row; `seen` is the last frame's detection count, best
         confidence and that detection's area (0.0 and 0.0 with none)."""
         position, euler = self.ins.read(pose)
-        return TelemetryRecord(
+        pt = state.pt
+        return TelemetryRecord._make((
             t, position[0], position[1], position[2], euler[0], euler[1], euler[2],
-            state.forward_speed, state.cmd_throttle, 0.0, state.cmd_brake,  # 0.0: steer_cmd
-            0.0, state.pt.gear, state.pt.engine_rpm, *seen,  # 0.0: handbrake_cmd
-            1 if self.planner.mode == "brake" else 0, dtc, collision_count, self.lights)
+            state.vel[0], state.cmd_throttle, 0.0, state.cmd_brake,  # 0.0: steer_cmd
+            0.0, pt.gear, pt.engine_rpm, *seen,  # 0.0: handbrake_cmd
+            1 if aeb else 0, dtc, collision_count, self.lights))
 
     def _dump_scan(self, pose, t: float, lines: list[str]) -> None:
         lidar_world = pose_matrix(*pose) @ self.lidar_mount

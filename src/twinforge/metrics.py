@@ -112,7 +112,7 @@ class TelemetryLog(VerdictRecords):
         self.rows: list[str] = []
 
     def append(self, record: TelemetryRecord) -> None:
-        super().append(record)
+        VerdictRecords.append(self, record)  # not super(): this runs every step
         self.rows.append(_ROW_TEMPLATE % record)
 
     def to_csv(self) -> str:
@@ -146,21 +146,36 @@ def parse_csv(text: str) -> list[TelemetryRecord]:
 # -- distance to collision -----------------------------------------------------
 
 def compute_dtc(ego_x: float, ego_y: float, ego_yaw: float, front_offset: float,
-                obstacles) -> float:
-    """Gap from the ego's front face to the nearest obstacle along the path axis.
+                half_width: float, obstacles) -> float:
+    """Gap from the ego's front face to the nearest obstacle in its lane, along
+    the path axis.
 
-    Negative when the obstacle's near edge is behind the front face (overlap
-    or passed); +inf when there is no obstacle.
+    The lane is `half_width` either side of the heading axis, widened by 1e-6 m
+    (far above rounding) so that it holds every obstacle the footprint can
+    touch; an obstacle whose lateral span misses it is not on the path. The
+    gap is negative when the near edge is behind the front face (overlap or
+    passed); +inf when no obstacle is in the lane.
     """
     best = math.inf
     hx, hy = math.cos(ego_yaw), math.sin(ego_yaw)
     front_s = ego_x * hx + ego_y * hy + front_offset
+    lane = half_width + 1e-6
+    ego_lat = ego_y * hx - ego_x * hy
     for obs in obstacles:
         # Rounding is monotonic, so the least gap is the near edge's gap.
+        near = left = math.inf
+        right = -math.inf
         for cx, cy in obs.corners_2d():
             gap = cx * hx + cy * hy - front_s
-            if gap < best:
-                best = gap
+            if gap < near:
+                near = gap
+            lat = cy * hx - cx * hy - ego_lat
+            if lat < left:
+                left = lat
+            if lat > right:
+                right = lat
+        if near < best and left <= lane and right >= -lane:
+            best = near
     return best
 
 

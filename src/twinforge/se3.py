@@ -19,13 +19,6 @@ Quat = tuple[float, float, float, float]
 Mat3 = tuple[float, float, float, float, float, float, float, float, float]
 
 
-def quat_normalize(q: Quat) -> Quat:
-    w, x, y, z = q
-    n = math.sqrt(w * w + x * x + y * y + z * z)
-    inv = 1.0 / n
-    return (w * inv, x * inv, y * inv, z * inv)
-
-
 def quat_integrate(q: Quat, omega: Vec3, dt: float) -> Quat:
     """Advance q by body angular velocity omega over dt, renormalized."""
     w, x, y, z = q
@@ -34,7 +27,9 @@ def quat_integrate(q: Quat, omega: Vec3, dt: float) -> Quat:
     hx = 0.5 * dt * (w * ox + y * oz - z * oy)
     hy = 0.5 * dt * (w * oy + z * ox - x * oz)
     hz = 0.5 * dt * (w * oz + x * oy - y * ox)
-    return quat_normalize((w + hw, x + hx, y + hy, z + hz))
+    w, x, y, z = w + hw, x + hx, y + hy, z + hz
+    inv = 1.0 / math.sqrt(w * w + x * x + y * y + z * z)
+    return (w * inv, x * inv, y * inv, z * inv)
 
 
 def quat_to_matrix(q: Quat) -> Mat3:

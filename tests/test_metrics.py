@@ -62,11 +62,15 @@ def ref_to_csv(records):
     return "\n".join(lines) + "\n"
 
 
-def ref_compute_dtc(ego_x, ego_y, ego_yaw, front_offset, obstacles):
+def ref_compute_dtc(ego_x, ego_y, ego_yaw, front_offset, half_width, obstacles):
     best = math.inf
     hx, hy = math.cos(ego_yaw), math.sin(ego_yaw)
     front_s = ego_x * hx + ego_y * hy + front_offset
+    ego_lat = ego_y * hx - ego_x * hy
     for obs in obstacles:
+        lats = [cy * hx - cx * hy - ego_lat for cx, cy in obs.corners_2d()]
+        if min(lats) > half_width + 1e-6 or max(lats) < -half_width - 1e-6:
+            continue  # off the lane
         near = min(cx * hx + cy * hy for cx, cy in obs.corners_2d())
         gap = near - front_s
         if gap < best:
@@ -193,6 +197,7 @@ def test_append_rejects_a_step_back_in_time_and_a_falling_collision_count():
 
 def test_compute_dtc_equals_the_generator_version():
     rng = np.random.default_rng(24)
+    lanes = set()
     for _ in range(2000):
         obstacles = [Obstacle(f"o{k}", "moose", tuple(rng.uniform(0.2, 4.0, 3).tolist()),
                               rng.uniform(-30.0, 30.0, 3).tolist(),
@@ -201,10 +206,14 @@ def test_compute_dtc_equals_the_generator_version():
         x, y = rng.uniform(-30.0, 30.0, 2).tolist()
         yaw = float(rng.uniform(-math.pi, math.pi))
         front = float(rng.uniform(0.0, 3.0))
-        got = compute_dtc(x, y, yaw, front, obstacles)
-        assert got == ref_compute_dtc(x, y, yaw, front, obstacles)
+        half_width = float(rng.uniform(0.2, 2.0))
+        got = compute_dtc(x, y, yaw, front, half_width, obstacles)
+        assert got == ref_compute_dtc(x, y, yaw, front, half_width, obstacles)
         if not obstacles:
             assert got == math.inf
+        # Each obstacle alone: in the lane (a finite gap) and off it (inf) both occur.
+        lanes.update(compute_dtc(x, y, yaw, front, half_width, [o]) < math.inf for o in obstacles)
+    assert lanes == {True, False}
 
 
 def test_evaluate_verdict_on_a_hand_built_log():

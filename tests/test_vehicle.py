@@ -245,6 +245,31 @@ def test_grounded_wheel_without_vertical_force_gets_no_tire_load(vehicle, monkey
     assert unloaded > 0
 
 
+def test_one_step_makes_every_traced_call(vehicle, flat_terrain, monkeypatch):
+    # The per-layer benchmark figures time these calls by wrapping the names
+    # perfbench/tracing.py binds; a step that inlined one would hide its cost.
+    from twinforge.dynamics import vehicle as vehicle_module
+
+    counts = dict.fromkeys(("height_and_gradient", "suspension_step", "antiroll_forces",
+                            "tire_forces", "powertrain_step", "aero_forces"), 0)
+
+    def counting(fn, name):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapper
+
+    st = _roll_state(vehicle, flat_terrain, 5.0)
+    st.set_commands(0.5, 0.0)
+    for name in counts:
+        owner = TerrainHeightmap if name == "height_and_gradient" else vehicle_module
+        monkeypatch.setattr(owner, name, counting(vars(owner)[name], name))
+    vehicle.step(st, flat_terrain, DT)
+    assert st.wheel_grounded == [True] * 4
+    assert counts == {"height_and_gradient": 4, "suspension_step": 4, "antiroll_forces": 2,
+                      "tire_forces": 4, "powertrain_step": 1, "aero_forces": 1}
+
+
 def test_nan_force_raises_simulation_fault(vehicle, flat_terrain):
     st = vehicle.spawn_state(flat_terrain, 0.0, 0.0, 0.0)
     st.vel[0] = float("nan")
