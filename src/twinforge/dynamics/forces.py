@@ -7,12 +7,9 @@ from __future__ import annotations
 import math
 
 from ..se3 import clamp
-from .config import GRAVITY
 
 
 def suspension_step(
-    wheel_z: float,
-    wheel_zdot: float,
     prev_compression: float,
     mount_z_world: float,
     ground_z: float,
@@ -23,19 +20,17 @@ def suspension_step(
     static_displacement: float,
     mount_to_body_z: float,
     dt: float,
-) -> tuple[float, float, float, float, bool, float, float]:
+) -> tuple[float, float, bool, float, float]:
     """One vertical update for a single wheel.
 
-    Returns (force, wheel_z, wheel_zdot, compression, grounded, travel,
-    contact_z_body): the hub height and rate in the world frame, the spring
+    Returns (force, compression, grounded, travel, contact_z_body): the spring
     compression (0 when airborne), the normalized travel for the anti-roll
     bar and the body-frame z of the contact point (0 when airborne).
 
-    The wheel rides a point contact directly below its mount. When the ground
-    is within the suspension travel the hub is bound to it kinematically and
-    the spring/damper force (compression only) pushes the body. When airborne
-    the unsprung mass free-falls until the strut reaches full extension; no
-    force reaches the body.
+    The wheel is a kinematic point contact directly below its mount. When the
+    ground is within the suspension travel the hub sits on it and the
+    spring/damper force (compression only) pushes the body. An airborne wheel
+    has no state and applies no force.
 
     Compression is measured vertically: c = rest + h(x, y) + r - z_mount over
     terrain h. The spring's potential 1/2 k c^2 therefore pushes the mount
@@ -45,10 +40,7 @@ def suspension_step(
     in any other direction does work that the spring never stored.
     """
     hub_on_ground = ground_z + wheel_radius
-    full_extension = mount_z_world - rest_length
-    if hub_on_ground >= full_extension:
-        new_z = hub_on_ground
-        new_zdot = (new_z - wheel_z) / dt
+    if hub_on_ground >= mount_z_world - rest_length:
         compression = mount_z_world - hub_on_ground
         compression = rest_length - compression
         comp_rate = (compression - prev_compression) / dt
@@ -57,14 +49,8 @@ def suspension_step(
             force = 0.0
         contact_z_body = (ground_z - mount_z_world) + mount_to_body_z
         travel = (-contact_z_body - wheel_radius) / static_displacement
-        return force, new_z, new_zdot, compression, True, travel, contact_z_body
-    # airborne: integrate free fall, clamp at full extension
-    new_zdot = wheel_zdot - GRAVITY * dt
-    new_z = wheel_z + new_zdot * dt
-    if new_z < full_extension:
-        new_z = full_extension
-        new_zdot = 0.0
-    return 0.0, new_z, new_zdot, 0.0, False, 0.0, 0.0
+        return force, compression, True, travel, contact_z_body
+    return 0.0, 0.0, False, 0.0, 0.0
 
 
 def antiroll_forces(

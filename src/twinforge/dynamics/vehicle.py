@@ -2,8 +2,9 @@
 
 The step is a pure function of (state, commands, config, terrain, dt): identical
 inputs produce bit-identical state. Translation/rotation are integrated about
-the center of mass with semi-implicit Euler; wheel spin and suspension travel
-integrate alongside. All hot-path math is plain-float (see se3.py).
+the center of mass with semi-implicit Euler and wheel spin integrates alongside;
+each wheel's suspension is a kinematic point contact (see `suspension_step`).
+All hot-path math is plain-float (see se3.py).
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ class VehicleState:
 
     __slots__ = (
         "pos", "quat", "rot", "vel", "omega",
-        "wheel_z", "wheel_zdot", "wheel_omega", "wheel_compression", "wheel_grounded",
+        "wheel_omega", "wheel_compression", "wheel_grounded",
         "pt", "cmd_throttle", "cmd_brake",
     )
 
@@ -41,9 +42,7 @@ class VehicleState:
         self.rot = quat_to_matrix(self.quat)
         self.vel = [0.0, 0.0, 0.0]        # body-frame COM velocity
         self.omega = [0.0, 0.0, 0.0]      # body-frame angular velocity
-        self.wheel_z = [0.0] * 4          # hub heights, world frame (FL FR RL RR)
-        self.wheel_zdot = [0.0] * 4
-        self.wheel_omega = [0.0] * 4      # spin, rad/s, positive rolling forward
+        self.wheel_omega = [0.0] * 4      # spin, rad/s, positive rolling forward (FL FR RL RR)
         self.wheel_compression = [0.0] * 4
         self.wheel_grounded = [True] * 4
         self.pt = PowertrainState(engine_rpm=0.0)
@@ -95,12 +94,7 @@ class Vehicle:
         m = st.rot = quat_to_matrix(st.quat)
         com_w = rotate(m, com)
         st.pos = [x + com_w[0], y + com_w[1], origin_z + com_w[2]]
-        for i, w in enumerate(cfg.wheels):
-            mx = x + cy * w.mount[0] - sy * w.mount[1]
-            my = y + sy * w.mount[0] + cy * w.mount[1]
-            gz, _, _ = terrain.height_and_gradient(mx, my)
-            st.wheel_z[i] = gz + cfg.suspension.wheel_radius
-            st.wheel_compression[i] = static_comp
+        st.wheel_compression = [static_comp] * 4
         st.pt.engine_rpm = cfg.powertrain.idle_rpm
         return st
 
@@ -152,8 +146,6 @@ class Vehicle:
 
         # suspension per wheel; the mount's world offset is R * arm
         rest = susp.rest_length
-        wheel_z = state.wheel_z
-        wheel_zdot = state.wheel_zdot
         compression = state.wheel_compression
         travels = [0.0] * 4
         contact_z = [0.0] * 4
@@ -163,10 +155,8 @@ class Vehicle:
             ax, ay, az, k, b, zs, mount_z, _, _ = corners[i]
             ground = slopes[i] = terrain.height_and_gradient(px + (m0 * ax + m1 * ay + m2 * az),
                                                              py + (m3 * ax + m4 * ay + m5 * az))
-            (vertical[i], wheel_z[i], wheel_zdot[i], compression[i],
-             grounded[i], travels[i], contact_z[i]) = suspension_step(
-                wheel_z[i], wheel_zdot[i], compression[i],
-                pz + (m6 * ax + m7 * ay + m8 * az), ground[0], rest, k, b,
+            (vertical[i], compression[i], grounded[i], travels[i], contact_z[i]) = suspension_step(
+                compression[i], pz + (m6 * ax + m7 * ay + m8 * az), ground[0], rest, k, b,
                 radius, zs, mount_z, dt)
 
         # anti-roll bars, front axle then rear

@@ -245,41 +245,44 @@ class Episode:
         set_commands, make_record, append = state.set_commands, self._make_record, log.append
 
         try:
-            for i in range(max_steps):
-                if i % perception_period == 0:
-                    detections = perceive(pose)
-                    plan(detections, state.forward_speed)
-                    # The frame's summary, for its records until the next frame.
-                    best = max(detections, key=lambda d: d.confidence, default=None)
-                    seen = (len(detections), best.confidence, best.area) if best else (0, 0.0, 0.0)
-                mode = planner.mode  # only `plan` changes it
-                throttle, brake = longitudinal_control(mode, state.forward_speed, cruise_speed, cruise_kp)
-                set_commands(throttle, brake)
-                step(state, terrain, dt)
-                steps += 1
-                t = steps * dt
+            # numpy overflow, 0/0 or x/0 raises FloatingPointError, an ArithmeticError
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                for i in range(max_steps):
+                    if i % perception_period == 0:
+                        detections = perceive(pose)
+                        plan(detections, state.forward_speed)
+                        # The frame's summary, for its records until the next frame.
+                        best = max(detections, key=lambda d: d.confidence, default=None)
+                        seen = (len(detections), best.confidence, best.area) if best else (0, 0.0, 0.0)
+                    mode = planner.mode  # only `plan` changes it
+                    throttle, brake = longitudinal_control(mode, state.forward_speed,
+                                                           cruise_speed, cruise_kp)
+                    set_commands(throttle, brake)
+                    step(state, terrain, dt)
+                    steps += 1
+                    t = steps * dt
 
-                pose = origin_pose(state)
-                rot, (ex, ey, _) = pose
-                eyaw = math.atan2(rot[3], rot[0])
-                dtc = compute_dtc(ex, ey, eyaw, front_offset, half_width, obstacles)
-                if not collision_count and dtc <= 1e-6 and self._overlaps(ex, ey, eyaw):
-                    collision_count = 1
-                    contact_end = steps + contact_steps
+                    pose = origin_pose(state)
+                    rot, (ex, ey, _) = pose
+                    eyaw = math.atan2(rot[3], rot[0])
+                    dtc = compute_dtc(ex, ey, eyaw, front_offset, half_width, obstacles)
+                    if not collision_count and dtc <= 1e-6 and self._overlaps(ex, ey, eyaw):
+                        collision_count = 1
+                        contact_end = steps + contact_steps
 
-                append(make_record(state, pose, t, seen, mode == "brake", dtc, collision_count))
+                    append(make_record(state, pose, t, seen, mode == "brake", dtc, collision_count))
 
-                if full_scans and steps % 50 == 0:
-                    self._dump_scan(pose, t, scan_lines)
+                    if full_scans and steps % 50 == 0:
+                        self._dump_scan(pose, t, scan_lines)
 
-                if mode == "coast":
-                    hold_elapsed += dt
-                    if hold_elapsed >= grace:
-                        terminal = "standstill_after_aeb"
+                    if mode == "coast":
+                        hold_elapsed += dt
+                        if hold_elapsed >= grace:
+                            terminal = "standstill_after_aeb"
+                            break
+                    if steps >= contact_end:
+                        terminal = "collision"
                         break
-                if steps >= contact_end:
-                    terminal = "collision"
-                    break
         except (SimulationFault, TerrainQueryError, ArithmeticError) as exc:
             terminal = "fault"
             error = f"{type(exc).__name__}: {exc}"

@@ -350,9 +350,9 @@ def test_pedal_scales_each_wheel_torque():
 
 # -- suspension step ---------------------------------------------------------------
 
-def _susp(wheel_z, zdot, prev_comp, mount_z, ground_z, dt=0.01):
+def _susp(prev_comp, mount_z, ground_z, dt=0.01):
     return suspension_step(
-        wheel_z, zdot, prev_comp, mount_z, ground_z,
+        prev_comp, mount_z, ground_z,
         rest_length=0.45, spring_k=50000.0, damper_b=8000.0,
         wheel_radius=0.35, static_displacement=0.2, mount_to_body_z=-0.05, dt=dt)
 
@@ -363,27 +363,15 @@ def test_suspension_static_equilibrium_balances_gravity():
     comp = corner_mass * GRAVITY / k
     # mount placed so the spring sits exactly at static compression
     mount_z = 0.35 + 0.45 - comp
-    force, _, wheel_zdot, _, grounded, _, _ = _susp(0.35, 0.0, comp, mount_z, 0.0)
+    force, compression, grounded, _, _ = _susp(comp, mount_z, 0.0)
     assert grounded
     assert force == pytest.approx(corner_mass * GRAVITY, rel=1e-9)
-    assert wheel_zdot == pytest.approx(0.0)
+    assert compression == pytest.approx(comp)
 
 
-def test_suspension_airborne_is_forceless_free_fall():
-    # hub still near the mount (strut compressed), ground far below: the
-    # wheel free-falls toward full extension with no force on the body
-    force, wheel_z, wheel_zdot, _, grounded, _, _ = _susp(
-        1.90, 0.0, 0.0, mount_z=2.0, ground_z=-5.0, dt=0.01)
-    assert not grounded
-    assert force == 0.0
-    assert wheel_zdot == pytest.approx(-GRAVITY * 0.01)
-    assert wheel_z == pytest.approx(1.90 - GRAVITY * 0.01 * 0.01)
-
-
-def test_suspension_airborne_clamps_at_full_extension():
-    _, wheel_z, wheel_zdot, _, _, _, _ = _susp(1.57, -3.0, 0.0, mount_z=2.0, ground_z=-5.0, dt=0.01)
-    assert wheel_z == pytest.approx(2.0 - 0.45)
-    assert wheel_zdot == 0.0
+def test_an_airborne_wheel_applies_no_force():
+    # ground far below the fully extended strut: no force, no contact
+    assert _susp(0.1, mount_z=2.0, ground_z=-5.0) == (0.0, 0.0, False, 0.0, 0.0)
 
 
 # -- anti-roll bar ---------------------------------------------------------------

@@ -19,13 +19,13 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import twinforge.episode as episode_module
 from twinforge.autonomy import AutonomyConfig
 from twinforge.documents import ConfigurationError, from_doc, to_doc
 from twinforge.dynamics import Vehicle, default_vehicle_config
-from twinforge.environment import TerrainQueryError, footprint_corners, rectangles_overlap
+from twinforge.environment import footprint_corners, rectangles_overlap
 from twinforge.episode import (MAX_SCAN_SAMPLES, MAX_STEPS, Episode, SimParams, default_bundle,
                                run_case)
 from twinforge.metrics import TelemetryLog, aggregate_report, compute_dtc, parse_csv
@@ -426,11 +426,11 @@ EDITS = {"nan": lambda d: math.nan, "inf": lambda d: math.inf, "-inf": lambda d:
 
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from(NUMBER_PATHS), st.sampled_from(sorted(EDITS)))
+@example(("scenario", "obstacles", 0, "extents", 2), "1e300")  # overflows the obstacle's range
+@example(("sensors", "camera", "sensor_size", 1), "1e-310")  # an invalid value in project_box
 def test_run_case_returns_a_result_for_any_one_number_edited(path, edit):
     """No value of one number of the sim, sensors, autonomy, vehicle or
-    scenario section makes `run_case` raise: the case is done or failed. The
-    one exception is a wheel mount so far out that its wheel is off the map at
-    spawn (see `test_an_off_map_wheel_mount_raises_from_spawn_state`)."""
+    scenario section makes `run_case` raise: the case is done or failed."""
     bundle = _sweep_bundle()
     *parents, key = path
     node = functools.reduce(operator.getitem, parents, bundle)
@@ -440,30 +440,43 @@ def test_run_case_returns_a_result_for_any_one_number_edited(path, edit):
     # the case runs (as it does a non-finite or huge-int t_max)
     assume(not (type(t_max) is float and t_max < math.inf and 0 < dt < t_max / 1000
                 and t_max / dt <= MAX_STEPS))
-    try:
-        res = run_case(bundle)
-    except TerrainQueryError:
-        assert path[:2] == ("vehicle", "wheel_mounts") and abs(node[key]) == 1e300
-        return
+    res = run_case(bundle)
     assert res.status in ("done", "failed")
     assert (res.error is None) == (res.status == "done")
 
 
-def test_an_off_map_wheel_mount_raises_from_spawn_state():
+@pytest.mark.parametrize("path, value", [
+    (("scenario", "obstacles", 0, "extents", 2), 1e300),
+    (("sensors", "camera", "sensor_size", 1), 1e-310),
+])
+def test_a_numpy_float_error_in_an_episode_is_a_fault(path, value):
+    """A number that makes perception's numpy arithmetic overflow or go
+    invalid fails the case instead of running on a non-finite range or
+    projection."""
+    bundle = _sweep_bundle()
+    *parents, key = path
+    functools.reduce(operator.getitem, parents, bundle)[key] = value
+    res = run_case(bundle)
+    assert (res.status, res.terminal, res.verdict) == ("failed", "fault", None)
+    assert res.error.startswith("FloatingPointError: ")
+
+
+def test_an_off_map_wheel_mount_is_a_failed_result():
     """A mount coordinate of +-1e300 that keeps the wheelbase and track positive
-    puts its wheel off the map, and `Vehicle.spawn_state` raises outside
-    `Episode.run`'s fault handling, as an off-map spawn does."""
-    raised = []
+    puts its wheel off the map: the first step's terrain query under it fails
+    the case. The other mount edits fail as a configuration error."""
+    kinds = []
     for name, axis, value in itertools.product(("FL", "FR", "RL", "RR"), (0, 1), (1e300, -1e300)):
         bundle = _sweep_bundle()
         bundle["vehicle"]["wheel_mounts"][name][axis] = value
-        try:
-            res = run_case(bundle)
-        except TerrainQueryError:
-            raised.append((name, axis, value))
+        res = run_case(bundle)
+        assert (res.status, res.terminal, res.verdict) == ("failed", "fault", None)
+        kinds.append(res.error.split(":")[0])
+        if kinds[-1] == "TerrainQueryError":
+            assert res.steps == 0
         else:
             assert res.error == "ConfigurationError: wheel_mounts must give wheelbase and track > 0"
-    assert len(raised) == 10
+    assert sorted(kinds) == ["ConfigurationError"] * 6 + ["TerrainQueryError"] * 10
 
 
 def _node_paths(doc, path=()) -> list:
