@@ -369,9 +369,25 @@ def test_suspension_static_equilibrium_balances_gravity():
     assert compression == pytest.approx(comp)
 
 
-def test_an_airborne_wheel_applies_no_force():
-    # ground far below the fully extended strut: no force, no contact
+def test_suspension_airborne_is_forceless_free_fall():
+    # ground far below the fully extended strut: no force, no contact, so the
+    # body falls with nothing from this corner holding it up
     assert _susp(0.1, mount_z=2.0, ground_z=-5.0) == (0.0, 0.0, False, 0.0, 0.0)
+
+
+def test_suspension_airborne_clamps_at_full_extension():
+    # the hub sits rest + radius below the mount at full extension
+    full_extension_ground = 2.0 - 0.45 - 0.35
+    # a hair inside the travel: in contact, compression never negative, and the
+    # damper's pull while the strut extends is clamped to no force
+    force, compression, grounded, _, _ = _susp(
+        0.1, mount_z=2.0, ground_z=full_extension_ground + 1e-9)
+    assert grounded
+    assert 0.0 <= compression == pytest.approx(0.0, abs=1e-8)
+    assert force == 0.0
+    # a hair past it: airborne, and the strut reads fully extended
+    assert _susp(0.1, mount_z=2.0, ground_z=full_extension_ground - 1e-9) == (
+        0.0, 0.0, False, 0.0, 0.0)
 
 
 # -- anti-roll bar ---------------------------------------------------------------
