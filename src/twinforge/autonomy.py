@@ -5,8 +5,9 @@ cruise controller, and the headlight controller.
 The surrogate detector replaces neural-network inference with a closed-form
 per-frame detection probability driven by visibility, ambient light and
 range. Preset parameters are placeholder constants, not measured model
-behavior, and they do not yet rank the presets: at seed 1 the 32 cases of
-each preset in the full matrix pass v2 3, v3 2, v3_tiny 0 and v2_tiny 0.
+behavior. At seed 1 the 32 cases of each preset in the full matrix pass v2 3,
+v3 2, v3_tiny 0 and v2_tiny 0 (`tests/test_matrix.py`). That is one draw per
+cell, and one seed cannot rank the presets (ROADMAP N).
 """
 
 from __future__ import annotations

@@ -166,12 +166,14 @@ class FootprintParams(Section):
 
 
 class WheelConfig(NamedTuple):
-    """One corner, derived from the config when it is built."""
-    arm: tuple[float, float, float]  # mount - COM, body frame
+    """One corner, derived when the config is built: the flat tuple `Vehicle.step` unpacks."""
+    arm_x: float  # arm: mount - COM, body frame
+    arm_y: float
+    arm_z: float
     spring_k: float
     damper_b: float
     static_displacement: float   # Zs, dimensionless travel normalizer
-    mount: tuple[float, float, float]  # strut top in body frame
+    mount_z: float               # body-frame z of the strut top
     force_arm_z: float           # ZF - COM z, ZF the body-frame z of force application
     contact_reduced_mass: float  # wheel-vs-body reduced mass at the patch
     corner_mass: float
@@ -240,11 +242,11 @@ class VehicleConfig(Section):
                 * (left_share if left else 1.0 - left_share))
         k, b = suspension_coefficients(mass, susp.natural_frequency, susp.damping_ratio)
         return WheelConfig(
-            arm=(mount[0] - com[0], mount[1] - com[1], mount[2] - com[2]),
+            arm_x=mount[0] - com[0], arm_y=mount[1] - com[1], arm_z=mount[2] - com[2],
             spring_k=k,
             damper_b=b,
             static_displacement=mass * GRAVITY / (susp.rest_length * k),
-            mount=mount,
+            mount_z=mount[2],
             force_arm_z=(com[2] - mount[2] + susp.wheel_radius - susp.force_offset) - com[2],
             contact_reduced_mass=1.0 / (1.0 / mass + susp.wheel_radius ** 2 / self.wheel_inertia),
             corner_mass=mass,

@@ -67,10 +67,6 @@ class Vehicle:
     def __init__(self, config: VehicleConfig):
         self.cfg = config
         self.corner_masses = tuple(w.corner_mass for w in config.wheels)
-        # One flat tuple per corner for the step's loops: arm x/y/z, spring k,
-        # damper b, Zs, mount z, force-arm z and contact reduced mass.
-        self.corners = tuple((*w.arm, w.spring_k, w.damper_b, w.static_displacement, w.mount[2],
-                              w.force_arm_z, w.contact_reduced_mass) for w in config.wheels)
 
     # -- construction ------------------------------------------------------
 
@@ -121,7 +117,7 @@ class Vehicle:
     def step(self, state: VehicleState, terrain, dt: float) -> None:
         cfg = self.cfg
         susp = cfg.suspension
-        corners = self.corners
+        corners = cfg.wheels
         mass = cfg.total_mass
         m0, m1, m2, m3, m4, m5, m6, m7, m8 = state.rot
         px, py, pz = state.pos
@@ -152,7 +148,7 @@ class Vehicle:
         vertical = [0.0] * 4
         slopes = [None] * 4
         for i in range(4):
-            ax, ay, az, k, b, zs, mount_z, _, _ = corners[i]
+            ax, ay, az, k, b, zs, mount_z, _, _, _ = corners[i]
             ground = slopes[i] = terrain.height_and_gradient(px + (m0 * ax + m1 * ay + m2 * az),
                                                              py + (m3 * ax + m4 * ay + m5 * az))
             (vertical[i], compression[i], grounded[i], travels[i], contact_z[i]) = suspension_step(
@@ -180,7 +176,7 @@ class Vehicle:
             loads[i] = f if grounded[i] and f > 0.0 else 0.0
             if f == 0.0:
                 continue
-            rx, ry, _, _, _, _, _, rz, _ = corners[i]
+            rx, ry, _, _, _, _, _, rz, _, _ = corners[i]
             _, gx, gy = slopes[i]
             # R^T * (-gx, -gy, 1)
             ngx = -gx
@@ -203,7 +199,7 @@ class Vehicle:
         for i in range(4):
             if not grounded[i]:
                 continue
-            rx, ry, _, _, _, _, _, _, reduced_mass = corners[i]
+            rx, ry, _, _, _, _, _, _, reduced_mass, _ = corners[i]
             rz = contact_z[i] - com_z
             cvx = vx + oy * rz - oz * ry
             cvy = vy + oz * rx - ox * rz

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .autonomy import (  # noqa: F401  parse_autonomy_doc: a binding perfbench/tracing.py wraps
+from .autonomy import (
     AebPlanner,
     AutonomyConfig,
     ObstacleView,
@@ -25,9 +25,9 @@ from .autonomy import (  # noqa: F401  parse_autonomy_doc: a binding perfbench/t
     estimate_range_px,
     headlight_control,
     longitudinal_control,
-    parse_autonomy_doc,
     default_autonomy_doc,
 )
+from .autonomy import parse_autonomy_doc  # noqa: F401  a binding perfbench/tracing.py wraps
 from .documents import ConfigurationError, NonNegative, Positive, Section, Seed, from_doc, to_doc
 from .dynamics import SimulationFault, Vehicle, VehicleConfig, default_vehicle_config
 from .environment import (
@@ -134,42 +134,27 @@ class EpisodeResult:
 
 class Episode:
     """One case, stepped at sim.dt until a terminal: standstill_after_aeb,
-    collision, timeout, or fault when the plant, a terrain query or float arithmetic fails."""
+    collision, timeout, or fault when the plant, a terrain query or float arithmetic fails.
+    It keeps the case and what no run changes, so each run starts from spawn and gives one result."""
 
     def __init__(self, bundle: dict, collect_telemetry: bool = True, full_scans: bool = False):
         if isinstance(bundle, dict) and isinstance(bundle.get("scenario"), str):  # name or file
             bundle = dict(bundle, scenario=load_scenario_doc(bundle["scenario"]))
-        case = from_doc(CaseBundle, bundle)
-        self.case_id = case.case_id
+        case = self.case = from_doc(CaseBundle, bundle)
         self.collect_telemetry = collect_telemetry
         self.full_scans = full_scans
 
-        self.sim = case.sim
-        self.vcfg = case.vehicle
-        self.vehicle = Vehicle(self.vcfg)
-        fp = self.vcfg.footprint
+        self.vehicle = Vehicle(case.vehicle)
+        fp = case.vehicle.footprint
         self.front_offset = fp.center_x + fp.length / 2.0
         self.half_width = fp.width / 2.0
 
-        self.scenario = case.scenario
         self.terrain, self.obstacles = build_scenario(case.scenario, self.front_offset)
         self.condition = condition_derive(case.weather, case.time_of_day)
         self.lights = headlight_control(self.condition.ambient_light, self.condition.fog_density)
 
-        self.autonomy = case.autonomy
-        self.detector = SurrogateDetector(
-            self.autonomy.presets[case.model], self.condition, self.lights,
-            np.random.Generator(np.random.Philox(key=case.seed)),
-            self.autonomy.false_positive_rate)
-
-        self.camera = case.sensors.camera
-        self.camera_mount = forward_camera_mount(self.camera.position)
-        res = self.camera.resolution
-        self._proj = projection_matrix(self.camera)
-        self.planner = AebPlanner(self.autonomy.aeb, functools.partial(
-            estimate_range_px, fx_px=self._proj[0, 0] * res[0] / 2.0,
-            fy_px=self._proj[1, 1] * res[1] / 2.0,
-            assumed_frontal_area=self.autonomy.assumed_frontal_area))
+        self.camera_mount = forward_camera_mount(case.sensors.camera.position)
+        self._proj = projection_matrix(case.sensors.camera)
         self.ins = InsSensor()
         self.lidar = case.sensors.lidar
         self.lidar_mount = forward_lidar_mount(self.lidar.position)
@@ -184,19 +169,19 @@ class Episode:
 
     # -- helpers ---------------------------------------------------------------
 
-    def _perceive(self, pose):
+    def _perceive(self, pose) -> list[ObstacleView]:
         cam_world = pose_matrix(*pose) @ self.camera_mount
         view = camera_matrices(cam_world)
         cam_pos = cam_world[:3, 3]
         views = []
         for obs in self.obstacles:
-            area = project_box(obs.corners_3d(), view, self._proj, self.camera.resolution)
+            area = project_box(obs.corners_3d(), view, self._proj, self.case.sensors.camera.resolution)
             if area is None:
                 continue
             gap = np.subtract(obs.position, cam_pos)
             d = math.sqrt(gap.dot(gap))  # np.linalg.norm's arithmetic
             views.append(ObstacleView(obs.cls, area, d))
-        return self.detector.detect(views)
+        return views
 
     def _raycaster(self):
         return functools.partial(env_raycast, self.terrain, self.obstacles)
@@ -209,18 +194,27 @@ class Episode:
         near edge is more than 1e-6 m (far above rounding) ahead of it cannot
         touch.
         """
-        fp = self.vcfg.footprint
+        fp = self.case.vehicle.footprint
         ego = footprint_corners(ex, ey, eyaw, fp.length, fp.width, fp.center_x)
         return any(rectangles_overlap(ego, obs.corners_2d()) for obs in self.obstacles)
 
     # -- main loop ---------------------------------------------------------------
 
     def run(self) -> EpisodeResult:
-        dt = self.sim.dt
-        spawn = self.scenario.spawn
-        vehicle, terrain, planner = self.vehicle, self.terrain, self.planner
+        """Run from spawn: the detector's stream, the planner, the state and the log are this run's."""
+        case = self.case
+        sim, autonomy, dt, spawn = case.sim, case.autonomy, case.sim.dt, case.scenario.spawn
+        vehicle, terrain = self.vehicle, self.terrain
         state = vehicle.spawn_state(terrain, spawn.x, spawn.y, spawn.yaw)
         pose = vehicle.origin_pose(state)  # the state's pose, updated after each step
+        detector = SurrogateDetector(
+            autonomy.presets[case.model], self.condition, self.lights,
+            np.random.Generator(np.random.Philox(key=case.seed)), autonomy.false_positive_rate)
+        res = case.sensors.camera.resolution
+        planner = AebPlanner(autonomy.aeb, functools.partial(
+            estimate_range_px, fx_px=self._proj[0, 0] * res[0] / 2.0,
+            fy_px=self._proj[1, 1] * res[1] / 2.0,
+            assumed_frontal_area=autonomy.assumed_frontal_area))
         # Without telemetry the episode still keeps the records its verdict reads.
         log = TelemetryLog() if self.collect_telemetry else VerdictRecords()
 
@@ -232,16 +226,17 @@ class Episode:
         error = None
         t = 0.0
         steps = 0
-        max_steps = int(round(self.sim.t_max / dt))
-        cruise_speed = self.scenario.cruise_speed
-        cruise_kp = self.autonomy.control.cruise_kp
-        perception_period = self.autonomy.perception_period_steps
-        contact_steps = int(round(self.sim.contact_window / dt))
-        grace = self.sim.post_stop_grace
+        max_steps = int(round(sim.t_max / dt))
+        cruise_speed = case.scenario.cruise_speed
+        cruise_kp = autonomy.control.cruise_kp
+        perception_period = autonomy.perception_period_steps
+        contact_steps = int(round(sim.contact_window / dt))
+        grace = sim.post_stop_grace
         front_offset, half_width, obstacles = self.front_offset, self.half_width, self.obstacles
         full_scans = self.full_scans
         # The loop's bound methods, read once.
-        perceive, plan, step, origin_pose = self._perceive, planner.plan, vehicle.step, vehicle.origin_pose
+        perceive, detect, plan = self._perceive, detector.detect, planner.plan
+        step, origin_pose = vehicle.step, vehicle.origin_pose
         set_commands, make_record, append = state.set_commands, self._make_record, log.append
 
         try:
@@ -249,7 +244,7 @@ class Episode:
             with np.errstate(over="raise", invalid="raise", divide="raise"):
                 for i in range(max_steps):
                     if i % perception_period == 0:
-                        detections = perceive(pose)
+                        detections = detect(perceive(pose))
                         plan(detections, state.forward_speed)
                         # The frame's summary, for its records until the next frame.
                         best = max(detections, key=lambda d: d.confidence, default=None)
@@ -295,8 +290,8 @@ class Episode:
             scan_dump += "\n# spatial scan (sensor frame)\n" + point_cloud_ascii(points)
 
         verdict = (None if terminal == "fault"
-                   else evaluate_verdict(log.verdict_records(), self.case_id))
-        return EpisodeResult(self.case_id, terminal, steps, t,
+                   else evaluate_verdict(log.verdict_records(), case.case_id))
+        return EpisodeResult(case.case_id, terminal, steps, t,
                              log if self.collect_telemetry else None, verdict, error, scan_dump)
 
     def _make_record(self, state, pose, t: float, seen: tuple[int, float, float], aeb: bool,

@@ -22,13 +22,13 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import twinforge.episode as episode_module
-from twinforge.autonomy import AutonomyConfig
+from twinforge.autonomy import AebPlanner, AutonomyConfig, SurrogateDetector
 from twinforge.documents import ConfigurationError, from_doc, to_doc
 from twinforge.dynamics import Vehicle, default_vehicle_config
 from twinforge.environment import footprint_corners, rectangles_overlap
 from twinforge.episode import (MAX_SCAN_SAMPLES, MAX_STEPS, Episode, SimParams, default_bundle,
                                run_case)
-from twinforge.metrics import TelemetryLog, aggregate_report, compute_dtc, parse_csv
+from twinforge.metrics import TelemetryLog, VerdictRecords, aggregate_report, compute_dtc, parse_csv
 from twinforge.sensors import CameraConfig, InsSensor, SensorParams
 
 DEFAULT_DIGEST = "39f1c68ec1b52e8f0a586636bddc251f2f8995730c667ec25f2f64fe48a05ee2"
@@ -129,6 +129,27 @@ def test_pinned_scan_digest():
         "a74ec959cdb8e0ebc21896c303596e16b0582ecf8fbf53393adb636e9d3997ac"
 
 
+@pytest.mark.parametrize("scenario, full_scans", [
+    ("default", False), ("slope", False), ("default", True),
+], ids=["default", "slope", "default-full-scans"])
+def test_a_second_run_repeats_the_first(scenario, full_scans):
+    """A run builds the state it changes, the detector's stream, the planner
+    and the log, so a second run of one Episode starts from spawn again; none
+    of that state is left on the Episode."""
+    bundle = _bundle(scenario)
+    if full_scans:
+        bundle["sim"]["t_max"] = 5.0
+    episode = Episode(bundle, full_scans=full_scans)
+    first, second = episode.run(), episode.run()
+    assert first.terminal == ("timeout" if full_scans else "standstill_after_aeb")
+    assert (second.steps, second.terminal) == (first.steps, first.terminal)
+    assert second.log.digest() == first.log.digest()
+    assert second.verdict == first.verdict
+    assert second.scan_dump == first.scan_dump and (first.scan_dump is not None) == full_scans
+    run_state = (AebPlanner, SurrogateDetector, np.random.Generator, TelemetryLog, VerdictRecords)
+    assert not [name for name, value in vars(episode).items() if isinstance(value, run_state)]
+
+
 def test_autonomy_document_without_perception_period_uses_the_default():
     bundle = _bundle("default")
     del bundle["autonomy"]["perception_period_steps"]
@@ -142,7 +163,7 @@ def test_bundles_do_not_share_the_default_sensors():
     bundle["sensors"]["camera"]["focal_length"] = 5.0
     assert CameraConfig().focal_length == 1.732
     assert _bundle("default")["sensors"]["camera"]["focal_length"] == 1.732
-    assert Episode(_bundle("default")).camera.focal_length == 1.732
+    assert Episode(_bundle("default")).case.sensors.camera.focal_length == 1.732
 
 
 def _drop_aeb_fos(bundle):
@@ -598,7 +619,7 @@ def test_an_obstacle_is_frozen():
 def _ego_poses(episode, rng):
     """Random poses around the obstacle, plus poses that touch or nearly touch
     it: face to face, and far corner to corner along the bounding circles."""
-    fp = episode.vcfg.footprint
+    fp = episode.case.vehicle.footprint
     obs = episode.obstacles[0]
     ox, oy = obs.position[:2]
     for _ in range(3000):
@@ -624,7 +645,7 @@ def test_the_dtc_gate_never_hides_an_overlap(center_x):
     bundle = _bundle("default")
     bundle["vehicle"] = {"schema_version": 2, "footprint": {"center_x": center_x}}
     episode = Episode(bundle)
-    fp = episode.vcfg.footprint
+    fp = episode.case.vehicle.footprint
     obs = episode.obstacles[0]
     decisions = set()
     for ex, ey, eyaw in _ego_poses(episode, np.random.default_rng(3)):
