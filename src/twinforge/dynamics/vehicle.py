@@ -67,6 +67,7 @@ class Vehicle:
     def __init__(self, config: VehicleConfig):
         self.cfg = config
         self.corner_masses = tuple(w.corner_mass for w in config.wheels)
+        self.corners = tuple(map(tuple, config.wheels))  # plain tuples unpack faster than NamedTuples
 
     # -- construction ------------------------------------------------------
 
@@ -117,7 +118,7 @@ class Vehicle:
     def step(self, state: VehicleState, terrain, dt: float) -> None:
         cfg = self.cfg
         susp = cfg.suspension
-        corners = cfg.wheels
+        corners = self.corners
         mass = cfg.total_mass
         m0, m1, m2, m3, m4, m5, m6, m7, m8 = state.rot
         px, py, pz = state.pos

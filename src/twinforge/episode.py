@@ -96,6 +96,8 @@ class CaseBundle(Section):
         super().__post_init__()
         if self.model not in self.autonomy.presets:
             raise ConfigurationError(f"CaseBundle.model must name a perception preset, got {self.model!r}")
+        if not self.seed < 2 ** 128:  # run() keys the detector's Philox stream with it
+            raise ConfigurationError(f"CaseBundle.seed must be below 2**128, the Philox key size, got {self.seed}")
 
 
 def default_bundle(case_id: str = "adhoc", model: str = "v3", weather: str = "clear",
@@ -173,9 +175,10 @@ class Episode:
         cam_world = pose_matrix(*pose) @ self.camera_mount
         view = camera_matrices(cam_world)
         cam_pos = cam_world[:3, 3]
+        resolution = self.case.sensors.camera.resolution
         views = []
         for obs in self.obstacles:
-            area = project_box(obs.corners_3d(), view, self._proj, self.case.sensors.camera.resolution)
+            area = project_box(obs.corners_3d(), view, self._proj, resolution)
             if area is None:
                 continue
             gap = np.subtract(obs.position, cam_pos)

@@ -347,6 +347,8 @@ HUGE = 10 ** 400  # beyond the float range
     (lambda b: b.update(seed=1.5), "ConfigurationError: CaseBundle.seed must be int, got 1.5"),
     (lambda b: b.update(seed=-1),
      "ConfigurationError: CaseBundle.seed must be a finite number >= 0, got -1"),
+    (lambda b: b.update(seed=2 ** 128), "ConfigurationError: CaseBundle.seed must be below 2**128, "
+     "the Philox key size, got 340282366920938463463374607431768211456"),
     (lambda b: b.update(model=["v3"]), "ConfigurationError: CaseBundle.model must be str, got ['v3']"),
     (lambda b: b.pop("weather"), "ConfigurationError: CaseBundle document lacks weather"),
     (lambda b: b.update(sim=5), "ConfigurationError: CaseBundle.sim must be an object, got 5"),
@@ -375,8 +377,8 @@ HUGE = 10 ** 400  # beyond the float range
         "dt-above-t-max", "subnormal-dt", "huge-t-max-tiny-dt", "sub-microsecond-dt",
         "number-obstacles", "number-obstacle-entry", "string-terrain", "list-spawn", "infinite-spawn-y",
         "string-spawn-yaw", "nan-obstacle-yaw", "infinite-obstacle-lateral",
-        "huge-int-cruise-speed", "none-seed", "fractional-seed", "negative-seed", "list-model",
-        "no-weather", "number-sim", "list-sensors", "none-vehicle", "unversioned-autonomy",
+        "huge-int-cruise-speed", "none-seed", "fractional-seed", "negative-seed", "seed-2-to-the-128",
+        "list-model", "no-weather", "number-sim", "list-sensors", "none-vehicle", "unversioned-autonomy",
         "string-threat-classes", "tiny-wheel-radius", "huge-tyre-knot"])
 def test_rejected_bundle_is_a_failed_result(edit, error):
     bundle = _bundle("default")
@@ -385,6 +387,14 @@ def test_rejected_bundle_is_a_failed_result(edit, error):
     assert (res.case_id, res.status, res.terminal) == (bundle["case_id"], "failed", "fault")
     assert (res.steps, res.log, res.verdict) == (0, None, None)
     assert res.error == error
+
+
+def test_the_largest_seed_keys_a_run():
+    bundle = _bundle("default")
+    bundle["seed"] = 2 ** 128 - 1
+    bundle["sim"]["t_max"] = 0.5
+    res = run_case(bundle)
+    assert (res.status, res.steps) == ("done", 50)
 
 
 def test_a_microsecond_dt_run_reads_back_into_a_log():
