@@ -7,6 +7,10 @@ the first overlap; the world is static, so nothing after it changes the
 verdict), or the simulated-time cap. Every source of randomness is the
 case-seeded counter-based generator, so a (case, seed) pair is
 bit-reproducible anywhere.
+
+`Episode.start` builds a run's state at spawn, an `EpisodeState`, and
+`Episode.advance` steps it to a terminal or to a given step. A fork is a
+`copy.deepcopy` of that state at a frame boundary, advanced on its own.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from .autonomy import (
 )
 from .autonomy import parse_autonomy_doc  # noqa: F401  a binding perfbench/tracing.py wraps
 from .documents import ConfigurationError, NonNegative, Positive, Section, Seed, from_doc, to_doc
-from .dynamics import SimulationFault, Vehicle, VehicleConfig, default_vehicle_config
+from .dynamics import SimulationFault, Vehicle, VehicleConfig, VehicleState, default_vehicle_config
 from .environment import (
     TerrainQueryError,
     condition_derive,
@@ -96,7 +100,7 @@ class CaseBundle(Section):
         super().__post_init__()
         if self.model not in self.autonomy.presets:
             raise ConfigurationError(f"CaseBundle.model must name a perception preset, got {self.model!r}")
-        if not self.seed < 2 ** 128:  # run() keys the detector's Philox stream with it
+        if not self.seed < 2 ** 128:  # start() keys the detector's Philox stream with it
             raise ConfigurationError(f"CaseBundle.seed must be below 2**128, the Philox key size, got {self.seed}")
 
 
@@ -132,6 +136,26 @@ class EpisodeResult:
     @property
     def status(self) -> str:
         return "failed" if self.terminal == "fault" else "done"
+
+
+@dataclass
+class EpisodeState:
+    """A run between two steps: what `Episode.advance` changes, none of what the
+    `Episode` built. A fork is a `copy.deepcopy` of one at a frame boundary (`steps`
+    a multiple of perception_period_steps) with the copy's `planner.mode` set."""
+    plant: VehicleState
+    pose: tuple  # `Vehicle.origin_pose(plant)`
+    detector: SurrogateDetector
+    planner: AebPlanner
+    log: VerdictRecords  # a TelemetryLog with collect_telemetry
+    steps: int = 0
+    seen: tuple[int, float, float] | None = None  # the last frame's summary, for its records
+    collision_count: int = 0  # 1 from the first overlap on
+    contact_end: float = math.inf  # the step that ends the trace after contact
+    hold_elapsed: float = 0.0
+    scan_lines: list[str] = field(default_factory=list)
+    terminal: str | None = None  # an EpisodeResult terminal, once reached
+    error: str | None = None
 
 
 class Episode:
@@ -192,7 +216,7 @@ class Episode:
     def _overlaps(self, ex: float, ey: float, eyaw: float) -> bool:
         """Whether the ego footprint overlaps any obstacle.
 
-        `run` calls it only when the pose's DTC is at most 1e-6 m: no point
+        `advance` calls it only when the pose's DTC is at most 1e-6 m: no point
         of the footprint lies ahead of the front face, so an obstacle whose
         near edge is more than 1e-6 m (far above rounding) ahead of it cannot
         touch.
@@ -203,49 +227,49 @@ class Episode:
 
     # -- main loop ---------------------------------------------------------------
 
-    def run(self) -> EpisodeResult:
-        """Run from spawn: the detector's stream, the planner, the state and the log are this run's."""
-        case = self.case
-        sim, autonomy, dt, spawn = case.sim, case.autonomy, case.sim.dt, case.scenario.spawn
-        vehicle, terrain = self.vehicle, self.terrain
-        state = vehicle.spawn_state(terrain, spawn.x, spawn.y, spawn.yaw)
-        pose = vehicle.origin_pose(state)  # the state's pose, updated after each step
+    def start(self) -> EpisodeState:
+        """A run at spawn, with its own plant state, detector stream, planner and log."""
+        case, autonomy = self.case, self.case.autonomy
+        spawn, res = case.scenario.spawn, case.sensors.camera.resolution
+        plant = self.vehicle.spawn_state(self.terrain, spawn.x, spawn.y, spawn.yaw)
         detector = SurrogateDetector(
             autonomy.presets[case.model], self.condition, self.lights,
             np.random.Generator(np.random.Philox(key=case.seed)), autonomy.false_positive_rate)
-        res = case.sensors.camera.resolution
         planner = AebPlanner(autonomy.aeb, functools.partial(
             estimate_range_px, fx_px=self._proj[0, 0] * res[0] / 2.0,
             fy_px=self._proj[1, 1] * res[1] / 2.0,
             assumed_frontal_area=autonomy.assumed_frontal_area))
         # Without telemetry the episode still keeps the records its verdict reads.
         log = TelemetryLog() if self.collect_telemetry else VerdictRecords()
+        return EpisodeState(plant, self.vehicle.origin_pose(plant), detector, planner, log)
 
-        collision_count = 0  # 1 from the first overlap on
-        contact_end = math.inf  # the step that ends the trace after contact
-        hold_elapsed = 0.0
-        scan_lines: list[str] = []
-        terminal = "timeout"
-        error = None
-        t = 0.0
-        steps = 0
+    def advance(self, run: EpisodeState, until_step: int | None = None) -> EpisodeState:
+        """Step `run` in place until it has a terminal or `run.steps` is `until_step`; return it."""
+        if run.terminal is not None:
+            return run
+        sim, autonomy, dt = self.case.sim, self.case.autonomy, self.case.sim.dt
         max_steps = int(round(sim.t_max / dt))
-        cruise_speed = case.scenario.cruise_speed
-        cruise_kp = autonomy.control.cruise_kp
+        stop = max_steps if until_step is None else min(until_step, max_steps)
+        terminal = "timeout" if stop == max_steps else None  # unless the loop breaks
+        cruise_speed, cruise_kp = self.case.scenario.cruise_speed, autonomy.control.cruise_kp
         perception_period = autonomy.perception_period_steps
         contact_steps = int(round(sim.contact_window / dt))
         grace = sim.post_stop_grace
         front_offset, half_width, obstacles = self.front_offset, self.half_width, self.obstacles
-        full_scans = self.full_scans
+        full_scans, scan_lines, terrain = self.full_scans, run.scan_lines, self.terrain
+        state, pose, planner = run.plant, run.pose, run.planner
+        # The run's counters, in locals that are written back on exit: no step reads `run`.
+        steps, seen, collision_count = run.steps, run.seen, run.collision_count
+        contact_end, hold_elapsed = run.contact_end, run.hold_elapsed
         # The loop's bound methods, read once.
-        perceive, detect, plan = self._perceive, detector.detect, planner.plan
-        step, origin_pose = vehicle.step, vehicle.origin_pose
-        set_commands, make_record, append = state.set_commands, self._make_record, log.append
+        perceive, detect, plan = self._perceive, run.detector.detect, planner.plan
+        step, origin_pose = self.vehicle.step, self.vehicle.origin_pose
+        set_commands, make_record, append = state.set_commands, self._make_record, run.log.append
 
         try:
             # numpy overflow, 0/0 or x/0 raises FloatingPointError, an ArithmeticError
             with np.errstate(over="raise", invalid="raise", divide="raise"):
-                for i in range(max_steps):
+                for i in range(steps, stop):
                     if i % perception_period == 0:
                         detections = detect(perceive(pose))
                         plan(detections, state.forward_speed)
@@ -283,19 +307,28 @@ class Episode:
                         break
         except (SimulationFault, TerrainQueryError, ArithmeticError) as exc:
             terminal = "fault"
-            error = f"{type(exc).__name__}: {exc}"
+            run.error = f"{type(exc).__name__}: {exc}"
+        run.steps, run.pose, run.seen, run.collision_count = steps, pose, seen, collision_count
+        run.contact_end, run.hold_elapsed, run.terminal = contact_end, hold_elapsed, terminal
+        return run
 
+    def result(self, run: EpisodeState) -> EpisodeResult:
+        """A run's result at its terminal, with the final spatial scan under full_scans."""
+        case = self.case
         scan_dump = None
-        if full_scans:
-            scan_dump = "\n".join(scan_lines)
+        if self.full_scans:
+            scan_dump = "\n".join(run.scan_lines)
             points = lidar_scan_3d(self.spatial_lidar, self.spatial_phis,
-                                   pose_matrix(*pose) @ self.lidar_mount, self._raycaster())
+                                   pose_matrix(*run.pose) @ self.lidar_mount, self._raycaster())
             scan_dump += "\n# spatial scan (sensor frame)\n" + point_cloud_ascii(points)
+        verdict = (None if run.terminal == "fault"
+                   else evaluate_verdict(run.log.verdict_records(), case.case_id))
+        return EpisodeResult(case.case_id, run.terminal, run.steps, run.steps * case.sim.dt,
+                             run.log if self.collect_telemetry else None, verdict, run.error, scan_dump)
 
-        verdict = (None if terminal == "fault"
-                   else evaluate_verdict(log.verdict_records(), case.case_id))
-        return EpisodeResult(case.case_id, terminal, steps, t,
-                             log if self.collect_telemetry else None, verdict, error, scan_dump)
+    def run(self) -> EpisodeResult:
+        """Run from spawn to a terminal: `result(advance(start()))`."""
+        return self.result(self.advance(self.start()))
 
     def _make_record(self, state, pose, t: float, seen: tuple[int, float, float], aeb: bool,
                      dtc: float, collision_count: int) -> TelemetryRecord:

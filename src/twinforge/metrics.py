@@ -119,11 +119,8 @@ class TelemetryLog(VerdictRecords):
         # One join, with "" for the final newline: no second copy of the text.
         return "\n".join([",".join(TELEMETRY_COLUMNS), *self.rows, ""])
 
-    def to_bytes(self) -> bytes:
-        return self.to_csv().encode("utf-8")
-
     def digest(self) -> str:
-        return hashlib.sha256(self.to_bytes()).hexdigest()
+        return hashlib.sha256(self.to_csv().encode("utf-8")).hexdigest()
 
 
 def parse_csv(text: str) -> list[TelemetryRecord]:

@@ -26,8 +26,8 @@ from twinforge.autonomy import AebPlanner, AutonomyConfig, SurrogateDetector
 from twinforge.documents import ConfigurationError, from_doc, to_doc
 from twinforge.dynamics import Vehicle, default_vehicle_config
 from twinforge.environment import footprint_corners, rectangles_overlap
-from twinforge.episode import (MAX_SCAN_SAMPLES, MAX_STEPS, Episode, SimParams, default_bundle,
-                               run_case)
+from twinforge.episode import (MAX_SCAN_SAMPLES, MAX_STEPS, Episode, EpisodeState, SimParams,
+                               default_bundle, run_case)
 from twinforge.metrics import TelemetryLog, VerdictRecords, aggregate_report, compute_dtc, parse_csv
 from twinforge.sensors import CameraConfig, InsSensor, SensorParams
 
@@ -146,8 +146,104 @@ def test_a_second_run_repeats_the_first(scenario, full_scans):
     assert second.log.digest() == first.log.digest()
     assert second.verdict == first.verdict
     assert second.scan_dump == first.scan_dump and (first.scan_dump is not None) == full_scans
-    run_state = (AebPlanner, SurrogateDetector, np.random.Generator, TelemetryLog, VerdictRecords)
+    run_state = (AebPlanner, SurrogateDetector, np.random.Generator, TelemetryLog, VerdictRecords,
+                 EpisodeState)
     assert not [name for name, value in vars(episode).items() if isinstance(value, run_state)]
+
+
+PERIOD = AutonomyConfig().perception_period_steps
+
+
+def _rng_state(run: EpisodeState) -> str:
+    """The detector stream's position: it moves on each frame the run detects."""
+    return json.dumps(run.detector.rng.bit_generator.state, default=np.ndarray.tolist, sort_keys=True)
+
+
+@functools.cache
+def _whole_run(full_scans: bool):
+    """An Episode of default v3/clear/12:00 seed 1 (5 s with full scans), its
+    state advanced in one call and its `run()` result."""
+    bundle = _bundle("default")
+    if full_scans:
+        bundle["sim"]["t_max"] = 5.0
+    episode = Episode(bundle, full_scans=full_scans)
+    return episode, episode.advance(episode.start()), episode.run()
+
+
+@settings(max_examples=20, deadline=None)
+@given(full_scans=st.booleans(),
+       chunks=st.lists(st.one_of(st.integers(1, 400), st.integers(1, 40).map(PERIOD.__mul__)),
+                       min_size=1, max_size=8))
+@example(full_scans=False, chunks=[79 * PERIOD, 1])
+@example(full_scans=True, chunks=[7])
+def test_advancing_in_chunks_equals_run(full_scans, chunks):
+    """Steps cut anywhere, on a frame boundary or off one, give the run
+    `run()` gives: each frame is perceived and detected once."""
+    episode, whole, res = _whole_run(full_scans)
+    run = episode.start()
+    for chunk in itertools.cycle(chunks):
+        if run.terminal is not None:
+            break
+        assert episode.advance(run, until_step=run.steps + chunk) is run
+    assert (run.terminal, run.steps, run.log.digest()) == (res.terminal, res.steps, res.log.digest())
+    chunked = episode.result(run)
+    assert (chunked.verdict, chunked.scan_dump, chunked.duration) == (res.verdict, res.scan_dump,
+                                                                      res.duration)
+    assert (res.scan_dump is not None) == full_scans
+    assert _rng_state(run) == _rng_state(whole)
+
+
+CRUISE_DIGEST = "af97f10bc61bca130ed143fc29984422ba7545dcffb349bdd9845a171776fa65"
+
+
+def test_a_fork_forced_to_brake_at_a_frame_is_the_run_that_fires_there():
+    """With no threat class the planner never brakes: the cruise trace. A fork
+    of it at frame k, its planner's mode set to brake, is a run whose planner
+    fires at k; the real run fires at frame 79, so the fork there is that run."""
+    bundle = _bundle("default")
+    bundle["autonomy"]["aeb"]["threat_classes"] = []
+    episode, plain = Episode(bundle), Episode(_bundle("default"))
+
+    def fork(episode, run, frame):
+        episode.advance(run, until_step=frame * PERIOD)
+        forked = copy.deepcopy(run)
+        forked.planner.mode = "brake"
+        return episode.advance(forked)
+
+    trace = episode.start()
+    forks = [fork(episode, trace, frame) for frame in (39, 79, 80)]
+    assert [(f.terminal, f.steps, f.log.digest()) for f in forks] == [
+        ("standstill_after_aeb", 1571, "d9aa3621e1f621710425bcc36b964de1dd9cb0fab98e27a2086ee28213dd4ba1"),
+        ("standstill_after_aeb", 2011, DEFAULT_DIGEST),
+        ("collision", 1988, "3dc22f0ed1703e408dcab36072b4e5f879f436b7b985da9e27ce901989487e75"),
+    ]
+    # Before frame 79 the two bundles' runs are one run.
+    assert fork(plain, plain.start(), 39).log.digest() == forks[0].log.digest()
+    # The forks shared no state with the trace they were copied from.
+    episode.advance(trace)
+    assert (trace.terminal, trace.steps, trace.log.digest()) == ("collision", 1031, CRUISE_DIGEST)
+
+
+def test_advance_goes_no_further_than_until_step_or_a_terminal():
+    bundle = _bundle("flat")
+    bundle["sim"]["t_max"] = 0.5
+    episode = Episode(bundle)
+    run = episode.advance(episode.start(), until_step=49)
+    assert (run.terminal, run.steps) == (None, 49)  # a stop short of t_max is no timeout
+    rng = _rng_state(run)
+    for until_step in (49, 10, 0):
+        assert episode.advance(run, until_step) is run
+        assert (run.terminal, run.steps, len(run.log.rows), _rng_state(run)) == (None, 49, 49, rng)
+    assert (episode.advance(run, until_step=50).terminal, run.steps) == ("timeout", 50)
+
+    episode = Episode(_bundle("default"))
+    run = episode.advance(episode.start())
+    assert (run.terminal, run.steps) == ("standstill_after_aeb", 2011)
+    rng = _rng_state(run)
+    for until_step in (None, 2011, 3000):
+        assert episode.advance(run, until_step) is run
+        assert (run.terminal, run.steps, len(run.log.rows), _rng_state(run)) == (
+            "standstill_after_aeb", 2011, 2011, rng)
 
 
 def test_autonomy_document_without_perception_period_uses_the_default():
