@@ -2,7 +2,8 @@
 rule for the range of every number in them.
 
 A case bundle and each of its sections, down to the tire spline, is a
-dataclass that `to_doc` writes and `from_doc` reads back. The rule:
+dataclass that `to_doc` writes and `from_doc` reads back; a verdict and the
+sweep report are written by the same walker. The rule:
 
 - only init fields are written and read; derived fields are rebuilt;
 - a field whose name ends in `_` (`class_`) is stored under the key without it;

@@ -14,8 +14,7 @@ powertrain's FWD/RWD/AWD key drives the same plant: those gears are never
 looked up and keys that name no field are ignored, so a FWD or RWD document
 drives all four wheels.
 
-All units SI (m, kg, s, N, rad) except where the transmission map needs
-MPH/inches internally; that conversion lives in powertrain.py.
+Every unit is SI (m, kg, s, N, rad); engine speeds are in rpm.
 """
 
 from __future__ import annotations

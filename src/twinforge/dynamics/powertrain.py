@@ -1,9 +1,6 @@
 """Engine and automatic transmission model. Each of the four wheels gets an
 equal share of the output torque; the differential's `torque_split` is called
 by no step and stays only as a binding perfbench/tracing.py wraps.
-
-The transmission map works in MPH and tire inches; that unit conversion is
-confined to transmission_map_rpm(). Everything else is SI.
 """
 
 from __future__ import annotations
@@ -14,18 +11,14 @@ from dataclasses import dataclass
 from ..se3 import clamp
 from .config import GEAR_NEUTRAL, PowertrainParams
 
-METERS_PER_INCH = 0.0254
-METERS_PER_MILE = 1609.344
+RPM_PER_RAD_S = 60.0 / (2.0 * math.pi)
 
 STANDSTILL_SPEED = 0.1  # m/s
 
 
 def transmission_map_rpm(speed_mps: float, wheel_radius_m: float, fdr: float, gear_ratio: float) -> float:
     """Engine RPM implied by vehicle speed through a given gear."""
-    v_mph = abs(speed_mps) * 3600.0 / METERS_PER_MILE
-    r_in = wheel_radius_m / METERS_PER_INCH
-    wheel_rpm = v_mph * 5280.0 * 12.0 / (60.0 * 2.0 * math.pi * r_in)
-    return wheel_rpm * fdr * abs(gear_ratio)
+    return abs(speed_mps) / wheel_radius_m * RPM_PER_RAD_S * fdr * abs(gear_ratio)
 
 
 def throttle_smoothing(throttle: float, gain: float) -> float:

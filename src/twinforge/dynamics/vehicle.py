@@ -15,11 +15,8 @@ from ..se3 import Mat3, Vec3, clamp, quat_from_euler_zyx, quat_integrate, quat_t
 from .config import GRAVITY, VehicleConfig
 from .forces import aero_forces, antiroll_forces, suspension_step, tire_forces, wheel_brake_torques
 from .forces import steering_step  # noqa: F401  a binding perfbench/tracing.py wraps
-from .powertrain import PowertrainState, powertrain_step
+from .powertrain import RPM_PER_RAD_S, PowertrainState, powertrain_step
 from .powertrain import torque_split  # noqa: F401  a binding perfbench/tracing.py wraps
-
-
-RPM_PER_RAD_S = 60.0 / (2.0 * math.pi)
 
 
 class SimulationFault(RuntimeError):

@@ -265,6 +265,7 @@ class Episode:
         perceive, detect, plan = self._perceive, run.detector.detect, planner.plan
         step, origin_pose = self.vehicle.step, self.vehicle.origin_pose
         set_commands, make_record, append = state.set_commands, self._make_record, run.log.append
+        read = self.ins.read
 
         try:
             # numpy overflow, 0/0 or x/0 raises FloatingPointError, an ArithmeticError
@@ -285,14 +286,15 @@ class Episode:
                     t = steps * dt
 
                     pose = origin_pose(state)
-                    rot, (ex, ey, _) = pose
-                    eyaw = math.atan2(rot[3], rot[0])
+                    position, euler = read(pose)
+                    ex, ey, eyaw = position[0], position[1], euler[2]
                     dtc = compute_dtc(ex, ey, eyaw, front_offset, half_width, obstacles)
                     if not collision_count and dtc <= 1e-6 and self._overlaps(ex, ey, eyaw):
                         collision_count = 1
                         contact_end = steps + contact_steps
 
-                    append(make_record(state, pose, t, seen, mode == "brake", dtc, collision_count))
+                    append(make_record(state, position, euler, t, seen, mode == "brake", dtc,
+                                       collision_count))
 
                     if full_scans and steps % 50 == 0:
                         self._dump_scan(pose, t, scan_lines)
@@ -330,11 +332,11 @@ class Episode:
         """Run from spawn to a terminal: `result(advance(start()))`."""
         return self.result(self.advance(self.start()))
 
-    def _make_record(self, state, pose, t: float, seen: tuple[int, float, float], aeb: bool,
-                     dtc: float, collision_count: int) -> TelemetryRecord:
-        """One step's row; `seen` is the last frame's detection count, best
-        confidence and that detection's area (0.0 and 0.0 with none)."""
-        position, euler = self.ins.read(pose)
+    def _make_record(self, state, position, euler, t: float, seen: tuple[int, float, float],
+                     aeb: bool, dtc: float, collision_count: int) -> TelemetryRecord:
+        """One step's row from the INS reading (`position`, `euler`); `seen` is
+        the last frame's detection count, best confidence and that detection's
+        area (0.0 and 0.0 with none)."""
         pt = state.pt
         return TelemetryRecord._make((
             t, position[0], position[1], position[2], euler[0], euler[1], euler[2],

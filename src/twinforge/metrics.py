@@ -16,6 +16,8 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, get_type_hints
 
+from .documents import from_doc, to_doc
+
 
 class TelemetryError(RuntimeError):
     pass
@@ -189,27 +191,15 @@ class Verdict:
     duration: float
 
     def to_dict(self) -> dict:
-        return {
-            "case_id": self.case_id,
-            "passed": self.passed,
-            "collision_count": self.collision_count,
-            "min_dtc": None if math.isinf(self.min_dtc) else self.min_dtc,
-            "aeb_triggered": self.aeb_triggered,
-            "stop_margin": None if math.isinf(self.stop_margin) else self.stop_margin,
-            "duration": self.duration,
-        }
+        """`to_doc(self)` with each infinite number as None: JSON has no infinity."""
+        return {key: None if isinstance(value, float) and math.isinf(value) else value
+                for key, value in to_doc(self).items()}
 
     @classmethod
     def from_dict(cls, doc: dict) -> "Verdict":
-        return cls(
-            case_id=doc["case_id"],
-            passed=doc["passed"],
-            collision_count=doc["collision_count"],
-            min_dtc=math.inf if doc["min_dtc"] is None else doc["min_dtc"],
-            aeb_triggered=doc["aeb_triggered"],
-            stop_margin=math.inf if doc["stop_margin"] is None else doc["stop_margin"],
-            duration=doc["duration"],
-        )
+        """Inverse of `to_dict`: None reads as `math.inf`."""
+        return from_doc(cls, {key: math.inf if value is None else value
+                              for key, value in doc.items()})
 
 
 def evaluate_verdict(records: list[TelemetryRecord], case_id: str = "") -> Verdict:
@@ -254,17 +244,11 @@ class BatchRow:
 class SweepReport:
     batches: list[BatchRow]
     per_model: dict[str, dict]
-    cumulative_passed: int
-    cumulative_total: int
+    cumulative: dict[str, int]  # {"passed": ..., "total": ...} over every batch
     infra_failed: list[str]
 
     def to_dict(self) -> dict:
-        return {
-            "batches": [vars(b) for b in self.batches],
-            "per_model": self.per_model,
-            "cumulative": {"passed": self.cumulative_passed, "total": self.cumulative_total},
-            "infra_failed": list(self.infra_failed),
-        }
+        return to_doc(self)
 
 
 def success_rate(passed: int, total: int) -> str:
@@ -283,8 +267,6 @@ def aggregate_report(verdicts: dict[str, "Verdict | None"], batch_plan) -> Sweep
     batches = []
     per_model: dict[str, dict] = {}
     infra_failed = []
-    cum_passed = 0
-    cum_total = 0
     for bi, batch in enumerate(batch_plan.batches, start=1):
         models = {c.model for c in batch}
         uut = models.pop() if len(models) == 1 else "mixed"
@@ -299,18 +281,17 @@ def aggregate_report(verdicts: dict[str, "Verdict | None"], batch_plan) -> Sweep
             stats["passed"] += 1 if ok else 0
             passed += 1 if ok else 0
         batches.append(BatchRow(bi, uut, passed, len(batch)))
-        cum_passed += passed
-        cum_total += len(batch)
     for stats in per_model.values():
         stats["success_rate_pct"] = success_rate(stats["passed"], stats["total"])
-    return SweepReport(batches, per_model, cum_passed, cum_total, infra_failed)
+    cumulative = {"passed": sum(b.passed for b in batches), "total": sum(b.total for b in batches)}
+    return SweepReport(batches, per_model, cumulative, infra_failed)
 
 
 def render_report_text(report: SweepReport) -> str:
     lines = [f"{'Batch ID':<11}{'Unit Under Test':<18}{'Test Cases Passed':<20}{'Total Test Cases':<18}"]
     for b in report.batches:
         lines.append(f"{b.batch_id:<11}{b.unit_under_test:<18}{b.passed:<20}{b.total:<18}")
-    lines.append(f"{'Cumulative':<11}{'N/A':<18}{report.cumulative_passed:<20}{report.cumulative_total:<18}")
+    lines.append(f"{'Cumulative':<11}{'N/A':<18}{report.cumulative['passed']:<20}{report.cumulative['total']:<18}")
     lines.append("")
     lines.append("Per-model success rates:")
     for model in sorted(report.per_model):

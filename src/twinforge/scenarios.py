@@ -108,7 +108,7 @@ def load_scenario_doc(path_or_name: str) -> dict:
     try:
         with open(path_or_name, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: malformed JSON or not UTF-8
         raise ScenarioError(f"cannot load scenario {path_or_name!r}: {exc}") from exc
     return doc
 

@@ -644,6 +644,15 @@ def test_transmission_map_hand_value():
     assert rpm == pytest.approx(2561.0, abs=1.0)
 
 
+@given(st.floats(-60.0, 60.0), st.floats(0.1, 1.0), st.floats(1.0, 6.0), st.floats(-6.0, 6.0))
+def test_transmission_map_equals_the_mph_inch_map(speed, radius, fdr, ratio):
+    """The SI map is the MPH and tire-inch map of the hand-value test."""
+    v_mph = abs(speed) * 3600.0 / 1609.344
+    r_in = radius / 0.0254
+    oracle = v_mph * 5280.0 * 12.0 / (60.0 * 2.0 * math.pi * r_in) * fdr * abs(ratio)
+    assert transmission_map_rpm(speed, radius, fdr, ratio) == pytest.approx(oracle, rel=1e-12)
+
+
 def test_standstill_goes_neutral_at_idle():
     params = _params()
     pt = PowertrainState(engine_rpm=params.idle_rpm, gear=1)

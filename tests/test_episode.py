@@ -84,7 +84,7 @@ def test_a_case_without_telemetry_has_the_telemetry_runs_verdict():
                                      for b in bundles]])
     report = aggregate_report(verdicts, plan)
     assert report.infra_failed == []
-    assert (report.cumulative_passed, report.cumulative_total) == (3, 4)
+    assert report.cumulative == {"passed": 3, "total": 4}
 
 
 def test_the_log_keeps_text_not_records():

@@ -5,6 +5,7 @@ The CSV must be byte for byte what a per-field formatter writes, and
 here.
 """
 
+import json
 import math
 from types import SimpleNamespace
 
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from twinforge.documents import ConfigurationError
 from twinforge.environment import Obstacle
 from twinforge.metrics import (
     TELEMETRY_COLUMNS,
@@ -286,6 +288,29 @@ def test_the_kept_records_give_the_verdict_of_the_whole_series(records):
     assert repr(evaluate_verdict(kept, "c")) == repr(evaluate_verdict(records, "c")) == want
 
 
+# A distance is finite, +inf (nothing in the lane) or nan; JSON has no infinity.
+_DISTANCES = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                       st.just(math.inf), st.just(math.nan))
+
+
+@given(st.builds(Verdict, st.text(), st.booleans(), st.integers(0, 3), _DISTANCES,
+                 st.booleans(), _DISTANCES, st.floats(0.0, 60.0)))
+def test_a_verdict_round_trips_through_json(verdict):
+    doc = json.loads(json.dumps(verdict.to_dict()))
+    for name in ("min_dtc", "stop_margin"):
+        assert (doc[name] is None) is math.isinf(getattr(verdict, name))
+    # repr: a nan distance compares unequal to itself, its repr does not.
+    assert repr(Verdict.from_dict(doc)) == repr(verdict)
+
+
+def test_a_bad_verdict_document_names_its_field():
+    doc = Verdict("c", True, 0, math.inf, False, 2.5, 10.0).to_dict()
+    with pytest.raises(ConfigurationError, match="Verdict document lacks passed"):
+        Verdict.from_dict({key: value for key, value in doc.items() if key != "passed"})
+    with pytest.raises(ConfigurationError, match=r"Verdict\.passed must be bool, got 1"):
+        Verdict.from_dict(dict(doc, passed=1))
+
+
 # -- sweep report ------------------------------------------------------------------
 
 def _verdict(case_id: str, passed: bool) -> Verdict:
@@ -313,7 +338,30 @@ def test_report_counts_per_batch_and_per_model():
         "v2": {"passed": 1, "total": 2, "success_rate_pct": "50.00"},
         "v2_tiny": {"passed": 0, "total": 1, "success_rate_pct": "0.00"},
     }
-    assert (report.cumulative_passed, report.cumulative_total) == (2, 5)
+    assert report.cumulative == {"passed": 2, "total": 5}
+
+
+def test_the_report_document():
+    report = _mixed_report()
+    doc = report.to_dict()
+    want = {
+        "batches": [{"batch_id": 1, "unit_under_test": "v3", "passed": 1, "total": 2},
+                    {"batch_id": 2, "unit_under_test": "mixed", "passed": 1, "total": 3}],
+        "per_model": {
+            "v3": {"passed": 1, "total": 2, "success_rate_pct": "50.00"},
+            "v2": {"passed": 1, "total": 2, "success_rate_pct": "50.00"},
+            "v2_tiny": {"passed": 0, "total": 1, "success_rate_pct": "0.00"},
+        },
+        "cumulative": {"passed": 2, "total": 5},
+        "infra_failed": ["b1"],
+    }
+    assert json.dumps(doc) == json.dumps(want)  # the keys in order too
+    # The document is a copy: editing it leaves the report as it was.
+    doc["per_model"]["v3"]["passed"] = 2
+    doc["batches"][0]["passed"] = 2
+    doc["cumulative"]["total"] = 0
+    doc["infra_failed"].clear()
+    assert report == _mixed_report()
 
 
 def test_a_case_without_a_verdict_is_an_infrastructure_failure():
@@ -327,7 +375,7 @@ def test_success_rate_of_an_empty_model_is_zero():
     assert success_rate(0, 0) == "0.00"
     assert success_rate(1, 3) == "33.33"
     report = aggregate_report({}, _plan())
-    assert (report.batches, report.per_model, report.cumulative_total) == ([], {}, 0)
+    assert (report.batches, report.per_model, report.cumulative["total"]) == ([], {}, 0)
 
 
 def test_rendered_report_table():

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import pytest
 
@@ -93,6 +94,12 @@ def test_bad_document_raises_scenario_error(edit, message):
     assert f"{type(exc.value).__name__}: {exc.value}" == message
 
 
-def test_missing_scenario_file_raises_scenario_error(tmp_path):
-    with pytest.raises(ScenarioError, match="cannot load scenario"):
-        load_scenario_doc(str(tmp_path / "missing.json"))
+@pytest.mark.parametrize("content", [None, b'{"name": ', b"\xff\xfe"],
+                         ids=["missing", "malformed_json", "not_utf8"])
+def test_missing_scenario_file_raises_scenario_error(tmp_path, content):
+    """A file that is absent, not JSON or not UTF-8 is a ScenarioError naming its path."""
+    path = tmp_path / "scenario.json"
+    if content is not None:
+        path.write_bytes(content)
+    with pytest.raises(ScenarioError, match=re.escape(f"cannot load scenario '{path}': ")):
+        load_scenario_doc(str(path))
