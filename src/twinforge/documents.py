@@ -22,8 +22,8 @@ cast to the key type, and lists and tuples (fixed or `tuple[T, ...]`) are
 rebuilt. A dataclass or dict reads only a JSON object and a list or tuple only
 a JSON array, a fixed tuple only one of its length. A `float`, `int`, `str` or
 `bool` leaf must have that type (an `int` passes as a `float`, as in JSON, and
-is stored as one; a `bool` never passes as a number). Any other value raises
-`ConfigurationError` naming its `Class.field`.
+is stored as one; a `bool` never passes as a number). Any other value, and a
+key the cast rejects, raises `ConfigurationError` naming its `Class.field`.
 
 Each number of a section declares its range on its type, as
 `Annotated[float, Range(...)]` or an alias below, on a field or on the items of
@@ -119,6 +119,13 @@ def to_doc(value):
     return value
 
 
+def _key(kind, key, where: str):
+    try:
+        return kind(key)
+    except ValueError:  # a key the cast rejects names its field
+        raise ConfigurationError(f"{where} key must be {kind.__name__}, got {key!r}") from None
+
+
 def from_doc(kind, doc, where: str = ""):
     """Inverse of `to_doc`, driven by the type hints of `kind`; `where` names
     the field being read, for the error on a value of the wrong kind."""
@@ -142,7 +149,7 @@ def from_doc(kind, doc, where: str = ""):
     if not isinstance(doc, dict):  # a dataclass or a dict
         raise ConfigurationError(f"{where} must be an object, got {doc!r}")
     if origin is dict:
-        return {args[0](k): from_doc(args[1], v, where) for k, v in doc.items()}
+        return {_key(args[0], k, where): from_doc(args[1], v, where) for k, v in doc.items()}
     version, got = getattr(kind, "SCHEMA_VERSION", None), doc.get("schema_version")
     if version is not None and got != version:
         raise ConfigurationError(f"{kind.__name__}.schema_version must be {version}, got {got!r}")

@@ -21,11 +21,6 @@ def transmission_map_rpm(speed_mps: float, wheel_radius_m: float, fdr: float, ge
     return abs(speed_mps) / wheel_radius_m * RPM_PER_RAD_S * fdr * abs(gear_ratio)
 
 
-def throttle_smoothing(throttle: float, gain: float) -> float:
-    """Non-linear acceleration boost, monotone in throttle, 1.0 at zero."""
-    return 1.0 + gain * throttle * throttle
-
-
 @dataclass
 class PowertrainState:
     engine_rpm: float
@@ -80,7 +75,7 @@ def powertrain_step(
     if pt.shift_timer > 0.0 or ratio == 0.0 or throttle <= 0.0:
         return 0.0
     engine_torque = params.engine_torque(pt.engine_rpm)
-    boost = throttle_smoothing(throttle, params.throttle_smoothing_gain)
+    boost = 1.0 + params.throttle_smoothing_gain * throttle * throttle  # monotone, 1.0 at zero
     return engine_torque * ratio * params.final_drive * throttle * boost
 
 

@@ -17,6 +17,19 @@ import numpy as np
 from ..documents import ConfigurationError, Finite, Section
 
 
+# Condition rows in the coefficients (a, b, c, d) of f(s) = a*s^3 + b*s^2 + c*s + d.
+def _value(s: float) -> tuple[float, float, float, float]:
+    return (s ** 3, s ** 2, s, 1.0)
+
+
+def _slope(s: float) -> tuple[float, float, float, float]:
+    return (3 * s ** 2, 2 * s, 1.0, 0.0)
+
+
+def _cubic(rows, rhs) -> tuple[float, float, float, float]:
+    return tuple(np.linalg.solve(np.array(rows), np.array(rhs)).tolist())
+
+
 @dataclass
 class FrictionSpline(Section):
     s0: Finite
@@ -34,32 +47,12 @@ class FrictionSpline(Section):
         if not (self.s0 < self.se < self.sa):
             raise ConfigurationError(
                 f"knots must satisfy s0 < se < sa, got {self.s0}, {self.se}, {self.sa}")
-        self._c0 = self._fit_segment0()
-        self._c1 = self._fit_segment1()
-
-    def _fit_segment0(self) -> tuple[float, float, float, float]:
+        s0, se, sa = self.s0, self.se, self.sa
         # f(s0)=f0, f(se)=fe, f'(se)=0, f''(s0)=0
-        s0, se = self.s0, self.se
-        a = np.array([
-            [s0 ** 3, s0 ** 2, s0, 1.0],
-            [se ** 3, se ** 2, se, 1.0],
-            [3 * se ** 2, 2 * se, 1.0, 0.0],
-            [6 * s0, 2.0, 0.0, 0.0],
-        ])
-        b = np.array([self.f0, self.fe, 0.0, 0.0])
-        return tuple(np.linalg.solve(a, b).tolist())
-
-    def _fit_segment1(self) -> tuple[float, float, float, float]:
+        self._c0 = _cubic((_value(s0), _value(se), _slope(se), (6 * s0, 2.0, 0.0, 0.0)),
+                          (self.f0, self.fe, 0.0, 0.0))
         # f(se)=fe, f'(se)=0, f(sa)=fa, f'(sa)=0
-        se, sa = self.se, self.sa
-        a = np.array([
-            [se ** 3, se ** 2, se, 1.0],
-            [3 * se ** 2, 2 * se, 1.0, 0.0],
-            [sa ** 3, sa ** 2, sa, 1.0],
-            [3 * sa ** 2, 2 * sa, 1.0, 0.0],
-        ])
-        b = np.array([self.fe, 0.0, self.fa, 0.0])
-        return tuple(np.linalg.solve(a, b).tolist())
+        self._c1 = _cubic((_value(se), _slope(se), _value(sa), _slope(sa)), (self.fe, 0.0, self.fa, 0.0))
 
     def __call__(self, s: float) -> float:
         if s <= self.s0:

@@ -42,7 +42,8 @@ from .environment import (
     rectangles_overlap,
 )
 from .metrics import TelemetryLog, TelemetryRecord, VerdictRecords, compute_dtc, evaluate_verdict
-from .scenarios import ScenarioConfig, build_scenario, builtin_scenario_doc, load_scenario_doc
+from .scenarios import ScenarioConfig, build_scenario, builtin_scenario_doc
+from .scenarios import load_scenario_doc  # noqa: F401  a binding perfbench/tracing.py wraps
 from .se3 import pose_matrix
 from .sensors import (
     InsSensor,
@@ -161,11 +162,10 @@ class EpisodeState:
 class Episode:
     """One case, stepped at sim.dt until a terminal: standstill_after_aeb,
     collision, timeout, or fault when the plant, a terrain query or float arithmetic fails.
-    It keeps the case and what no run changes, so each run starts from spawn and gives one result."""
+    It keeps the case and what no run changes, so each run starts from spawn and gives one result.
+    Its scenario is a document, as `default_bundle(scenario=name)` or `load_scenario_doc(path)` gives."""
 
     def __init__(self, bundle: dict, collect_telemetry: bool = True, full_scans: bool = False):
-        if isinstance(bundle, dict) and isinstance(bundle.get("scenario"), str):  # name or file
-            bundle = dict(bundle, scenario=load_scenario_doc(bundle["scenario"]))
         case = self.case = from_doc(CaseBundle, bundle)
         self.collect_telemetry = collect_telemetry
         self.full_scans = full_scans
@@ -316,6 +316,8 @@ class Episode:
 
     def result(self, run: EpisodeState) -> EpisodeResult:
         """A run's result at its terminal, with the final spatial scan under full_scans."""
+        if run.terminal is None:
+            raise ValueError(f"a run at step {run.steps} has no terminal: advance it to one first")
         case = self.case
         scan_dump = None
         if self.full_scans:

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .documents import ConfigurationError, Count, Finite, NonNegative, Positive, Section
-from .se3 import Mat3, Vec3, euler_zyx_from_matrix
+from .se3 import Mat3, Vec3, euler_zyx_from_matrix, pose_matrix
 
 
 # -- inertial navigation -----------------------------------------------------
@@ -39,19 +39,12 @@ def forward_camera_mount(position: Vec3) -> np.ndarray:
 
     Camera axes: x right (-body y), y up (+body z), z backward (-body x).
     """
-    t = np.eye(4)
-    t[:3, 0] = (0.0, -1.0, 0.0)
-    t[:3, 1] = (0.0, 0.0, 1.0)
-    t[:3, 2] = (-1.0, 0.0, 0.0)
-    t[:3, 3] = position
-    return t
+    return pose_matrix((0.0, 0.0, -1.0, -1.0, 0.0, 0.0, 0.0, 1.0, 0.0), position)
 
 
 def forward_lidar_mount(position: Vec3) -> np.ndarray:
     """Body-from-lidar transform: sensor x along body forward, z up."""
-    t = np.eye(4)
-    t[:3, 3] = position
-    return t
+    return pose_matrix((1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0), position)
 
 
 def projection_matrix(config: CameraConfig) -> np.ndarray:
@@ -130,13 +123,12 @@ def angle_grid(lo: float, hi: float, res: float) -> np.ndarray:
 
 
 @functools.cache
-def _unit_rays(config: LidarConfig, phis: tuple[float, ...] | None) -> np.ndarray:
-    """Sensor-frame unit rays (n, 3) of the config's azimuth grid, planar when
-    phis is None, else at each elevation in phis (channel, then azimuth).
-    Built once per grid; read-only."""
+def _unit_rays(config: LidarConfig, phis: tuple[float, ...]) -> np.ndarray:
+    """Sensor-frame unit rays (n, 3) of the config's azimuth grid at each
+    elevation in phis (channel, then azimuth); the planar sweep is the one at
+    elevation 0. Built once per grid; read-only."""
     thetas = angle_grid(config.theta_min, config.theta_max, config.theta_res)
-    local = np.array([(math.cos(t), math.sin(t), 0.0) for t in thetas] if phis is None else
-                     [(math.cos(t) * math.cos(p), math.sin(t) * math.cos(p), -math.sin(p))
+    local = np.array([(math.cos(t) * math.cos(p), math.sin(t) * math.cos(p), -math.sin(p))
                       for p in phis for t in thetas])
     local.flags.writeable = False
     return local
@@ -154,14 +146,13 @@ def _cast(config: LidarConfig, lidar_to_world: np.ndarray, local: np.ndarray,
 
 
 def lidar_scan_2d(config: LidarConfig, lidar_to_world: np.ndarray, raycaster) -> np.ndarray:
-    """One planar sweep over the config's azimuth grid, cast as one batch.
-    ranges[i] is the hit distance of the i-th azimuth, inf when nothing is
-    hit inside [r_min, r_max].
+    """One planar sweep over the config's azimuth grid: the spatial cast at
+    elevation 0, as one batch. ranges[i] is the hit distance of the i-th
+    azimuth, inf when nothing is hit inside [r_min, r_max].
 
     raycaster(origin, directions (n, 3), r_max) -> (n,) distances, inf for a miss.
     """
-    local = _unit_rays(config, None)
-    dist = _cast(config, lidar_to_world, local, raycaster)
+    dist = _cast(config, lidar_to_world, _unit_rays(config, (0.0,)), raycaster)
     return np.where(np.isnan(dist), np.inf, dist)
 
 

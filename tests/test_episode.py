@@ -246,6 +246,15 @@ def test_advance_goes_no_further_than_until_step_or_a_terminal():
             "standstill_after_aeb", 2011, 2011, rng)
 
 
+def test_a_result_needs_a_run_that_ended():
+    """A run stopped short of its terminal has no verdict yet, at step 5 or at spawn."""
+    episode = Episode(_bundle("default"))
+    for steps in (5, 0):
+        run = episode.advance(episode.start(), until_step=steps)
+        with pytest.raises(ValueError, match=f"a run at step {steps} has no terminal"):
+            episode.result(run)
+
+
 def test_autonomy_document_without_perception_period_uses_the_default():
     bundle = _bundle("default")
     del bundle["autonomy"]["perception_period_steps"]
@@ -640,6 +649,25 @@ def test_run_case_returns_a_result_for_any_node_of_the_wrong_kind():
     del base["case_id"]
     res = run_case(base)
     assert (res.case_id, res.error) == (None, "ConfigurationError: CaseBundle document lacks case_id")
+
+
+def test_a_scenario_name_is_no_scenario_document():
+    """A bundle's scenario is a document: a name in its place fails the case."""
+    bundle = _bundle("default")
+    bundle["scenario"] = "default"
+    res = run_case(bundle)
+    assert (res.status, res.terminal) == ("failed", "fault")
+    assert res.error == "ConfigurationError: CaseBundle.scenario must be an object, got 'default'"
+
+
+@pytest.mark.parametrize("key", ["x", "1.5"])
+def test_a_gear_ratio_key_that_is_no_int_names_its_field(key):
+    bundle = _sweep_bundle()
+    bundle["vehicle"]["powertrain"]["gear_ratios"][key] = 1.0
+    res = run_case(bundle)
+    assert (res.status, res.terminal) == ("failed", "fault")
+    assert res.error.startswith("ConfigurationError: PowertrainParams.gear_ratios")
+    assert res.error.endswith(f"key must be int, got {key!r}")
 
 
 @pytest.mark.parametrize("lidar, rays", [

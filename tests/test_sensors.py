@@ -125,3 +125,5 @@ def test_batched_rotation_equals_the_per_row_product(planar):
             dirs = _directions_cast(lidar_scan_3d, config, phis, pose)
         r = pose[:3, :3]
         assert np.array_equal(dirs, np.array([r @ v for v in local]))
+        if planar:  # the planar sweep is the spatial cast at elevation 0
+            assert np.array_equal(dirs, _directions_cast(lidar_scan_3d, config, [0.0], pose))
