@@ -60,8 +60,8 @@ from .sensors import (
 )
 
 MAX_STEPS = 10_000_000  # in t_max and in contact_window; the default sim section takes 12,000
-# Terrain samples one full_scans LIDAR cast holds at once: rays x r_max / (cell / 2).
-# The default planar sweep takes about 14,500 and the final spatial scan 26,000.
+# Terrain samples (rays x r_max / (cell / 2)) one full_scans LIDAR cast holds at once: a cast
+# of whole planar sweeps, about 14,500 each by default, or the final spatial scan's 26,000.
 MAX_SCAN_SAMPLES = 1_000_000
 
 
@@ -154,7 +154,7 @@ class EpisodeState:
     collision_count: int = 0  # 1 from the first overlap on
     contact_end: float = math.inf  # the step that ends the trace after contact
     hold_elapsed: float = 0.0
-    scan_lines: list[str] = field(default_factory=list)
+    scan_poses: list = field(default_factory=list)  # (t, pose) of each planar sweep under full_scans
     terminal: str | None = None  # an EpisodeResult terminal, once reached
     error: str | None = None
 
@@ -187,11 +187,14 @@ class Episode:
         # The final spatial scan: 25 azimuths at 13 elevations.
         self.spatial_lidar = replace(self.lidar, theta_min=-0.6, theta_max=0.6, theta_res=0.05)
         self.spatial_phis = angle_grid(-0.3, 0.3, 0.05)
+        samples = []
         for lidar, channels in ((self.lidar, 1), (self.spatial_lidar, len(self.spatial_phis))):
             rays = ((lidar.theta_max - lidar.theta_min) / lidar.theta_res + 1.0) * channels
-            if full_scans and not rays * lidar.r_max / (self.terrain.cell / 2.0) <= MAX_SCAN_SAMPLES:
+            samples.append(rays * lidar.r_max / (self.terrain.cell / 2.0))
+            if full_scans and not samples[-1] <= MAX_SCAN_SAMPLES:
                 raise ConfigurationError(f"a LIDAR cast of {rays:.6g} rays to r_max {lidar.r_max} "
                                          f"exceeds {MAX_SCAN_SAMPLES} terrain samples")
+        self.sweeps_per_cast = max(1, int(MAX_SCAN_SAMPLES // max(samples[0], 1.0)))
 
     # -- helpers ---------------------------------------------------------------
 
@@ -209,9 +212,6 @@ class Episode:
             d = math.sqrt(gap.dot(gap))  # np.linalg.norm's arithmetic
             views.append(ObstacleView(obs.cls, area, d))
         return views
-
-    def _raycaster(self):
-        return functools.partial(env_raycast, self.terrain, self.obstacles)
 
     def _overlaps(self, ex: float, ey: float, eyaw: float) -> bool:
         """Whether the ego footprint overlaps any obstacle.
@@ -256,7 +256,7 @@ class Episode:
         contact_steps = int(round(sim.contact_window / dt))
         grace = sim.post_stop_grace
         front_offset, half_width, obstacles = self.front_offset, self.half_width, self.obstacles
-        full_scans, scan_lines, terrain = self.full_scans, run.scan_lines, self.terrain
+        full_scans, scan_poses, terrain = self.full_scans, run.scan_poses, self.terrain
         state, pose, planner = run.plant, run.pose, run.planner
         # The run's counters, in locals that are written back on exit: no step reads `run`.
         steps, seen, collision_count = run.steps, run.seen, run.collision_count
@@ -297,7 +297,7 @@ class Episode:
                                        collision_count))
 
                     if full_scans and steps % 50 == 0:
-                        self._dump_scan(pose, t, scan_lines)
+                        scan_poses.append((t, pose))
 
                     if mode == "coast":
                         hold_elapsed += dt
@@ -318,17 +318,16 @@ class Episode:
         """A run's result at its terminal, with the final spatial scan under full_scans."""
         if run.terminal is None:
             raise ValueError(f"a run at step {run.steps} has no terminal: advance it to one first")
-        case = self.case
-        scan_dump = None
+        case, terminal, error, scan_dump = self.case, run.terminal, run.error, None
         if self.full_scans:
-            scan_dump = "\n".join(run.scan_lines)
-            points = lidar_scan_3d(self.spatial_lidar, self.spatial_phis,
-                                   pose_matrix(*run.pose) @ self.lidar_mount, self._raycaster())
-            scan_dump += "\n# spatial scan (sensor frame)\n" + point_cloud_ascii(points)
-        verdict = (None if run.terminal == "fault"
+            try:
+                scan_dump = self._scan_dump(run)
+            except ArithmeticError as exc:
+                terminal, error = "fault", error or f"{type(exc).__name__}: {exc}"
+        verdict = (None if terminal == "fault"
                    else evaluate_verdict(run.log.verdict_records(), case.case_id))
-        return EpisodeResult(case.case_id, run.terminal, run.steps, run.steps * case.sim.dt,
-                             run.log if self.collect_telemetry else None, verdict, run.error, scan_dump)
+        return EpisodeResult(case.case_id, terminal, run.steps, run.steps * case.sim.dt,
+                             run.log if self.collect_telemetry else None, verdict, error, scan_dump)
 
     def run(self) -> EpisodeResult:
         """Run from spawn to a terminal: `result(advance(start()))`."""
@@ -346,11 +345,21 @@ class Episode:
             0.0, pt.gear, pt.engine_rpm, *seen,  # 0.0: handbrake_cmd
             1 if aeb else 0, dtc, collision_count, self.lights))
 
-    def _dump_scan(self, pose, t: float, lines: list[str]) -> None:
-        lidar_world = pose_matrix(*pose) @ self.lidar_mount
-        ranges = lidar_scan_2d(self.lidar, lidar_world, self._raycaster())
-        head = " ".join(f"{r:.4f}" if math.isfinite(r) else "inf" for r in ranges)
-        lines.append(f"t={t:.2f} {head}")
+    def _scan_dump(self, run: EpisodeState) -> str:
+        """A line per planar sweep of `run.scan_poses`, `sweeps_per_cast` to a cast, then the
+        spatial scan from the run's last pose, under the step loop's float error rules."""
+        raycast = functools.partial(env_raycast, self.terrain, self.obstacles)
+        lines, mount = [], self.lidar_mount
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            for first in range(0, len(run.scan_poses), self.sweeps_per_cast):
+                group = run.scan_poses[first:first + self.sweeps_per_cast]
+                poses = np.array([pose_matrix(*pose) @ mount for _, pose in group])
+                for (t, _), ranges in zip(group, lidar_scan_2d(self.lidar, poses, raycast)):
+                    lines.append(f"t={t:.2f} " + " ".join(
+                        f"{r:.4f}" if math.isfinite(r) else "inf" for r in ranges.tolist()))
+            points = lidar_scan_3d(self.spatial_lidar, self.spatial_phis,
+                                   pose_matrix(*run.pose) @ mount, raycast)
+        return "\n".join(lines) + "\n# spatial scan (sensor frame)\n" + point_cloud_ascii(points)
 
 
 def run_case(bundle: dict, collect_telemetry: bool = True, full_scans: bool = False) -> EpisodeResult:

@@ -136,21 +136,23 @@ def _unit_rays(config: LidarConfig, phis: tuple[float, ...]) -> np.ndarray:
 
 def _cast(config: LidarConfig, lidar_to_world: np.ndarray, local: np.ndarray,
           raycaster) -> np.ndarray:
-    """Distances along the sensor-frame unit rays local (n, 3), all cast in
-    one raycaster call; NaN where nothing is hit inside [r_min, r_max]."""
+    """Distances along the sensor-frame unit rays local (n, 3) from a pose (4, 4), (n,), or each
+    of a stack (S, 4, 4), (S, n), in one raycaster call; NaN where nothing is hit inside [r_min, r_max]."""
+    poses = np.reshape(lidar_to_world, (-1, 4, 4))
     # One matrix-vector product per row, as `r @ v` computes it; `local @ r.T`
     # sums in another order and differs in the last bit.
-    dirs = np.matmul(lidar_to_world[:3, :3], local[:, :, None])[:, :, 0]
-    dist = raycaster(lidar_to_world[:3, 3], dirs, config.r_max)
-    return np.where((config.r_min <= dist) & (dist <= config.r_max), dist, np.nan)
+    dirs = np.concatenate([np.matmul(p[:3, :3], local[:, :, None])[:, :, 0] for p in poses])
+    dist = raycaster(np.repeat(poses[:, :3, 3], len(local), axis=0), dirs, config.r_max)
+    dist = np.where((config.r_min <= dist) & (dist <= config.r_max), dist, np.nan)
+    return dist.reshape(np.shape(lidar_to_world)[:-2] + (len(local),))
 
 
 def lidar_scan_2d(config: LidarConfig, lidar_to_world: np.ndarray, raycaster) -> np.ndarray:
-    """One planar sweep over the config's azimuth grid: the spatial cast at
-    elevation 0, as one batch. ranges[i] is the hit distance of the i-th
-    azimuth, inf when nothing is hit inside [r_min, r_max].
+    """Planar sweeps over the config's azimuth grid from a pose (4, 4) or a stack (S, 4, 4): the
+    spatial cast at elevation 0, as one batch. ranges[..., i] is the i-th azimuth's hit distance,
+    inf when nothing is hit inside [r_min, r_max].
 
-    raycaster(origin, directions (n, 3), r_max) -> (n,) distances, inf for a miss.
+    raycaster(origins (n, 3) or (3,), directions (n, 3), r_max) -> (n,) distances, inf for a miss.
     """
     dist = _cast(config, lidar_to_world, _unit_rays(config, (0.0,)), raycaster)
     return np.where(np.isnan(dist), np.inf, dist)

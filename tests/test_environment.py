@@ -183,6 +183,9 @@ TERRAINS = {
     "slope": lambda: _builtin_terrain("slope"),
     "random-cell-0.7": lambda: _random_terrain(0.7),
     "random-cell-3.3": lambda: _random_terrain(3.3),
+    # Half a cell halved 20 times is the bisection's 1e-6 tolerance, so the
+    # rounding of each ray's interval decides whether it halves once more.
+    "random-cell-2.097152": lambda: _random_terrain(2.097152),
 }
 
 # Exactly horizontal and axis-parallel rays: dz == 0 exactly, and in an
@@ -231,6 +234,7 @@ def test_terrain_raycast_equals_the_scalar_march(name):
     rng = np.random.default_rng(11)
     r_max = 80.0 if name in ("default", "slope") else 30.0
     branches = set()
+    origins, rays, wants = [], [], []
     for kind, origin in _origins(rng, terrain, 6):
         origin = np.array(origin)
         dirs = _directions(rng, 40)
@@ -238,9 +242,33 @@ def test_terrain_raycast_equals_the_scalar_march(name):
         want = [_inf(ref_terrain_raycast(terrain, origin, d, r_max)) for d in dirs]
         assert got.tolist() == want, kind
         branches.update(f"{kind}:{'hit' if math.isfinite(w) else 'miss'}" for w in want)
+        origins += [origin] * len(dirs)
+        rays.append(dirs)
+        wants += want
     # Each kind of origin saw hits and misses, except those at or below the surface.
     assert {"above:hit", "above:miss", "off-high:hit", "off-high:miss",
             "off-low:hit", "below:hit", "surface:hit"} <= branches
+    # All the rays in one cast, each from its own origin.
+    assert terrain.raycast(np.array(origins), np.vstack(rays), r_max).tolist() == wants
+
+
+def test_a_cast_across_march_chunks_equals_the_scalar_march():
+    """A march chunk holds 2**14 samples: 204 rays of 80 at r_max 80 on the
+    default map's 2 m cell. 615 rays from origins above the surface take four
+    chunks, and rays of more than one chunk bisect their crossing."""
+    terrain = _builtin_terrain("default")
+    rng = np.random.default_rng(15)
+    origins, dirs = [], []
+    for x, y in zip(rng.uniform(-50.0, 400.0, 3), rng.uniform(-20.0, 20.0, 3)):
+        origins += [(x, y, terrain.height_or_none(x, y) + rng.uniform(0.5, 3.0))] * 205
+        dirs.append(_directions(rng, 197))
+    origins, dirs = np.array(origins), np.vstack(dirs)
+    got = terrain.raycast(origins, dirs, 80.0)
+    want = [_inf(ref_terrain_raycast(terrain, o, d, 80.0)) for o, d in zip(origins, dirs)]
+    assert got.tolist() == want
+    # The samples lie at whole metres, so a hit off them was bisected.
+    bisected = [i for i, w in enumerate(want) if math.isfinite(w) and w % 1.0]
+    assert len({i // (2 ** 14 // 80) for i in bisected}) > 1
 
 
 @pytest.mark.parametrize("name", TERRAINS)
@@ -265,6 +293,7 @@ def test_obstacle_raycast_equals_the_scalar_slab_test():
     rng = np.random.default_rng(13)
     hits = 0
     for obs in _obstacles():
+        origins, rays, wants = [], [], []
         for origin in [(0.0, 0.0, 1.0), obs.position, (obs.position[0], 0.0, 5.0),
                        *rng.uniform(-12.0, 12.0, (6, 3))]:
             dirs = _directions(rng, 60)
@@ -276,6 +305,11 @@ def test_obstacle_raycast_equals_the_scalar_slab_test():
             want = [_inf(ref_obstacle_raycast(obs, origin, d)) for d in dirs]
             assert got.tolist() == want
             hits += sum(math.isfinite(w) for w in want)
+            origins += [origin] * len(dirs)
+            rays.append(dirs)
+            wants += want
+        # All the rays in one cast, each from its own origin.
+        assert obs.raycast(np.array(origins), np.vstack(rays)).tolist() == wants
     assert hits > 100
 
 
@@ -288,6 +322,7 @@ def test_env_raycast_equals_the_scalar_nearest_hit():
                                   [x, y, terrain.height_or_none(x, y) + 0.9], yaw=0.3 * i))
     hits = 0
     for r_max in (80.0, 20.0):
+        origins, rays, wants = [], [], []
         for _ in range(4):
             x, y = rng.uniform(395.0, 410.0), rng.uniform(-5.0, 5.0)
             origin = np.array([x, y, terrain.height_or_none(x, y) + 1.6])
@@ -300,6 +335,11 @@ def test_env_raycast_equals_the_scalar_nearest_hit():
             assert got.tolist() == want
             hits += sum(any(_inf(ref_obstacle_raycast(o, origin, d)) == w for o in obstacles)
                         for d, w in zip(dirs, want))
+            origins += [origin] * len(dirs)
+            rays.append(dirs)
+            wants += want
+        # All the rays in one cast, each from its own origin.
+        assert env_raycast(terrain, obstacles, np.array(origins), np.vstack(rays), r_max).tolist() == wants
     assert hits > 50
 
 

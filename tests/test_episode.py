@@ -129,6 +129,33 @@ def test_pinned_scan_digest():
         "a74ec959cdb8e0ebc21896c303596e16b0582ecf8fbf53393adb636e9d3997ac"
 
 
+def test_pinned_full_length_scan_digest():
+    """The whole default run with full scans: its 40 planar sweeps, 15 of which
+    see terrain (the only sweeps that bisect a crossing), are cast after the
+    run, and its telemetry is the run's without scans."""
+    res = run_case(_bundle("default"), collect_telemetry=True, full_scans=True)
+    assert (res.terminal, res.steps) == ("standstill_after_aeb", 2011)
+    assert res.log.digest() == DEFAULT_DIGEST
+    sweeps = res.scan_dump.split("\n# spatial scan (sensor frame)\n")[0].split("\n")
+    assert len(sweeps) == 40
+    assert sum(any(r != "inf" for r in line.split()[1:]) for line in sweeps) == 15
+    assert hashlib.sha256(res.scan_dump.encode()).hexdigest() == \
+        "3654b0f9c48f9c2aaf60ee39f6edbd8f158ab65484a8ae0a173031243a408863"
+
+
+def test_a_float_error_in_a_scan_cast_is_a_fault(monkeypatch):
+    """The sweeps are cast after the run reaches its own terminal, under the
+    step loop's float error rules: a cast that raises fails the case."""
+    def raising(*args):
+        raise FloatingPointError("overflow encountered in multiply")
+
+    monkeypatch.setattr(episode_module, "env_raycast", raising)
+    res = run_case(default_bundle(), full_scans=True)
+    assert (res.status, res.terminal, res.steps, res.verdict, res.scan_dump) == (
+        "failed", "fault", 2011, None, None)
+    assert res.error == "FloatingPointError: overflow encountered in multiply"
+
+
 @pytest.mark.parametrize("scenario, full_scans", [
     ("default", False), ("slope", False), ("default", True),
 ], ids=["default", "slope", "default-full-scans"])
@@ -690,6 +717,19 @@ def test_a_full_scan_too_large_to_cast_is_a_failed_result(lidar, rays):
     assert res.error == (f"ConfigurationError: a LIDAR cast of {rays} rays to r_max {r_max} "
                          f"exceeds {MAX_SCAN_SAMPLES} terrain samples")
     assert run_case(bundle).status == "done"
+
+
+@pytest.mark.parametrize("full_scans", [False, True])
+def test_a_lidar_range_under_one_sample_runs(full_scans):
+    """A sweep of fewer than one terrain sample still casts whole sweeps
+    together (no overflow in the group size), and its rays all miss."""
+    bundle = _bundle("default")
+    bundle["sim"]["t_max"] = 1.0
+    bundle["sensors"]["lidar"].update(r_min=0.0, r_max=1e-310)
+    res = run_case(bundle, full_scans=full_scans)
+    assert (res.status, res.terminal, res.steps) == ("done", "timeout", 100)
+    if full_scans:
+        assert res.scan_dump.startswith("t=0.50 inf inf ")
 
 
 # -- contact ---------------------------------------------------------------------

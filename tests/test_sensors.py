@@ -1,5 +1,6 @@
-"""LIDAR sweeps over flat ground, where every range has a closed form, and
-the batched ray rotation against the per-row product it replaced."""
+"""LIDAR sweeps over flat ground, where every range has a closed form, the
+batched ray rotation against the per-row product it replaced, and a stack of
+sweep poses against each pose cast alone."""
 
 import functools
 import math
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from twinforge.documents import ConfigurationError
-from twinforge.environment import TerrainHeightmap, env_raycast
+from twinforge.environment import Obstacle, TerrainHeightmap, env_raycast
 from twinforge.se3 import quat_to_matrix
 from twinforge.sensors import LidarConfig, angle_grid, lidar_scan_2d, lidar_scan_3d
 
@@ -93,21 +94,23 @@ def _random_pose(rng) -> np.ndarray:
     return t
 
 
-def _directions_cast(scan, *args) -> np.ndarray:
-    """The directions a scan hands its raycaster."""
+def _cast_by(scan, *args) -> tuple[np.ndarray, np.ndarray]:
+    """The origins, broadcast to one per ray, and the directions a scan hands its raycaster."""
     seen = []
 
-    def raycaster(origin, directions, r_max):
-        seen.append(directions.copy())
+    def raycaster(origins, directions, r_max):
+        seen.append((np.broadcast_to(origins, directions.shape).copy(), directions.copy()))
         return np.full(len(directions), np.inf)
 
     scan(*args, raycaster)
     return seen[0]
 
 
-@pytest.mark.parametrize("planar", [True, False], ids=["2d", "3d"])
-def test_batched_rotation_equals_the_per_row_product(planar):
-    """Every direction equals `r @ v` for its unit ray v, bit for bit."""
+@pytest.mark.parametrize("cast", ["2d", "3d", "2d-stack"])
+def test_batched_rotation_equals_the_per_row_product(cast):
+    """Every direction equals `r @ v` for its unit ray v, bit for bit; a stack
+    of 5 poses casts each pose's rays in turn, each from its pose's origin."""
+    planar = cast != "3d"
     config = LidarConfig() if planar else LidarConfig(theta_min=-0.6, theta_max=0.6, theta_res=0.05)
     thetas = angle_grid(config.theta_min, config.theta_max, config.theta_res)
     phis = angle_grid(-0.3, 0.3, 0.05)
@@ -117,13 +120,30 @@ def test_batched_rotation_equals_the_per_row_product(planar):
         local = np.array([(math.cos(t) * math.cos(p), math.sin(t) * math.cos(p), -math.sin(p))
                           for p in phis for t in thetas])
     rng = np.random.default_rng(5)
-    for _ in range(300 if planar else 100):
-        pose = _random_pose(rng)
-        if planar:
-            dirs = _directions_cast(lidar_scan_2d, config, pose)
+    for _ in range({"2d": 300, "3d": 100, "2d-stack": 60}[cast]):
+        poses = [_random_pose(rng) for _ in range(5 if cast == "2d-stack" else 1)]
+        if cast == "3d":
+            origins, dirs = _cast_by(lidar_scan_3d, config, phis, poses[0])
         else:
-            dirs = _directions_cast(lidar_scan_3d, config, phis, pose)
-        r = pose[:3, :3]
-        assert np.array_equal(dirs, np.array([r @ v for v in local]))
-        if planar:  # the planar sweep is the spatial cast at elevation 0
-            assert np.array_equal(dirs, _directions_cast(lidar_scan_3d, config, [0.0], pose))
+            origins, dirs = _cast_by(lidar_scan_2d, config, poses[0] if cast == "2d" else np.array(poses))
+        assert np.array_equal(dirs, np.array([p[:3, :3] @ v for p in poses for v in local]))
+        assert np.array_equal(origins, np.array([p[:3, 3] for p in poses for _ in local]))
+        if cast == "2d":  # the planar sweep is the spatial cast at elevation 0
+            assert np.array_equal(dirs, _cast_by(lidar_scan_3d, config, [0.0], poses[0])[1])
+
+
+def test_a_stack_of_poses_scans_as_each_pose_alone():
+    """lidar_scan_2d over a stack of 5 poses gives the 5 single-pose sweeps, bit
+    for bit, over bumpy terrain and a box."""
+    rng = np.random.default_rng(6)
+    terrain = TerrainHeightmap(rng.normal(0.0, 1.5, (51, 51)), 2.0, (-50.0, -50.0))
+    box = Obstacle("box0", "rock", (2.0, 3.0, 2.0), (5.0, 4.0, 1.0), yaw=0.4)
+    raycast = functools.partial(env_raycast, terrain, [box])
+    poses = [_random_pose(rng) for _ in range(5)]
+    for pose in poses:
+        pose[:3, 3] = (*rng.uniform(-10.0, 10.0, 2), rng.uniform(3.0, 6.0))
+    stacked = lidar_scan_2d(LidarConfig(), np.array(poses), raycast)
+    alone = [lidar_scan_2d(LidarConfig(), pose, raycast) for pose in poses]
+    assert stacked.shape == (5, 181)
+    assert np.array_equal(stacked, np.array(alone))
+    assert 100 < np.isfinite(stacked).sum() < stacked.size
