@@ -13,7 +13,7 @@ from .config import GEAR_NEUTRAL, PowertrainParams
 
 RPM_PER_RAD_S = 60.0 / (2.0 * math.pi)
 
-STANDSTILL_SPEED = 0.1  # m/s
+NEUTRAL_SPEED = 0.1  # m/s: below it, with the wheels near still and no throttle, the gear is neutral
 
 
 def transmission_map_rpm(speed_mps: float, wheel_radius_m: float, fdr: float, gear_ratio: float) -> float:
@@ -48,7 +48,7 @@ def powertrain_step(
     if shifting:
         pt.shift_timer = max(0.0, pt.shift_timer - dt)
 
-    standstill = abs(speed) < STANDSTILL_SPEED and abs(wheel_rpm_avg) < 30.0
+    standstill = abs(speed) < NEUTRAL_SPEED and abs(wheel_rpm_avg) < 30.0
     if not shifting:
         gear = pt.gear
         if standstill and throttle <= 1e-3:

@@ -152,11 +152,12 @@ class TerrainHeightmap:
         """March every ray in half-cell steps against the surface in lockstep;
         bisect each ray's first sign change.
 
-        directions is (n, 3) with unit rows and origins (n, 3), one per ray, or
-        one (3,) for all. Returns (n,) hit distances, inf for a miss. A ray
-        whose first in-map sample is at or below the surface after off-map
-        samples hits at that sample; a ray whose origin is on the map at or
-        below the surface hits at 0.
+        directions is (n, 3) with unit rows, origins (n, 3), one per ray, or
+        one (3,) for all, and r_max >= 0. Returns (n,) hit distances, inf for
+        a miss, each finite one a sample or the midpoint of two, so at most
+        r_max. The origin is sample 0: a ray's first sample on the map at or
+        below the surface is its hit, bisected back to the sample before if
+        that one is on the map, so an origin there hits at 0.
 
         Whole rays are marched in chunks of at most 2**14 samples (one ray's
         samples if it has more), and the bracketed rays of all chunks are
@@ -165,26 +166,21 @@ class TerrainHeightmap:
         step = self.cell * 0.5
         d = np.asarray(directions, dtype=np.float64).reshape(-1, 3)
         o = np.broadcast_to(np.asarray(origins, dtype=np.float64), d.shape)
-        on_map = self.contains(o[:, 0], o[:, 1])
-        under = np.zeros(len(d), dtype=bool)
-        under[on_map] = o[on_map, 2] - self.heights_at(o[on_map, 0], o[on_map, 1]) <= 0.0
-        out = np.where(under, 0.0, np.inf)
-        ts = np.add.accumulate(np.full(int(r_max / step) + 2, step))
+        out = np.full(len(d), np.inf)
+        ts = np.add.accumulate(np.r_[0.0, np.full(int(r_max / step) + 1, step)])
         ts = ts[ts <= r_max]
-        march = np.flatnonzero(~under)
-        if not len(ts) or not len(march):
-            return out
-        brackets = []
+        brackets = [(np.zeros(0, np.intp),) * 2]  # so that a cast of no rays concatenates
         per_chunk = max(1, 2 ** 14 // len(ts))
-        for first in range(0, len(march), per_chunk):
-            chunk = march[first:first + per_chunk]
+        for first in range(0, len(d), per_chunk):
+            chunk = slice(first, first + per_chunk)
             (ox, oy, oz), (dx, dy, dz) = o[chunk].T[:, :, None], d[chunk].T[:, :, None]
             xs = ox + dx * ts
             ys = oy + dy * ts
             zs = oz + dz * ts
-            # A ray that climbs above all terrain misses, before its height query.
+            # A ray that climbs above all terrain misses, before its height query;
+            # zs does not decrease along it, so it stays above.
             climb = (dz >= 0.0) & (zs > self._z_max)
-            inside = self.contains(xs, ys) & ~np.logical_or.accumulate(climb, axis=1)
+            inside = self.contains(xs, ys) & ~climb
             ground = np.zeros_like(inside)
             ground[inside] = zs[inside] - self.heights_at(xs[inside], ys[inside]) <= 0.0
             event = climb | ground
@@ -192,12 +188,13 @@ class TerrainHeightmap:
             k = event[rays].argmax(axis=1)
             hit = ground[rays, k]
             rays, k = rays[hit], k[hit]
-            out[chunk[rays]] = ts[k]
-            # From an in-map sample (or origin) above the surface, bisect the crossing.
-            prev_inside = np.where(k > 0, inside[rays, k - 1], on_map[chunk[rays]])
-            brackets.append((chunk[rays[prev_inside]], k[prev_inside]))
+            out[first + rays] = ts[k]
+            # From the sample before, if it is on the map (and so above the surface),
+            # bisect the crossing; sample 0 has none before it.
+            bracketed = (k > 0) & inside[rays, k - 1]
+            brackets.append((first + rays[bracketed], k[bracketed]))
         rays, k = (np.concatenate(b) for b in zip(*brackets))
-        lo = np.where(k > 0, ts[k - 1], 0.0)
+        lo = ts[k - 1]
         hi = ts[k]
         (ox, oy, oz), (dx, dy, dz) = o[rays].T, d[rays].T
         for _ in range(64):
@@ -278,9 +275,9 @@ def env_raycast(terrain: TerrainHeightmap, obstacles, origins, directions,
                 r_max: float) -> np.ndarray:
     """Distance along each of the (n, 3) directions, from origins (n, 3) or
     (3,), to the nearest hit among the terrain surface and all obstacle
-    boxes: (n,), inf where nothing is hit within r_max."""
-    d = terrain.raycast(origins, directions, r_max)
-    best = np.where(d <= r_max, d, math.inf)
+    boxes: (n,), inf where nothing is hit within r_max. The terrain's
+    distances are within r_max already; an obstacle's are not."""
+    best = terrain.raycast(origins, directions, r_max)
     for obs in obstacles:
         d = obs.raycast(origins, directions)
         best = np.where((d <= r_max) & (d < best), d, best)

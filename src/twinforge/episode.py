@@ -41,7 +41,8 @@ from .environment import (
     footprint_corners,
     rectangles_overlap,
 )
-from .metrics import TelemetryLog, TelemetryRecord, VerdictRecords, compute_dtc, evaluate_verdict
+from .metrics import (CONTACT_MARGIN, TelemetryLog, TelemetryRecord, VerdictRecords, compute_dtc,
+                      evaluate_verdict)
 from .scenarios import ScenarioConfig, build_scenario, builtin_scenario_doc
 from .scenarios import load_scenario_doc  # noqa: F401  a binding perfbench/tracing.py wraps
 from .se3 import pose_matrix
@@ -60,8 +61,9 @@ from .sensors import (
 )
 
 MAX_STEPS = 10_000_000  # in t_max and in contact_window; the default sim section takes 12,000
-# Terrain samples (rays x r_max / (cell / 2)) one full_scans LIDAR cast holds at once: a cast
-# of whole planar sweeps, about 14,500 each by default, or the final spatial scan's 26,000.
+# Terrain samples (rays x (r_max / (cell / 2) + 1), the origin sample included) one full_scans
+# LIDAR cast holds at once: a cast of whole planar sweeps, 181 x 81 = 14,661 each by default,
+# or the final spatial scan's 325 x 81 = 26,325.
 MAX_SCAN_SAMPLES = 1_000_000
 
 
@@ -190,11 +192,11 @@ class Episode:
         samples = []
         for lidar, channels in ((self.lidar, 1), (self.spatial_lidar, len(self.spatial_phis))):
             rays = ((lidar.theta_max - lidar.theta_min) / lidar.theta_res + 1.0) * channels
-            samples.append(rays * lidar.r_max / (self.terrain.cell / 2.0))
+            samples.append(rays * (lidar.r_max / (self.terrain.cell / 2.0) + 1.0))
             if full_scans and not samples[-1] <= MAX_SCAN_SAMPLES:
                 raise ConfigurationError(f"a LIDAR cast of {rays:.6g} rays to r_max {lidar.r_max} "
                                          f"exceeds {MAX_SCAN_SAMPLES} terrain samples")
-        self.sweeps_per_cast = max(1, int(MAX_SCAN_SAMPLES // max(samples[0], 1.0)))
+        self.sweeps_per_cast = max(1, int(MAX_SCAN_SAMPLES // samples[0]))
 
     # -- helpers ---------------------------------------------------------------
 
@@ -216,10 +218,9 @@ class Episode:
     def _overlaps(self, ex: float, ey: float, eyaw: float) -> bool:
         """Whether the ego footprint overlaps any obstacle.
 
-        `advance` calls it only when the pose's DTC is at most 1e-6 m: no point
-        of the footprint lies ahead of the front face, so an obstacle whose
-        near edge is more than 1e-6 m (far above rounding) ahead of it cannot
-        touch.
+        `advance` calls it only when the pose's DTC is at most `CONTACT_MARGIN`:
+        no point of the footprint lies ahead of the front face, so an obstacle
+        whose near edge is more than that ahead of it cannot touch.
         """
         fp = self.case.vehicle.footprint
         ego = footprint_corners(ex, ey, eyaw, fp.length, fp.width, fp.center_x)
@@ -254,7 +255,7 @@ class Episode:
         cruise_speed, cruise_kp = self.case.scenario.cruise_speed, autonomy.control.cruise_kp
         perception_period = autonomy.perception_period_steps
         contact_steps = int(round(sim.contact_window / dt))
-        grace = sim.post_stop_grace
+        grace, margin = sim.post_stop_grace, CONTACT_MARGIN
         front_offset, half_width, obstacles = self.front_offset, self.half_width, self.obstacles
         full_scans, scan_poses, terrain = self.full_scans, run.scan_poses, self.terrain
         state, pose, planner = run.plant, run.pose, run.planner
@@ -289,7 +290,7 @@ class Episode:
                     position, euler = read(pose)
                     ex, ey, eyaw = position[0], position[1], euler[2]
                     dtc = compute_dtc(ex, ey, eyaw, front_offset, half_width, obstacles)
-                    if not collision_count and dtc <= 1e-6 and self._overlaps(ex, ey, eyaw):
+                    if not collision_count and dtc <= margin and self._overlaps(ex, ey, eyaw):
                         collision_count = 1
                         contact_end = steps + contact_steps
 
@@ -355,8 +356,7 @@ class Episode:
                 group = run.scan_poses[first:first + self.sweeps_per_cast]
                 poses = np.array([pose_matrix(*pose) @ mount for _, pose in group])
                 for (t, _), ranges in zip(group, lidar_scan_2d(self.lidar, poses, raycast)):
-                    lines.append(f"t={t:.2f} " + " ".join(
-                        f"{r:.4f}" if math.isfinite(r) else "inf" for r in ranges.tolist()))
+                    lines.append(f"t={t:.2f} " + " ".join(f"{r:.4f}" for r in ranges.tolist()))
             points = lidar_scan_3d(self.spatial_lidar, self.spatial_phis,
                                    pose_matrix(*run.pose) @ mount, raycast)
         return "\n".join(lines) + "\n# spatial scan (sensor frame)\n" + point_cloud_ascii(points)

@@ -144,13 +144,16 @@ def parse_csv(text: str) -> list[TelemetryRecord]:
 
 # -- distance to collision -----------------------------------------------------
 
+CONTACT_MARGIN = 1e-6  # m, far above rounding: the lane's widening, and the DTC that tests overlap
+
+
 def compute_dtc(ego_x: float, ego_y: float, ego_yaw: float, front_offset: float,
                 half_width: float, obstacles) -> float:
     """Gap from the ego's front face to the nearest obstacle in its lane, along
     the path axis.
 
-    The lane is `half_width` either side of the heading axis, widened by 1e-6 m
-    (far above rounding) so that it holds every obstacle the footprint can
+    The lane is `half_width` either side of the heading axis, widened by
+    `CONTACT_MARGIN` so that it holds every obstacle the footprint can
     touch; an obstacle whose lateral span misses it is not on the path. The
     gap is negative when the near edge is behind the front face (overlap or
     passed); +inf when no obstacle is in the lane.
@@ -158,7 +161,7 @@ def compute_dtc(ego_x: float, ego_y: float, ego_yaw: float, front_offset: float,
     best = math.inf
     hx, hy = math.cos(ego_yaw), math.sin(ego_yaw)
     front_s = ego_x * hx + ego_y * hy + front_offset
-    lane = half_width + 1e-6
+    lane = half_width + CONTACT_MARGIN
     ego_lat = ego_y * hx - ego_x * hy
     for obs in obstacles:
         # Rounding is monotonic, so the least gap is the near edge's gap.

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .documents import ConfigurationError, Finite, Positive, Section, Seed
+from .documents import ConfigurationError, Finite, Positive, Section, Seed, to_doc
 from .environment import Obstacle, TerrainHeightmap
 
 TERRAIN_KINDS = ("rolling", "upslope", "flat")
@@ -78,25 +78,20 @@ class ScenarioConfig(Section):
     cruise_speed: Positive
 
 
+# name -> (scenario name, terrain kind, the moose's distance ahead or None for no moose)
+_BUILTINS = {"default": ("moose_crossing", "rolling", 75.0),
+             "slope": ("moose_upslope", "upslope", 120.0),
+             "flat": ("flat_corridor", "flat", None)}
+
+
 def builtin_scenario_doc(name: str) -> dict:
-    """Built-in scenario documents: 'default', 'slope', 'flat'."""
-    common = {
-        "schema_version": ScenarioConfig.SCHEMA_VERSION,
-        "spawn": {"x": 400.0, "y": 0.0, "yaw": 0.0},
-        "cruise_speed": 11.1,
-    }
-    grid = {"length": 2200.0, "width": 60.0, "cell": 2.0, "origin_x": -100.0}
-    moose = {"id": "moose0", "class": "moose", "extents": [0.8, 2.4, 1.8], "lateral": 0.0}
-    if name == "default":
-        return dict(common, name="moose_crossing", terrain=dict(grid, kind="rolling", seed=7),
-                    obstacles=[dict(moose, ahead=75.0)])
-    if name == "slope":
-        return dict(common, name="moose_upslope", obstacles=[dict(moose, ahead=120.0)],
-                    terrain=dict(grid, kind="upslope", grade=0.07, ramp_start_ahead=32.0))
-    if name == "flat":
-        return dict(common, name="flat_corridor", terrain=dict(grid, kind="flat", height=0.0),
-                    obstacles=[])
-    raise ScenarioError(f"unknown built-in scenario {name!r}")
+    """Built-in scenario documents: 'default', 'slope', 'flat'. The terrain's
+    grid, seed, grade, ramp start and flat height are the `TerrainSpec` defaults."""
+    if name not in _BUILTINS:
+        raise ScenarioError(f"unknown built-in scenario {name!r}")
+    title, kind, ahead = _BUILTINS[name]
+    moose = [] if ahead is None else [ObstacleSpec("moose0", "moose", (0.8, 2.4, 1.8), ahead)]
+    return to_doc(ScenarioConfig(title, TerrainSpec(kind), Spawn(400.0, 0.0), moose, 11.1))
 
 
 def load_scenario_doc(path_or_name: str) -> dict:

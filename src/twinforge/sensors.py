@@ -137,13 +137,13 @@ def _unit_rays(config: LidarConfig, phis: tuple[float, ...]) -> np.ndarray:
 def _cast(config: LidarConfig, lidar_to_world: np.ndarray, local: np.ndarray,
           raycaster) -> np.ndarray:
     """Distances along the sensor-frame unit rays local (n, 3) from a pose (4, 4), (n,), or each
-    of a stack (S, 4, 4), (S, n), in one raycaster call; NaN where nothing is hit inside [r_min, r_max]."""
+    of a stack (S, 4, 4), (S, n), in one raycaster call; inf where nothing is hit inside [r_min, r_max]."""
     poses = np.reshape(lidar_to_world, (-1, 4, 4))
     # One matrix-vector product per row, as `r @ v` computes it; `local @ r.T`
     # sums in another order and differs in the last bit.
     dirs = np.concatenate([np.matmul(p[:3, :3], local[:, :, None])[:, :, 0] for p in poses])
     dist = raycaster(np.repeat(poses[:, :3, 3], len(local), axis=0), dirs, config.r_max)
-    dist = np.where((config.r_min <= dist) & (dist <= config.r_max), dist, np.nan)
+    dist = np.where((config.r_min <= dist) & (dist <= config.r_max), dist, np.inf)
     return dist.reshape(np.shape(lidar_to_world)[:-2] + (len(local),))
 
 
@@ -154,8 +154,7 @@ def lidar_scan_2d(config: LidarConfig, lidar_to_world: np.ndarray, raycaster) ->
 
     raycaster(origins (n, 3) or (3,), directions (n, 3), r_max) -> (n,) distances, inf for a miss.
     """
-    dist = _cast(config, lidar_to_world, _unit_rays(config, (0.0,)), raycaster)
-    return np.where(np.isnan(dist), np.inf, dist)
+    return _cast(config, lidar_to_world, _unit_rays(config, (0.0,)), raycaster)
 
 
 def lidar_scan_3d(config: LidarConfig, phis: np.ndarray, lidar_to_world: np.ndarray,
@@ -163,10 +162,11 @@ def lidar_scan_3d(config: LidarConfig, phis: np.ndarray, lidar_to_world: np.ndar
     """Spatial scan: the config's azimuth grid at each elevation in phis, cast
     as one batch (see `lidar_scan_2d`). Sensor-frame hit points
     (channels, rays, 3), row-major channel-then-azimuth, with NaN triplets
-    for misses."""
+    for misses: a miss is an inf range, and NaN only in the points, since
+    0 * inf is an invalid operation."""
     local = _unit_rays(config, tuple(np.asarray(phis).tolist()))
     dist = _cast(config, lidar_to_world, local, raycaster)
-    return (local * dist[:, None]).reshape(len(phis), -1, 3)
+    return (local * np.where(np.isinf(dist), np.nan, dist)[:, None]).reshape(len(phis), -1, 3)
 
 
 def point_cloud_ascii(points: np.ndarray) -> str:

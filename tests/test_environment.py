@@ -204,7 +204,8 @@ def _directions(rng, n):
 
 
 def _origins(rng, terrain, n):
-    """Above the surface in the map, off the map (high and low), and at or
+    """Above the surface in the map, above all terrain in the map (a ray that
+    does not descend climbs at sample 0), off the map (high and low), and at or
     below the surface."""
     x0, y0, x1, y1 = terrain.bounds
     span = min(x1 - x0, 150.0)
@@ -215,6 +216,7 @@ def _origins(rng, terrain, n):
         h = terrain.height_or_none(x, y)
         out.append(("above", (x, y, h + rng.uniform(0.2, 4.0))))
         out.append(("below", (x, y, h - rng.uniform(0.0, 1.0))))
+        out.append(("above-all", (x, y, terrain._z_max + rng.uniform(0.1, 2.0))))
     out.append(("surface", (xs[0], ys[0], terrain.height_or_none(xs[0], ys[0]))))
     for x in xs[:3]:
         edge = terrain.height_or_none(x, y1 - 0.01)
@@ -241,21 +243,26 @@ def test_terrain_raycast_equals_the_scalar_march(name):
         got = terrain.raycast(origin, dirs, r_max)
         want = [_inf(ref_terrain_raycast(terrain, origin, d, r_max)) for d in dirs]
         assert got.tolist() == want, kind
+        assert (got[np.isfinite(got)] <= r_max).all()
         branches.update(f"{kind}:{'hit' if math.isfinite(w) else 'miss'}" for w in want)
         origins += [origin] * len(dirs)
         rays.append(dirs)
         wants += want
-    # Each kind of origin saw hits and misses, except those at or below the surface.
-    assert {"above:hit", "above:miss", "off-high:hit", "off-high:miss",
+    # Each kind of origin saw hits and misses, except those at or below the
+    # surface, which hit, and those above all terrain, of which only the misses
+    # (the climb at sample 0) are sure on every map.
+    assert {"above:hit", "above:miss", "above-all:miss", "off-high:hit", "off-high:miss",
             "off-low:hit", "below:hit", "surface:hit"} <= branches
-    # All the rays in one cast, each from its own origin.
+    # All the rays in one cast, each from its own origin, and a cast of none.
     assert terrain.raycast(np.array(origins), np.vstack(rays), r_max).tolist() == wants
+    assert terrain.raycast(origins[0], np.zeros((0, 3)), r_max).shape == (0,)
 
 
 def test_a_cast_across_march_chunks_equals_the_scalar_march():
-    """A march chunk holds 2**14 samples: 204 rays of 80 at r_max 80 on the
-    default map's 2 m cell. 615 rays from origins above the surface take four
-    chunks, and rays of more than one chunk bisect their crossing."""
+    """A march chunk holds 2**14 samples: 202 rays of 81, the origin's and 80
+    more, at r_max 80 on the default map's 2 m cell. 615 rays from origins
+    above the surface take four chunks, and rays of more than one chunk bisect
+    their crossing."""
     terrain = _builtin_terrain("default")
     rng = np.random.default_rng(15)
     origins, dirs = [], []
@@ -268,7 +275,7 @@ def test_a_cast_across_march_chunks_equals_the_scalar_march():
     assert got.tolist() == want
     # The samples lie at whole metres, so a hit off them was bisected.
     bisected = [i for i, w in enumerate(want) if math.isfinite(w) and w % 1.0]
-    assert len({i // (2 ** 14 // 80) for i in bisected}) > 1
+    assert len({i // (2 ** 14 // 81) for i in bisected}) > 1
 
 
 @pytest.mark.parametrize("name", TERRAINS)
@@ -308,8 +315,9 @@ def test_obstacle_raycast_equals_the_scalar_slab_test():
             origins += [origin] * len(dirs)
             rays.append(dirs)
             wants += want
-        # All the rays in one cast, each from its own origin.
+        # All the rays in one cast, each from its own origin, and a cast of none.
         assert obs.raycast(np.array(origins), np.vstack(rays)).tolist() == wants
+        assert obs.raycast(origins[0], np.zeros((0, 3))).shape == (0,)
     assert hits > 100
 
 
@@ -333,13 +341,15 @@ def test_env_raycast_equals_the_scalar_nearest_hit():
             got = env_raycast(terrain, obstacles, origin, dirs, r_max)
             want = [ref_env_raycast(terrain, obstacles, origin, d, r_max) for d in dirs]
             assert got.tolist() == want
+            assert (got[np.isfinite(got)] <= r_max).all()
             hits += sum(any(_inf(ref_obstacle_raycast(o, origin, d)) == w for o in obstacles)
                         for d, w in zip(dirs, want))
             origins += [origin] * len(dirs)
             rays.append(dirs)
             wants += want
-        # All the rays in one cast, each from its own origin.
+        # All the rays in one cast, each from its own origin, and a cast of none.
         assert env_raycast(terrain, obstacles, np.array(origins), np.vstack(rays), r_max).tolist() == wants
+        assert env_raycast(terrain, obstacles, origin, np.zeros((0, 3)), r_max).shape == (0,)
     assert hits > 50
 
 

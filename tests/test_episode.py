@@ -553,7 +553,7 @@ def test_default_bundle_section_round_trips(section, kind):
 def test_default_bundle_digest():
     text = json.dumps(default_bundle(), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == \
-        "d176c75d28297ca4632fd33953b2485f7bb190345bfb414a9446d351864308d3"
+        "6920a57dc4525c6cedf3b3141496ed95e51d3795b3fbd17050ad7b30cb91a5e9"
 
 
 def test_an_int_passes_where_a_float_is_hinted():
