@@ -1,8 +1,8 @@
 """Vehicle parameter set: sprung masses, suspension, powertrain, brakes, tires
 and aerodynamics, plus the derived per-corner quantities used by the
-integrator. Each quantity is stored once: wheelbase and track come from the
-wheel mounts, the tire radius is the suspension's wheel radius and the top
-speed is the aero section's.
+integrator. Each quantity is stored once: the wheel mounts are the only axle
+geometry, the tire radius is the suspension's wheel radius and the top speed
+is the aero section's.
 
 Each number's default is on its field, so `{"schema_version": 2}` is the
 default vehicle; a list or dict field and the tire spline are given whole.
@@ -211,8 +211,6 @@ class VehicleConfig(Section):
     total_mass: float = field(init=False)
     com: tuple[float, float, float] = field(init=False)
     inertia: tuple[float, float, float] = field(init=False)
-    wheelbase: float = field(init=False)  # front-axle mean mount x - rear-axle mean x
-    track: float = field(init=False)      # FL mount y - FR mount y
     wheel_inertia: float = field(init=False)
     wheels: list[WheelConfig] = field(init=False)
 
@@ -223,15 +221,15 @@ class VehicleConfig(Section):
         if set(mounts) != set(WHEEL_NAMES):
             raise ConfigurationError(f"wheel_mounts must define exactly {WHEEL_NAMES}")
         xr = (mounts["RL"][0] + mounts["RR"][0]) / 2.0
-        self.wheelbase = (mounts["FL"][0] + mounts["FR"][0]) / 2.0 - xr
-        self.track = mounts["FL"][1] - mounts["FR"][1]
-        if not (self.wheelbase > 0 and self.track > 0):
+        wheelbase = (mounts["FL"][0] + mounts["FR"][0]) / 2.0 - xr  # front-axle mean x - rear
+        track = mounts["FL"][1] - mounts["FR"][1]
+        if not (wheelbase > 0 and track > 0):
             raise ConfigurationError("wheel_mounts must give wheelbase and track > 0")
         # solid-disc approximation for wheel spin inertia
         self.wheel_inertia = 0.5 * self.suspension.wheel_mass * self.suspension.wheel_radius ** 2
         # static load split from the COM position over the wheelbase and track
-        front_share = clamp((self.com[0] - xr) / self.wheelbase, 0.1, 0.9)
-        left_share = clamp(0.5 + self.com[1] / self.track, 0.1, 0.9)
+        front_share = clamp((self.com[0] - xr) / wheelbase, 0.1, 0.9)
+        left_share = clamp(0.5 + self.com[1] / track, 0.1, 0.9)
         self.wheels = [self._build_wheel(name, front_share, left_share) for name in WHEEL_NAMES]
 
     def _build_wheel(self, name: str, front_share: float, left_share: float) -> WheelConfig:

@@ -51,11 +51,6 @@ class VehicleState:
         self.cmd_brake = clamp(brake, 0.0, 1.0)
 
     @property
-    def speed(self) -> float:
-        vx, vy, vz = self.vel
-        return math.sqrt(vx * vx + vy * vy + vz * vz)
-
-    @property
     def forward_speed(self) -> float:
         return self.vel[0]
 

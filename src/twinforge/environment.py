@@ -74,12 +74,6 @@ class TerrainHeightmap:
         # A memoryview cannot be pickled; rebuild the map from its grid.
         return type(self), (self.heights, self.cell, self.origin)
 
-    @classmethod
-    def flat(cls, height: float = 0.0, size: float = 200.0, cell: float = 2.0,
-             origin: tuple[float, float] = (-100.0, -100.0)) -> "TerrainHeightmap":
-        n = int(size / cell) + 1
-        return cls(np.full((n, n), float(height)), cell, origin)
-
     @property
     def bounds(self) -> tuple[float, float, float, float]:
         return (self.origin[0], self.origin[1], self._max_x, self._max_y)

@@ -153,8 +153,7 @@ class EpisodeState:
     log: VerdictRecords  # a TelemetryLog with collect_telemetry
     steps: int = 0
     seen: tuple[int, float, float] | None = None  # the last frame's summary, for its records
-    collision_count: int = 0  # 1 from the first overlap on
-    contact_end: float = math.inf  # the step that ends the trace after contact
+    contact_end: float = math.inf  # the step that ends the trace after the first overlap, inf before it
     hold_elapsed: float = 0.0
     scan_poses: list = field(default_factory=list)  # (t, pose) of each planar sweep under full_scans
     terminal: str | None = None  # an EpisodeResult terminal, once reached
@@ -260,8 +259,8 @@ class Episode:
         full_scans, scan_poses, terrain = self.full_scans, run.scan_poses, self.terrain
         state, pose, planner = run.plant, run.pose, run.planner
         # The run's counters, in locals that are written back on exit: no step reads `run`.
-        steps, seen, collision_count = run.steps, run.seen, run.collision_count
-        contact_end, hold_elapsed = run.contact_end, run.hold_elapsed
+        steps, seen, contact_end, hold_elapsed = run.steps, run.seen, run.contact_end, run.hold_elapsed
+        collision_count = 0 if contact_end == math.inf else 1  # the records' count: 1 from contact on
         # The loop's bound methods, read once.
         perceive, detect, plan = self._perceive, run.detector.detect, planner.plan
         step, origin_pose = self.vehicle.step, self.vehicle.origin_pose
@@ -311,8 +310,8 @@ class Episode:
         except (SimulationFault, TerrainQueryError, ArithmeticError) as exc:
             terminal = "fault"
             run.error = f"{type(exc).__name__}: {exc}"
-        run.steps, run.pose, run.seen, run.collision_count = steps, pose, seen, collision_count
-        run.contact_end, run.hold_elapsed, run.terminal = contact_end, hold_elapsed, terminal
+        run.steps, run.pose, run.seen, run.contact_end = steps, pose, seen, contact_end
+        run.hold_elapsed, run.terminal = hold_elapsed, terminal
         return run
 
     def result(self, run: EpisodeState) -> EpisodeResult:

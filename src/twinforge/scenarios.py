@@ -158,7 +158,9 @@ def build_scenario(config: ScenarioConfig, front_offset: float) -> tuple[Terrain
         oy = sy + spec.lateral
         gz = terrain.height_or_none(ox, oy)
         if gz is None:
-            raise ScenarioError(f"obstacle {spec.id} placed off-terrain at x={ox:.1f}")
+            x0, y0, x1, y1 = terrain.bounds
+            raise ScenarioError(f"obstacle {spec.id} placed off-terrain at ({ox:.1f}, {oy:.1f}), "
+                                f"outside x [{x0:.1f}, {x1:.1f}] and y [{y0:.1f}, {y1:.1f}]")
         obstacles.append(Obstacle(
             obstacle_id=spec.id,
             cls=spec.class_,

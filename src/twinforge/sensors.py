@@ -4,7 +4,6 @@ spatial LIDAR. All of them are noise-free and deterministic.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -122,16 +121,13 @@ def angle_grid(lo: float, hi: float, res: float) -> np.ndarray:
     return lo + np.arange(n) * res
 
 
-@functools.cache
-def _unit_rays(config: LidarConfig, phis: tuple[float, ...]) -> np.ndarray:
+def _unit_rays(config: LidarConfig, phis) -> np.ndarray:
     """Sensor-frame unit rays (n, 3) of the config's azimuth grid at each
     elevation in phis (channel, then azimuth); the planar sweep is the one at
-    elevation 0. Built once per grid; read-only."""
+    elevation 0. Built for each cast; a cast holds a whole batch of sweeps."""
     thetas = angle_grid(config.theta_min, config.theta_max, config.theta_res)
-    local = np.array([(math.cos(t) * math.cos(p), math.sin(t) * math.cos(p), -math.sin(p))
-                      for p in phis for t in thetas])
-    local.flags.writeable = False
-    return local
+    return np.array([(math.cos(t) * math.cos(p), math.sin(t) * math.cos(p), -math.sin(p))
+                     for p in phis for t in thetas])
 
 
 def _cast(config: LidarConfig, lidar_to_world: np.ndarray, local: np.ndarray,
@@ -164,7 +160,7 @@ def lidar_scan_3d(config: LidarConfig, phis: np.ndarray, lidar_to_world: np.ndar
     (channels, rays, 3), row-major channel-then-azimuth, with NaN triplets
     for misses: a miss is an inf range, and NaN only in the points, since
     0 * inf is an invalid operation."""
-    local = _unit_rays(config, tuple(np.asarray(phis).tolist()))
+    local = _unit_rays(config, phis)
     dist = _cast(config, lidar_to_world, local, raycaster)
     return (local * np.where(np.isinf(dist), np.nan, dist)[:, None]).reshape(len(phis), -1, 3)
 

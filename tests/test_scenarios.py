@@ -74,7 +74,11 @@ def _doc(edit):
     (lambda d: d["terrain"].update(kind="lunar"),
      "ConfigurationError: TerrainSpec.kind must be one of ('rolling', 'upslope', 'flat'), got 'lunar'"),
     (lambda d: d["obstacles"][0].update(ahead=5000.0),
-     "ScenarioError: obstacle moose0 placed off-terrain at x=5401.9"),
+     "ScenarioError: obstacle moose0 placed off-terrain at (5401.9, 0.0), "
+     "outside x [-100.0, 2100.0] and y [-30.0, 30.0]"),
+    (lambda d: d["obstacles"][0].update(lateral=100.0),  # x is on the map, y is not
+     "ScenarioError: obstacle moose0 placed off-terrain at (476.9, 100.0), "
+     "outside x [-100.0, 2100.0] and y [-30.0, 30.0]"),
     *[(lambda d, v=v: d.update(cruise_speed=v),
        f"ConfigurationError: ScenarioConfig.cruise_speed must be a finite number > 0, got {v!r}")
       for v in (math.nan, math.inf, 0.0, -11.1)],
@@ -85,8 +89,8 @@ def _doc(edit):
     (lambda d: d["terrain"].update(cell=0.17),
      "ConfigurationError: TerrainSpec grid of length 2200.0, width 60.0 and cell 0.17 "
      "exceeds 4000000 heights"),
-], ids=["bad-version", "bad-kind", "off-terrain-obstacle", "nan-cruise-speed",
-        "infinite-cruise-speed", "zero-cruise-speed", "negative-cruise-speed",
+], ids=["bad-version", "bad-kind", "off-terrain-obstacle", "off-terrain-lateral",
+        "nan-cruise-speed", "infinite-cruise-speed", "zero-cruise-speed", "negative-cruise-speed",
         "string-cruise-speed", "bool-cruise-speed", "grid-above-the-cap"])
 def test_bad_document_raises_scenario_error(edit, message):
     with pytest.raises(ValueError) as exc:  # ConfigurationError or ScenarioError

@@ -11,6 +11,7 @@ import pytest
 
 from twinforge.documents import ConfigurationError
 from twinforge.environment import Obstacle, TerrainHeightmap, env_raycast
+from twinforge.scenarios import TerrainSpec, build_terrain
 from twinforge.se3 import quat_to_matrix
 from twinforge.sensors import LidarConfig, angle_grid, lidar_scan_2d, lidar_scan_3d
 
@@ -27,7 +28,8 @@ def _lidar_to_world(pitch_down: float, z: float = HEIGHT) -> np.ndarray:
 
 
 def _flat(height: float = 0.0):
-    return functools.partial(env_raycast, TerrainHeightmap.flat(height), [])
+    ground = TerrainSpec("flat", length=200.0, width=200.0, origin_x=-100.0, height=height)
+    return functools.partial(env_raycast, build_terrain(ground, 0.0), [])
 
 
 @pytest.mark.parametrize("phi", [0.05, 0.2, 0.6, 1.2])
