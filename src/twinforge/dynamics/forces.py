@@ -160,13 +160,15 @@ def tire_forces(
     rel = roll - v_x
     f_x = f_y = 0.0
     if rel != 0.0:
-        taper = (abs(roll) if abs(roll) > speed_x else speed_x) / eps_v
+        speed_roll = abs(roll)
+        taper = (speed_roll if speed_roll > speed_x else speed_x) / eps_v
         f_x = math.copysign(spline(abs(rel / denom)), rel) * normal_load * (
             (taper if taper < 1.0 else 1.0) if taper > 0.0 else 0.0)
         f_x = f_x if f_x > -lon_force_cap else -lon_force_cap
         f_x = f_x if f_x < lon_force_cap else lon_force_cap
     if v_y != 0.0:
-        taper = (abs(v_y) if abs(v_y) > speed_x else speed_x) / eps_v
+        speed_y = abs(v_y)
+        taper = (speed_y if speed_y > speed_x else speed_x) / eps_v
         f_y = -math.copysign(spline(abs(v_y / denom)), v_y) * normal_load * (
             (taper if taper < 1.0 else 1.0) if taper > 0.0 else 0.0)
     return f_x, f_y

@@ -44,37 +44,41 @@ def powertrain_step(
     up/down shifts one gear at a time, decided against the transmission map
     thresholds. The gear therefore stays in {neutral, 1..top}.
     """
-    shifting = pt.shift_timer > 0.0
-    if shifting:
-        pt.shift_timer = max(0.0, pt.shift_timer - dt)
+    # Comparisons stand in for abs, max and min: `-c < x < c` is `abs(x) < c`,
+    # `x if x > 0.0 else 0.0` is `max(0.0, x)` and `x if x < 1.0 else 1.0` is
+    # `min(1.0, x)`, for every float x, NaN included.
+    gear, timer = pt.gear, pt.shift_timer
+    if timer > 0.0:  # shifting
+        timer -= dt
+        timer = timer if timer > 0.0 else 0.0
+    elif (-NEUTRAL_SPEED < speed < NEUTRAL_SPEED and -30.0 < wheel_rpm_avg < 30.0
+          and throttle <= 1e-3):  # at a standstill
+        gear = GEAR_NEUTRAL
+    elif gear == GEAR_NEUTRAL:
+        if throttle > 1e-3:
+            gear = 1
+            timer = params.shift_time
+    else:
+        map_rpm = transmission_map_rpm(
+            speed, wheel_radius, params.final_drive, params.gear_ratios[gear])
+        if map_rpm > params.shift_up_rpm and gear < params.top_forward_gear:
+            gear += 1
+            timer = params.shift_time
+        elif map_rpm < params.shift_down_rpm and gear > 1:
+            gear -= 1
+            timer = params.shift_time
+    pt.gear, pt.shift_timer = gear, timer
 
-    standstill = abs(speed) < NEUTRAL_SPEED and abs(wheel_rpm_avg) < 30.0
-    if not shifting:
-        gear = pt.gear
-        if standstill and throttle <= 1e-3:
-            pt.gear = GEAR_NEUTRAL
-        elif gear == GEAR_NEUTRAL:
-            if throttle > 1e-3:
-                pt.gear = 1
-                pt.shift_timer = params.shift_time
-        else:
-            map_rpm = transmission_map_rpm(
-                speed, wheel_radius, params.final_drive, params.gear_ratios[gear])
-            if map_rpm > params.shift_up_rpm and gear < params.top_forward_gear:
-                pt.gear = gear + 1
-                pt.shift_timer = params.shift_time
-            elif map_rpm < params.shift_down_rpm and gear > 1:
-                pt.gear = gear - 1
-                pt.shift_timer = params.shift_time
-
-    ratio = params.gear_ratios[pt.gear]
+    ratio = params.gear_ratios[gear]
     target_rpm = params.idle_rpm + abs(wheel_rpm_avg) * params.final_drive * abs(ratio)
-    alpha = min(1.0, dt / params.rpm_smoothing_tau)
-    pt.engine_rpm += alpha * (target_rpm - pt.engine_rpm)
+    alpha = dt / params.rpm_smoothing_tau
+    alpha = alpha if alpha < 1.0 else 1.0
+    rpm = pt.engine_rpm
+    pt.engine_rpm = rpm = rpm + alpha * (target_rpm - rpm)
 
-    if pt.shift_timer > 0.0 or ratio == 0.0 or throttle <= 0.0:
+    if timer > 0.0 or ratio == 0.0 or throttle <= 0.0:
         return 0.0
-    engine_torque = params.engine_torque(pt.engine_rpm)
+    engine_torque = params.engine_torque(rpm)
     boost = 1.0 + params.throttle_smoothing_gain * throttle * throttle  # monotone, 1.0 at zero
     return engine_torque * ratio * params.final_drive * throttle * boost
 

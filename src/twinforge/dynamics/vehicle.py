@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 
-from ..se3 import Mat3, Vec3, clamp, quat_from_euler_zyx, quat_integrate, quat_to_matrix, rotate
+from ..se3 import Mat3, Vec3, quat_from_euler_zyx, quat_integrate, quat_to_matrix, rotate
 from .config import GRAVITY, VehicleConfig
 from .forces import aero_forces, antiroll_forces, suspension_step, tire_forces, wheel_brake_torques
 from .forces import steering_step  # noqa: F401  a binding perfbench/tracing.py wraps
@@ -37,7 +37,7 @@ class VehicleState:
         self.pos = [0.0, 0.0, 0.0]        # world COM position
         self.quat = (1.0, 0.0, 0.0, 0.0)  # world-from-body
         self.rot = quat_to_matrix(self.quat)
-        self.vel = [0.0, 0.0, 0.0]        # body-frame COM velocity
+        self.vel = [0.0, 0.0, 0.0]        # body-frame COM velocity; vel[0] is the forward speed
         self.omega = [0.0, 0.0, 0.0]      # body-frame angular velocity
         self.wheel_omega = [0.0] * 4      # spin, rad/s, positive rolling forward (FL FR RL RR)
         self.wheel_compression = [0.0] * 4
@@ -47,19 +47,31 @@ class VehicleState:
         self.cmd_brake = 0.0
 
     def set_commands(self, throttle: float, brake: float) -> None:
-        self.cmd_throttle = clamp(throttle, 0.0, 1.0)
-        self.cmd_brake = clamp(brake, 0.0, 1.0)
-
-    @property
-    def forward_speed(self) -> float:
-        return self.vel[0]
+        """Each command clamped to [0, 1], as `clamp` does it, written out."""
+        throttle = throttle if throttle > 0.0 else 0.0
+        self.cmd_throttle = throttle if throttle < 1.0 else 1.0
+        brake = brake if brake > 0.0 else 0.0
+        self.cmd_brake = brake if brake < 1.0 else 1.0
 
 
 class Vehicle:
+    """The plant of one config. `constants` is one plain tuple of every config
+    number and object `step` reads, built with the vehicle, so that a step
+    unpacks it once instead of following `cfg.section.field` chains."""
+
     def __init__(self, config: VehicleConfig):
         self.cfg = config
+        self.com = config.com
         self.corner_masses = tuple(w.corner_mass for w in config.wheels)
         self.corners = tuple(map(tuple, config.wheels))  # plain tuples unpack faster than NamedTuples
+        susp, brake = config.suspension, config.brake
+        self.constants = (
+            config.powertrain, susp.wheel_radius, susp.rest_length, susp.antiroll_stiffness,
+            config.total_mass, config.slip_speed_guard,
+            config.tires.__call__,  # the bound method: calling the instance costs a lookup more
+            config.com[2], config.aero, brake.disk_radius, brake.braking_distance_60mph,
+            config.standstill_brake_speed, config.standstill_brake_decel,
+            config.inertia, config.wheel_inertia)
 
     # -- construction ------------------------------------------------------
 
@@ -90,9 +102,11 @@ class Vehicle:
     def origin_pose(self, state: VehicleState) -> tuple[Mat3, Vec3]:
         """The state's world-from-body matrix and the world position of the config origin."""
         m = state.rot
-        shift = rotate(m, self.cfg.com)
+        m0, m1, m2, m3, m4, m5, m6, m7, m8 = m
+        cx, cy, cz = self.com  # R * com, as `rotate` sums it
         px, py, pz = state.pos
-        return m, (px - shift[0], py - shift[1], pz - shift[2])
+        return m, (px - (m0 * cx + m1 * cy + m2 * cz), py - (m3 * cx + m4 * cy + m5 * cz),
+                   pz - (m6 * cx + m7 * cy + m8 * cz))
 
     def kinetic_energy(self, state: VehicleState) -> float:
         """Body translational + rotational KE plus wheel spin KE."""
@@ -108,33 +122,30 @@ class Vehicle:
     # -- integration ---------------------------------------------------------
 
     def step(self, state: VehicleState, terrain, dt: float) -> None:
-        cfg = self.cfg
-        susp = cfg.suspension
+        (pt_params, radius, rest, stiffness, mass, eps_v, spline, com_z, aero, disk_radius,
+         braking_distance, hold_speed, hold_decel, inertia, i_w) = self.constants
         corners = self.corners
-        mass = cfg.total_mass
         m0, m1, m2, m3, m4, m5, m6, m7, m8 = state.rot
         px, py, pz = state.pos
         vx, vy, vz = state.vel
         ox, oy, oz = state.omega
         grounded = state.wheel_grounded
         wheel_omega = state.wheel_omega
-        radius = susp.wheel_radius
+        pedal = state.cmd_brake
 
         # powertrain: all four wheels are driven, each with a quarter of the total
         w0, w1, w2, w3 = wheel_omega
         wheel_rpm_avg = ((((0.0 + w0) + w1) + w2) + w3) * RPM_PER_RAD_S / 4
         tau_total = powertrain_step(
-            cfg.powertrain, radius, state.pt, state.cmd_throttle, vx, wheel_rpm_avg, dt)
+            pt_params, radius, state.pt, state.cmd_throttle, vx, wheel_rpm_avg, dt)
         tau_out = tau_total / 4
-        brake = (wheel_brake_torques(self.corner_masses, vx, cfg.brake.disk_radius,
-                                     cfg.brake.braking_distance_60mph, state.cmd_brake)
-                 if state.cmd_brake else (0.0, 0.0, 0.0, 0.0))  # what a zero pedal gives
+        brake = (wheel_brake_torques(self.corner_masses, vx, disk_radius, braking_distance, pedal)
+                 if pedal else (0.0, 0.0, 0.0, 0.0))  # what a zero pedal gives
 
         fx_sum = fy_sum = fz_sum = 0.0
         tx_sum = ty_sum = tz_sum = 0.0
 
         # suspension per wheel; the mount's world offset is R * arm
-        rest = susp.rest_length
         compression = state.wheel_compression
         travels = [0.0] * 4
         contact_z = [0.0] * 4
@@ -149,7 +160,6 @@ class Vehicle:
                 radius, zs, mount_z, dt)
 
         # anti-roll bars, front axle then rear
-        stiffness = susp.antiroll_stiffness
         fl, fr = antiroll_forces(travels[0], travels[1], stiffness, grounded[0], grounded[1])
         rl, rr = antiroll_forces(travels[2], travels[3], stiffness, grounded[2], grounded[3])
         vertical[0] += fl
@@ -185,9 +195,6 @@ class Vehicle:
             tz_sum += rx * bfy - ry * bfx
 
         # tire forces; the wheels point straight ahead, so the wheel frame is the body's
-        eps_v = cfg.slip_speed_guard
-        spline = cfg.tires.__call__  # the bound method: calling the instance costs a lookup more
-        com_z = cfg.com[2]
         tire_fx = [0.0] * 4
         for i in range(4):
             if not grounded[i]:
@@ -208,7 +215,7 @@ class Vehicle:
             tz_sum += rx * f_lat - ry * f_lon
 
         # aerodynamics
-        drag, ang_drag, downforce = aero_forces((vx, vy, vz), (ox, oy, oz), cfg.aero, eps_v)
+        drag, ang_drag, downforce = aero_forces((vx, vy, vz), (ox, oy, oz), aero, eps_v)
         fx_sum += drag[0]
         fy_sum += drag[1]
         fz_sum += drag[2] - downforce
@@ -223,10 +230,10 @@ class Vehicle:
         fz_sum += m2 * 0.0 + m5 * 0.0 + m8 * g
 
         # low-speed brake hold: kills the quadratic brake law's creep tail
-        if state.cmd_brake > 0.05:
+        if pedal > 0.05:
             sp = math.sqrt(vx * vx + vy * vy + vz * vz)
-            if 0.0 < sp < cfg.standstill_brake_speed:
-                cap = cfg.standstill_brake_decel * state.cmd_brake
+            if 0.0 < sp < hold_speed:
+                cap = hold_decel * pedal
                 a_hold = min(sp / dt, cap) * mass / sp
                 fx_sum -= vx * a_hold
                 fy_sum -= vy * a_hold
@@ -240,7 +247,7 @@ class Vehicle:
         nvy = vy + ay * dt
         nvz = vz + az * dt
 
-        ix, iy, iz = cfg.inertia
+        ix, iy, iz = inertia
         dox = (tx_sum - (iz - iy) * oy * oz) / ix
         doy = (ty_sum - (ix - iz) * oz * ox) / iy
         doz = (tz_sum - (iy - ix) * ox * oy) / iz
@@ -259,7 +266,6 @@ class Vehicle:
         state.rot = quat_to_matrix(q)
 
         # wheel spin (brake torque pulls toward zero but cannot cross it)
-        i_w = cfg.wheel_inertia
         for i in range(4):
             w_spin = wheel_omega[i] + dt * (tau_out - radius * tire_fx[i]) / i_w
             cap = dt * brake[i] / i_w

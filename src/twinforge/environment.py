@@ -62,13 +62,16 @@ class TerrainHeightmap:
         if not np.all(np.isfinite(heights)):
             raise ValueError("heightmap contains non-finite values")
         self.heights = heights
-        self._flat = memoryview(heights.reshape(-1))  # a view: no copy
         self.cell = float(cell)
         self.origin = (float(origin[0]), float(origin[1]))
         self._ny, self._nx = heights.shape
         self._max_x = self.origin[0] + (self._nx - 1) * self.cell
         self._max_y = self.origin[1] + (self._ny - 1) * self.cell
         self._z_max = float(heights.max())
+        # What `height_and_gradient` reads, unpacked in one go; the heights are a
+        # memoryview of the grid (no copy), read as Python floats.
+        self._grid = (*self.origin, self._max_x, self._max_y, self.cell, self._nx,
+                      self._nx - 2, self._ny - 2, memoryview(heights.reshape(-1)))
 
     def __reduce__(self):
         # A memoryview cannot be pickled; rebuild the map from its grid.
@@ -91,23 +94,20 @@ class TerrainHeightmap:
         patch is extrapolated, as in `heights_at`. The corners are read as
         Python floats from the flat buffer, so all arithmetic is on floats.
         """
-        ox, oy = self.origin
-        if not (ox <= x <= self._max_x and oy <= y <= self._max_y):
+        ox, oy, max_x, max_y, cell, nx, ix_last, iy_last, h = self._grid
+        if not (ox <= x <= max_x and oy <= y <= max_y):
             raise TerrainQueryError(f"terrain query ({x:.2f}, {y:.2f}) out of bounds {self.bounds}")
-        cell = self.cell
-        nx = self._nx
         fx = (x - ox) / cell
         fy = (y - oy) / cell
         ix = int(fx)
         iy = int(fy)
-        if ix > nx - 2:
-            ix = nx - 2
-        if iy > self._ny - 2:
-            iy = self._ny - 2
+        if ix > ix_last:
+            ix = ix_last
+        if iy > iy_last:
+            iy = iy_last
         u = fx - ix
         v = fy - iy
         k = iy * nx + ix
-        h = self._flat
         h00 = h[k]
         h10 = h[k + 1]
         h01 = h[k + nx]

@@ -200,6 +200,13 @@ class Episode:
     # -- helpers ---------------------------------------------------------------
 
     def _perceive(self, pose) -> list[ObstacleView]:
+        """The camera's view of each obstacle it sees from `pose`; a scene without
+        obstacles builds no camera matrix. The matrices stay numpy matmuls, not
+        plain-float sums: the BLAS kernel's rounding is part of every pinned digest,
+        and a (4, 4) @ (4, 8) product summed left to right in Python differs from
+        it in the last bit for nearly every random pair of matrices."""
+        if not self.obstacles:
+            return []
         cam_world = pose_matrix(*pose) @ self.camera_mount
         view = camera_matrices(cam_world)
         cam_pos = cam_world[:3, 3]
@@ -273,13 +280,12 @@ class Episode:
                 for i in range(steps, stop):
                     if i % perception_period == 0:
                         detections = detect(perceive(pose))
-                        plan(detections, state.forward_speed)
+                        plan(detections, state.vel[0])
                         # The frame's summary, for its records until the next frame.
                         best = max(detections, key=lambda d: d.confidence, default=None)
                         seen = (len(detections), best.confidence, best.area) if best else (0, 0.0, 0.0)
                     mode = planner.mode  # only `plan` changes it
-                    throttle, brake = longitudinal_control(mode, state.forward_speed,
-                                                           cruise_speed, cruise_kp)
+                    throttle, brake = longitudinal_control(mode, state.vel[0], cruise_speed, cruise_kp)
                     set_commands(throttle, brake)
                     step(state, terrain, dt)
                     steps += 1

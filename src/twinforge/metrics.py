@@ -159,6 +159,8 @@ def compute_dtc(ego_x: float, ego_y: float, ego_yaw: float, front_offset: float,
     passed); +inf when no obstacle is in the lane.
     """
     best = math.inf
+    if not obstacles:
+        return best
     hx, hy = math.cos(ego_yaw), math.sin(ego_yaw)
     front_s = ego_x * hx + ego_y * hy + front_offset
     lane = half_width + CONTACT_MARGIN

@@ -64,15 +64,17 @@ def clamp(x: float, lo: float, hi: float) -> float:
 
 def euler_zyx_from_matrix(m: Mat3) -> Vec3:
     """(roll, pitch, yaw) for R = Rz(yaw) @ Ry(pitch) @ Rx(roll)."""
-    m00, _, _, m10, _, _, m20, m21, m22 = m[0], m[1], m[2], m[3], m[4], m[5], m[6], m[7], m[8]
-    sp = clamp(-m20, -1.0, 1.0)
+    m00, _, _, m10, m11, m12, m20, m21, m22 = m
+    sp = -m20  # clamped to [-1, 1] as `clamp` does it, written out
+    sp = sp if sp > -1.0 else -1.0
+    sp = sp if sp < 1.0 else 1.0
     pitch = math.asin(sp)
     if abs(sp) < 1.0 - 1e-12:
         roll = math.atan2(m21, m22)
         yaw = math.atan2(m10, m00)
     else:
         # Gimbal lock: yaw is unobservable, fold it into roll.
-        roll = math.atan2(-m[5], m[4])
+        roll = math.atan2(-m12, m11)
         yaw = 0.0
     return (roll, pitch, yaw)
 

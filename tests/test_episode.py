@@ -903,3 +903,12 @@ def test_timeout_duration_does_not_drift():
     assert (res.terminal, res.steps) == ("timeout", 2031)
     assert res.duration == 20.31
     assert res.log.digest() == "1c52d49e16a94c2aa4beab05d8ce5893ec0c6f0d2c7438ab2df3dc4dbac45aa8"
+
+
+def test_the_full_length_flat_case_digest():
+    # The longest pinned benchmark case: 12,000 steps of a scene without
+    # obstacles, which builds no camera matrix and ranks no obstacle.
+    res = run_case(_bundle("flat"))
+    assert (res.status, res.terminal, res.steps) == ("done", "timeout", 12000)
+    assert res.verdict.passed and res.verdict.min_dtc == math.inf
+    assert res.log.digest() == "4966e167c55ada4b7d7ff1f42eb8159e1e1a467ccd0c8ff5c5ccd5ac82a8fde8"

@@ -57,7 +57,7 @@ def test_slope_rolls_downhill_monotonically(vehicle):
     for _ in range(100):
         st.set_commands(0.0, 0.0)
         vehicle.step(st, terrain, DT)
-        speeds.append(st.forward_speed)
+        speeds.append(st.vel[0])
     assert all(b >= a - 1e-12 for a, b in zip(speeds, speeds[1:]))
     # bounded by the frictionless point-mass rate
     assert 0.0 < speeds[-1] <= 9.81 * math.sin(math.radians(10.0)) * 1.0 + 1e-6
@@ -106,7 +106,7 @@ def test_full_throttle_accelerates_and_shifts(vehicle, flat_terrain):
         st.set_commands(1.0, 0.0)
         vehicle.step(st, flat_terrain, DT)
         gears.add(st.pt.gear)
-    assert st.forward_speed > 15.0
+    assert st.vel[0] > 15.0
     assert {1, 2} <= gears
 
 
@@ -120,7 +120,7 @@ def test_upshift_follows_the_suspension_wheel_radius(flat_terrain):
     while st.pt.gear != 2:
         assert len(speeds) < 3000
         if st.pt.gear == 1 and st.pt.shift_timer == 0.0:
-            speeds.append(st.forward_speed)
+            speeds.append(st.vel[0])
         st.set_commands(1.0, 0.0)
         vehicle.step(st, flat_terrain, DT)
     rpm = [transmission_map_rpm(v, 0.40, pt.final_drive, pt.gear_ratios[1]) for v in speeds[-2:]]
