@@ -122,6 +122,11 @@ class Vehicle:
     # -- integration ---------------------------------------------------------
 
     def step(self, state: VehicleState, terrain, dt: float) -> None:
+        """Advance the state by dt in place. After the powertrain and brake torques the
+        passes run in order: suspension, anti-roll, suspension forces along the slope
+        normal, tyre force then spin, aero, gravity, brake hold, integration. The force
+        passes stay apart to keep the order of the sums' additions, which every digest
+        holds; the tyre pass may update a spin, as no later part of the step reads one."""
         (pt_params, radius, rest, stiffness, mass, eps_v, spline, com_z, aero, disk_radius,
          braking_distance, hold_speed, hold_decel, inertia, i_w) = self.constants
         corners = self.corners
@@ -159,7 +164,6 @@ class Vehicle:
                 compression[i], pz + (m6 * ax + m7 * ay + m8 * az), ground[0], rest, k, b,
                 radius, zs, mount_z, dt)
 
-        # anti-roll bars, front axle then rear
         fl, fr = antiroll_forces(travels[0], travels[1], stiffness, grounded[0], grounded[1])
         rl, rr = antiroll_forces(travels[2], travels[3], stiffness, grounded[2], grounded[3])
         vertical[0] += fl
@@ -173,10 +177,8 @@ class Vehicle:
         # potential 1/2 k c^2 is k c (-dh/dx, -dh/dy, 1).  A body-up force
         # would do work the spring never stored, e.g. on a pitched landing.
         # The same vertical force is the tire's normal load.
-        loads = [0.0] * 4
         for i in range(4):
             f = vertical[i]
-            loads[i] = f if grounded[i] and f > 0.0 else 0.0
             if f == 0.0:
                 continue
             rx, ry, _, _, _, _, _, rz, _, _ = corners[i]
@@ -194,27 +196,35 @@ class Vehicle:
             ty_sum += rz * bfx - rx * bfz
             tz_sum += rx * bfy - ry * bfx
 
-        # tire forces; the wheels point straight ahead, so the wheel frame is the body's
-        tire_fx = [0.0] * 4
+        # tire force, then spin; the wheels point straight ahead, so the wheel frame is the body's
         for i in range(4):
-            if not grounded[i]:
-                continue
-            rx, ry, _, _, _, _, _, _, reduced_mass, _ = corners[i]
-            rz = contact_z[i] - com_z
-            cvx = vx + oy * rz - oz * ry
-            cvy = vy + oz * rx - ox * rz
             spin = wheel_omega[i]
-            rel = radius * spin - cvx
-            cap = abs(rel) * reduced_mass / dt
-            f_lon, f_lat = tire_forces(spin, cvx, cvy, radius, spline, loads[i], eps_v, cap)
-            tire_fx[i] = f_lon
-            fx_sum += f_lon
-            fy_sum += f_lat
-            tx_sum -= rz * f_lat
-            ty_sum += rz * f_lon
-            tz_sum += rx * f_lat - ry * f_lon
+            if grounded[i]:
+                rx, ry, _, _, _, _, _, _, reduced_mass, _ = corners[i]
+                rz = contact_z[i] - com_z
+                cvx = vx + oy * rz - oz * ry
+                cvy = vy + oz * rx - ox * rz
+                cap = abs(radius * spin - cvx) * reduced_mass / dt
+                f = vertical[i]
+                f_lon, f_lat = tire_forces(spin, cvx, cvy, radius, spline,
+                                           f if f > 0.0 else 0.0, eps_v, cap)
+                fx_sum += f_lon
+                fy_sum += f_lat
+                tx_sum -= rz * f_lat
+                ty_sum += rz * f_lon
+                tz_sum += rx * f_lat - ry * f_lon
+            else:
+                f_lon = 0.0
+            spin += dt * (tau_out - radius * f_lon) / i_w
+            cap = dt * brake[i] / i_w  # the brake pulls the spin toward zero, never across it
+            if spin > cap:
+                spin -= cap
+            elif spin < -cap:
+                spin += cap
+            else:
+                spin = 0.0
+            wheel_omega[i] = spin
 
-        # aerodynamics
         drag, ang_drag, downforce = aero_forces((vx, vy, vz), (ox, oy, oz), aero, eps_v)
         fx_sum += drag[0]
         fy_sum += drag[1]
@@ -264,18 +274,6 @@ class Vehicle:
         state.omega = [nox, noy, noz]
         q = state.quat = quat_integrate(state.quat, (nox, noy, noz), dt)
         state.rot = quat_to_matrix(q)
-
-        # wheel spin (brake torque pulls toward zero but cannot cross it)
-        for i in range(4):
-            w_spin = wheel_omega[i] + dt * (tau_out - radius * tire_fx[i]) / i_w
-            cap = dt * brake[i] / i_w
-            if w_spin > cap:
-                w_spin -= cap
-            elif w_spin < -cap:
-                w_spin += cap
-            else:
-                w_spin = 0.0
-            wheel_omega[i] = w_spin
 
         total = (npx + npy + npz
                  + nvx + nvy + nvz + nox + noy + noz

@@ -63,28 +63,22 @@ class TerrainHeightmap:
             raise ValueError("heightmap contains non-finite values")
         self.heights = heights
         self.cell = float(cell)
-        self.origin = (float(origin[0]), float(origin[1]))
-        self._ny, self._nx = heights.shape
-        self._max_x = self.origin[0] + (self._nx - 1) * self.cell
-        self._max_y = self.origin[1] + (self._ny - 1) * self.cell
+        self.origin = x0, y0 = (float(origin[0]), float(origin[1]))
+        ny, nx = heights.shape
+        self.bounds = (x0, y0, x0 + (nx - 1) * self.cell, y0 + (ny - 1) * self.cell)
         self._z_max = float(heights.max())
-        # What `height_and_gradient` reads, unpacked in one go; the heights are a
+        # What the height queries read, unpacked in one go; the heights are a
         # memoryview of the grid (no copy), read as Python floats.
-        self._grid = (*self.origin, self._max_x, self._max_y, self.cell, self._nx,
-                      self._nx - 2, self._ny - 2, memoryview(heights.reshape(-1)))
+        self._grid = (*self.bounds, self.cell, nx, nx - 2, ny - 2, memoryview(heights.reshape(-1)))
 
     def __reduce__(self):
         # A memoryview cannot be pickled; rebuild the map from its grid.
         return type(self), (self.heights, self.cell, self.origin)
 
-    @property
-    def bounds(self) -> tuple[float, float, float, float]:
-        return (self.origin[0], self.origin[1], self._max_x, self._max_y)
-
     def contains(self, x, y):
         """Whether (x, y) lies on the map; elementwise over arrays."""
-        return ((self.origin[0] <= x) & (x <= self._max_x)
-                & (self.origin[1] <= y) & (y <= self._max_y))
+        x0, y0, x1, y1 = self.bounds
+        return (x0 <= x) & (x <= x1) & (y0 <= y) & (y <= y1)
 
     def height_and_gradient(self, x: float, y: float) -> tuple[float, float, float]:
         """Bilinear height and the analytic gradient of the bilinear patch.
@@ -128,11 +122,11 @@ class TerrainHeightmap:
     def heights_at(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """Bilinear heights at in-bounds points, with `height_and_gradient`'s
         arithmetic in the same order, so each equals its scalar height."""
-        fx = (xs - self.origin[0]) / self.cell
-        fy = (ys - self.origin[1]) / self.cell
-        nx = self._nx
-        ix = np.minimum(fx.astype(np.intp), nx - 2)
-        iy = np.minimum(fy.astype(np.intp), self._ny - 2)
+        ox, oy, _, _, cell, nx, ix_last, iy_last, _ = self._grid
+        fx = (xs - ox) / cell
+        fy = (ys - oy) / cell
+        ix = np.minimum(fx.astype(np.intp), ix_last)
+        iy = np.minimum(fy.astype(np.intp), iy_last)
         u = fx - ix
         v = fy - iy
         iu = 1 - u

@@ -62,8 +62,8 @@ from .sensors import (
 
 MAX_STEPS = 10_000_000  # in t_max and in contact_window; the default sim section takes 12,000
 # Terrain samples (rays x (r_max / (cell / 2) + 1), the origin sample included) one full_scans
-# LIDAR cast holds at once: a cast of whole planar sweeps, 181 x 81 = 14,661 each by default,
-# or the final spatial scan's 325 x 81 = 26,325.
+# LIDAR cast marches, 2**14 at a time: `sweeps_per_cast` planar sweeps of 181 x 81 = 14,661 each
+# by default, whose per-ray arrays it so bounds, or the final spatial scan's 325 x 81 = 26,325.
 MAX_SCAN_SAMPLES = 1_000_000
 
 

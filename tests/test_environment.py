@@ -126,11 +126,16 @@ def ref_env_raycast(terrain, obstacles, origin, direction, r_max):
 
 def ref_height_and_gradient(terrain, x, y):
     """The bilinear patch on numpy scalars, as the query computed it before it
-    read Python floats from the flat buffer."""
+    read Python floats from the flat buffer, and its error off the map. It reads
+    only the map's public grid: heights, cell, origin and bounds."""
+    x0, y0, x1, y1 = terrain.bounds
+    if not (x0 <= x <= x1 and y0 <= y <= y1):
+        raise TerrainQueryError(f"terrain query ({x:.2f}, {y:.2f}) out of bounds {terrain.bounds}")
+    ny, nx = terrain.heights.shape
     fx = (x - terrain.origin[0]) / terrain.cell
     fy = (y - terrain.origin[1]) / terrain.cell
-    ix = min(int(fx), terrain._nx - 2)
-    iy = min(int(fy), terrain._ny - 2)
+    ix = min(int(fx), nx - 2)
+    iy = min(int(fy), ny - 2)
     u = fx - ix
     v = fy - iy
     h = terrain.heights

@@ -722,10 +722,11 @@ def test_a_gear_ratio_key_that_is_no_int_names_its_field(key):
 ], ids=["huge-r-max", "huge-negative-theta-min", "huge-theta-max", "tiny-theta-res",
         "spatial-scan"])
 def test_a_full_scan_too_large_to_cast_is_a_failed_result(lidar, rays):
-    """Each cast, the planar sweep and the final 325-ray spatial scan, holds
-    rays x r_max / (cell / 2) terrain samples at once; a LIDAR config past
-    MAX_SCAN_SAMPLES fails the full-scan case before it runs, and leaves a
-    case without full scans alone."""
+    """Each cast, of a group of planar sweeps or of the final 325-ray spatial
+    scan, marches rays x r_max / (cell / 2) terrain samples, 2**14 at a time;
+    MAX_SCAN_SAMPLES bounds that count, and so the rays of a group. A LIDAR
+    config past it fails the full-scan case before it runs, and leaves a case
+    without full scans alone."""
     bundle = _bundle("default")
     bundle["sim"]["t_max"] = 0.6
     bundle["sensors"]["lidar"].update(lidar)

@@ -1,7 +1,7 @@
 """The step's rewritten formulas against the versions they replaced, which
 live on here as the oracles: comparisons in place of `abs`, `max`, `min` and
 `clamp`, state in locals, one `abs` per operand, constants unpacked from a
-tuple.
+tuple. The height query's oracle is `test_environment.ref_height_and_gradient`.
 
 Equality is bit for bit, the sign of zero and NaN included, over floats that
 take in ±0.0, ±inf, NaN and each threshold the formulas compare against, with
@@ -19,9 +19,11 @@ from twinforge.dynamics.config import GEAR_NEUTRAL
 from twinforge.dynamics.forces import tire_forces
 from twinforge.dynamics.powertrain import (NEUTRAL_SPEED, PowertrainState, powertrain_step,
                                            transmission_map_rpm)
-from twinforge.environment import TerrainHeightmap, TerrainQueryError
+from twinforge.environment import TerrainHeightmap
 from twinforge.scenarios import TerrainSpec, build_terrain
 from twinforge.se3 import clamp, euler_zyx_from_matrix, quat_to_matrix, rotate
+
+from test_environment import ref_height_and_gradient  # the bilinear patch's one oracle
 
 CFG = default_vehicle_config()
 EPS_V = CFG.slip_speed_guard
@@ -137,37 +139,6 @@ def old_euler_zyx_from_matrix(m):
     return (roll, pitch, yaw)
 
 
-def old_height_and_gradient(terrain, x, y):
-    ox, oy = terrain.origin
-    if not (ox <= x <= terrain._max_x and oy <= y <= terrain._max_y):
-        raise TerrainQueryError(f"terrain query ({x:.2f}, {y:.2f}) out of bounds {terrain.bounds}")
-    cell = terrain.cell
-    nx = terrain._nx
-    fx = (x - ox) / cell
-    fy = (y - oy) / cell
-    ix = int(fx)
-    iy = int(fy)
-    if ix > nx - 2:
-        ix = nx - 2
-    if iy > terrain._ny - 2:
-        iy = terrain._ny - 2
-    u = fx - ix
-    v = fy - iy
-    k = iy * nx + ix
-    h = memoryview(terrain.heights.reshape(-1))
-    h00 = h[k]
-    h10 = h[k + 1]
-    h01 = h[k + nx]
-    h11 = h[k + nx + 1]
-    iu = 1 - u
-    iv = 1 - v
-    z = (h00 * iu * iv + h10 * u * iv
-         + h01 * iu * v + h11 * u * v)
-    dzdx = ((h10 - h00) * iv + (h11 - h01) * v) / cell
-    dzdy = ((h01 - h00) * iu + (h11 - h10) * u) / cell
-    return z, dzdx, dzdy
-
-
 def old_origin_shift(m, com, pos):
     shift = rotate(m, com)
     return (pos[0] - shift[0], pos[1] - shift[1], pos[2] - shift[2])
@@ -251,7 +222,7 @@ def test_height_and_gradient_equals_the_oracle(terrain, data):
     x0, y0, x1, y1 = terrain.bounds
     x = data.draw(st.one_of(floats(x0, x1), st.floats(x0, x1)))
     y = data.draw(st.one_of(floats(y0, y1), st.floats(y0, y1)))
-    assert outcome(terrain.height_and_gradient, x, y) == outcome(old_height_and_gradient,
+    assert outcome(terrain.height_and_gradient, x, y) == outcome(ref_height_and_gradient,
                                                                  terrain, x, y)
 
 

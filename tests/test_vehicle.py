@@ -313,6 +313,22 @@ def test_plant_trajectory_digest():
     assert h.hexdigest() == "14607dc081b478a1bb9c1da8090589b1f7e288a2f521bbc288530a5b175e0c5e"
 
 
+def test_cliff_trajectory_digest(vehicle):
+    # the 30 m cliff of `_check_cliff_landing`: 258 steps with all four wheels in
+    # the air, then a landing, so the tyre pass's airborne branch sets each spin
+    terrain = _edge_terrain(30.0)
+    st = _roll_state(vehicle, terrain, 12.0)
+    h = hashlib.sha256()
+    airborne = 0
+    for _ in range(1000):
+        st.set_commands(0.0, 0.0)
+        vehicle.step(st, terrain, DT)
+        airborne += not any(st.wheel_grounded)
+        h.update(_plant_blob(st))
+    assert airborne == 258 and all(st.wheel_grounded)
+    assert h.hexdigest() == "aa90b16a3b52857897b253ba6dfeba70e89e823e5e6803fdd4ce69a76ddc7a5d"
+
+
 def test_the_state_carries_the_matrix_of_its_quaternion(vehicle):
     # the step and origin_pose read state.rot in place of quat_to_matrix(state.quat)
     terrain = build_terrain(TerrainSpec("rolling"), 0.0)
